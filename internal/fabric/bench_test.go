@@ -6,6 +6,7 @@ package fabric_test
 import (
 	"testing"
 
+	"composable/internal/cluster"
 	"composable/internal/fabric"
 	"composable/internal/perfbench"
 	"composable/internal/sim"
@@ -36,6 +37,37 @@ func BenchmarkFlowChurnSerial(b *testing.B) {
 // BenchmarkFlowChurnContended measures allocator churn under steady
 // contention over the shared star switch. One op is one completed flow.
 func BenchmarkFlowChurnContended(b *testing.B) { perfbench.BenchFabricFlowChurnContended(b) }
+
+// BenchmarkRouteColdPodFleet measures the routing layer on its own, on the
+// 1024-GPU pod fleet (8 pods × 8 chassis × 16 GPUs). Each op composes a
+// fresh fleet with the timer stopped, so every route is a cold search,
+// then routes every GPU i→i+1 ring pair and every host-DRAM→GPU pair.
+func BenchmarkRouteColdPodFleet(b *testing.B) {
+	b.ReportAllocs()
+	routes := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fleet, err := cluster.ComposeFleet(sim.NewEnv(), perfbench.PodFleetOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j, s := range fleet.Slots {
+			if _, err := fleet.Net.Route(s.Node, fleet.Slots[(j+1)%len(fleet.Slots)].Node); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, h := range fleet.Hosts {
+			for _, s := range fleet.Slots {
+				if _, err := fleet.Net.Route(h.Mem, s.Node); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		routes += len(fleet.Slots) * (1 + len(fleet.Hosts))
+	}
+	b.ReportMetric(float64(routes)/b.Elapsed().Seconds(), "routes/s")
+}
 
 // BenchmarkRecomputeWide measures a single recompute sweep at width: 32
 // concurrent flows started back to back (each start recomputes over the

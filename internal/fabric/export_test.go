@@ -9,6 +9,32 @@ import (
 	"composable/internal/units"
 )
 
+// Hop is one directed link of a route: the link and whether it is crossed
+// A→B. The route oracle in package fabric_test compares paths as hops.
+type Hop struct {
+	Link    LinkID
+	Forward bool
+}
+
+// HopPenalty is the per-hop tie-break cost Route adds to link latency.
+const HopPenalty = hopPenalty
+
+// DenseRouteLimit is the node count up to which Route caches in a table.
+const DenseRouteLimit = denseRouteLimit
+
+// RouteHops returns Route's src→dst path as hops.
+func (n *Network) RouteHops(src, dst NodeID) ([]Hop, error) {
+	path, err := n.Route(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	hops := make([]Hop, len(path))
+	for i, dl := range path {
+		hops[i] = Hop{Link: dl.link.ID, Forward: dl.forward}
+	}
+	return hops, nil
+}
+
 func TestDotExport(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNetwork(env)

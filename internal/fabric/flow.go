@@ -17,7 +17,10 @@ type Network struct {
 	env   *sim.Env
 	nodes []*Node
 	links []*Link
-	adj   map[NodeID][]dirLink
+	// adj lists each node's outgoing link directions and degree counts its
+	// incident links in either direction, both indexed by NodeID.
+	adj    [][]dirLink
+	degree []int32
 
 	// EndpointOverhead is added once per transfer to model DMA/driver
 	// setup at the endpoints; it dominates small-message p2p latency.
@@ -76,13 +79,14 @@ type Network struct {
 	// finishCompleted (see signalBatch).
 	freeBatches []*signalBatch
 
-	// Dijkstra scratch (see dijkstra): reused across route computations.
-	djDist    []int64
-	djPrev    []dirLink
-	djHasPrev []bool
-	djVisited []bool
-	djRev     []dirLink
-	djHeap    []heapItem
+	// Dijkstra scratch (see dijkstra): reused across route computations,
+	// and stamped with djEpoch instead of cleared per search.
+	djDist  []int64
+	djPrev  []dirLink
+	djSeen  []uint32
+	djEpoch uint32
+	djRev   []dirLink
+	djHeap  []heapItem
 
 	// recomputeQueued coalesces same-instant recompute requests into one
 	// deferred sweep (flushFn, created once in NewNetwork): rates computed
@@ -196,10 +200,7 @@ func (st *constraint) capacity() float64 {
 
 // NewNetwork creates an empty fabric bound to a simulation environment.
 func NewNetwork(env *sim.Env) *Network {
-	n := &Network{
-		env: env,
-		adj: make(map[NodeID][]dirLink),
-	}
+	n := &Network{env: env}
 	n.flushFn = func() {
 		n.ensureAllocated()
 	}
@@ -270,6 +271,7 @@ func (n *Network) StartFlow(src, dst NodeID, size units.Bytes) (*Flow, error) {
 // StartFlowLimited is StartFlow with a per-flow rate cap (0 = unlimited),
 // used for endpoints whose internal media is slower than their link — an
 // NVMe device's flash, a DMA engine's request rate.
+//
 //perf:hot
 func (n *Network) StartFlowLimited(src, dst NodeID, size units.Bytes, maxRate units.BytesPerSec) (*Flow, error) {
 	path, err := n.Route(src, dst)

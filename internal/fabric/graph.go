@@ -118,6 +118,8 @@ func (n *Network) addGraphStructures(l *Link) {
 	if l.CapBtoA > 0 {
 		n.adj[l.B] = append(n.adj[l.B], dirLink{link: l, forward: false})
 	}
+	n.degree[l.A]++
+	n.degree[l.B]++
 	n.routeCache, n.routes = nil, nil
 }
 
@@ -125,6 +127,8 @@ func (n *Network) addGraphStructures(l *Link) {
 func (n *Network) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, &Node{ID: id, Name: name, Kind: kind})
+	n.adj = append(n.adj, nil)
+	n.degree = append(n.degree, 0)
 	n.routeCache, n.routes = nil, nil
 	return id
 }
@@ -226,70 +230,65 @@ func (n *Network) noPathErr(src, dst NodeID) error {
 // hopPenalty breaks ties between equal-latency paths in favor of fewer hops.
 const hopPenalty = 10 * time.Nanosecond
 
+// dijkstra returns the preferred src→dst path, or nil when dst is
+// unreachable. It settles nodes from a binary heap in (dist, node) order
+// and relaxes with a strict <, so among equal-cost paths the one reached
+// first in that order wins; every cached route depends on that tie-break.
+// A stale heap entry is recognized by its dist, not by a decrease-key:
+// each push strictly lowers a node's dist, so only its latest entry still
+// matches.
+//
+// Two things keep a search cheap on fleet-scale graphs, where most nodes
+// are endpoints:
+//   - The scratch is stamped, not cleared: a node's dist and prev count
+//     only while its seen stamp equals the current epoch.
+//   - Leaves are never pushed. A node with one incident link cannot be an
+//     interior node of a simple path, so settling it would relax nothing;
+//     unless it is dst, it gets its dist and prev and stays off the heap.
+//     Settle order and routes are exactly those of a search that pushes it.
 func (n *Network) dijkstra(src, dst NodeID) []dirLink {
-	const inf = math.MaxInt64
-	if len(n.nodes) > denseRouteLimit {
-		return n.dijkstraHeap(src, dst)
+	nn := len(n.nodes)
+	if len(n.djDist) < nn {
+		n.djDist = make([]int64, nn)
+		n.djPrev = make([]dirLink, nn)
+		n.djSeen = make([]uint32, nn)
+		n.djEpoch = 0
 	}
-	// Scratch arrays live on the Network: a fleet composition computes
-	// routes for every endpoint pair, and per-call slices were a measurable
-	// share of setup allocations.
-	n.djReset()
-	dist := n.djDist[:len(n.nodes)]
-	prev := n.djPrev[:len(n.nodes)]
-	hasPrev := n.djHasPrev[:len(n.nodes)]
-	visited := n.djVisited[:len(n.nodes)]
-	dist[src] = 0
-	for {
-		// Linear scan: fabric graphs are tens of nodes, so a heap is
-		// not worth the code.
-		best, bestD := NodeID(-1), int64(inf)
-		for i, d := range dist {
-			if !visited[i] && d < bestD {
-				best, bestD = NodeID(i), d
-			}
+	n.djEpoch++
+	if n.djEpoch == 0 { // wrapped: a stamp from 2³² searches ago would match
+		clear(n.djSeen)
+		n.djEpoch = 1
+	}
+	epoch := n.djEpoch
+	dist, prev, seen := n.djDist[:nn], n.djPrev[:nn], n.djSeen[:nn]
+	dist[src], seen[src] = 0, epoch
+	h := heapPush(n.djHeap[:0], heapItem{0, src})
+	for len(h) > 0 {
+		var it heapItem
+		h, it = heapPop(h)
+		if it.dist != dist[it.node] {
+			continue
 		}
-		if best == -1 {
+		if it.node == dst {
 			break
 		}
-		if best == dst {
-			break
-		}
-		visited[best] = true
-		for _, dl := range n.adj[best] {
-			cost := int64(dl.link.Latency) + int64(hopPenalty)
-			if nd := dist[best] + cost; nd < dist[dl.to()] {
-				dist[dl.to()] = nd
-				prev[dl.to()] = dl
-				hasPrev[dl.to()] = true
+		for _, dl := range n.adj[it.node] {
+			to := dl.to()
+			nd := it.dist + int64(dl.link.Latency) + int64(hopPenalty)
+			if seen[to] == epoch && nd >= dist[to] {
+				continue
+			}
+			dist[to], prev[to], seen[to] = nd, dl, epoch
+			if to == dst || n.degree[to] != 1 {
+				h = heapPush(h, heapItem{nd, to})
 			}
 		}
 	}
-	if !hasPrev[dst] {
+	n.djHeap = h[:0]
+	if seen[dst] != epoch {
 		return nil
 	}
 	return n.djPath(src, dst)
-}
-
-// djReset (re)sizes and clears the dijkstra scratch arrays.
-func (n *Network) djReset() {
-	const inf = math.MaxInt64
-	if len(n.djDist) < len(n.nodes) {
-		n.djDist = make([]int64, len(n.nodes))
-		n.djPrev = make([]dirLink, len(n.nodes))
-		n.djHasPrev = make([]bool, len(n.nodes))
-		n.djVisited = make([]bool, len(n.nodes))
-	}
-	dist := n.djDist[:len(n.nodes)]
-	prev := n.djPrev[:len(n.nodes)]
-	hasPrev := n.djHasPrev[:len(n.nodes)]
-	visited := n.djVisited[:len(n.nodes)]
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = dirLink{}
-		hasPrev[i] = false
-		visited[i] = false
-	}
 }
 
 // djPath reconstructs the src→dst path from the prev pointers.
@@ -307,16 +306,15 @@ func (n *Network) djPath(src, dst NodeID) []dirLink {
 	return path
 }
 
-// heapItem is one frontier entry in the large-graph dijkstra variant.
+// heapItem is one dijkstra frontier entry.
 type heapItem struct {
 	dist int64
 	node NodeID
 }
 
-// heapLess orders the frontier by (dist, node): the node tiebreak makes
-// the heap settle nodes in exactly the order the linear scan does —
-// lowest index among equal distances — so both variants compute
-// identical routes and the choice of variant is invisible to results.
+// heapLess orders the frontier by (dist, node): among equal distances the
+// lowest node index settles first. Routes depend on this order;
+// route_oracle_test.go pins it against a linear-scan reference.
 func heapLess(a, b heapItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
@@ -359,46 +357,6 @@ func heapPop(h []heapItem) ([]heapItem, heapItem) {
 		i = s
 	}
 	return h, top
-}
-
-// dijkstraHeap is the frontier-heap variant used beyond denseRouteLimit:
-// the linear scan's O(V) extract-min is fine at rack scale, but its
-// quadratic total dominates pod-fleet composition (~2k nodes, routes for
-// every endpoint pair). Stale heap entries are skipped via the visited
-// and dist checks rather than a decrease-key.
-func (n *Network) dijkstraHeap(src, dst NodeID) []dirLink {
-	n.djReset()
-	dist := n.djDist[:len(n.nodes)]
-	prev := n.djPrev[:len(n.nodes)]
-	hasPrev := n.djHasPrev[:len(n.nodes)]
-	visited := n.djVisited[:len(n.nodes)]
-	dist[src] = 0
-	h := heapPush(n.djHeap[:0], heapItem{0, src})
-	for len(h) > 0 {
-		var it heapItem
-		h, it = heapPop(h)
-		if visited[it.node] || it.dist != dist[it.node] {
-			continue
-		}
-		if it.node == dst {
-			break
-		}
-		visited[it.node] = true
-		for _, dl := range n.adj[it.node] {
-			cost := int64(dl.link.Latency) + int64(hopPenalty)
-			if nd := it.dist + cost; nd < dist[dl.to()] {
-				dist[dl.to()] = nd
-				prev[dl.to()] = dl
-				hasPrev[dl.to()] = true
-				h = heapPush(h, heapItem{nd, dl.to()})
-			}
-		}
-	}
-	n.djHeap = h[:0]
-	if !hasPrev[dst] {
-		return nil
-	}
-	return n.djPath(src, dst)
 }
 
 // PathLatency returns the one-way latency of the preferred src→dst path
