@@ -4,6 +4,7 @@
 package fabric_test
 
 import (
+	"strconv"
 	"testing"
 
 	"composable/internal/cluster"
@@ -96,5 +97,42 @@ func BenchmarkRecomputeWide(b *testing.B) {
 	b.ResetTimer()
 	if err := env.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkRecomputeDisjoint measures recomputes on one churning ring of
+// six legs while K-1 disjoint rings carry steady flows, for K = 1, 8 and
+// 32. One op is one ring round: a start and a completion. A recompute
+// re-solves only the component a change reaches, so solved/recompute stays
+// flat in K. ns/recompute still grows linearly in K: integrating flows up
+// to the instant and finding the next completion scan every active flow.
+// A whole-set solve would grow quadratically, with rounds × constraints.
+func BenchmarkRecomputeDisjoint(b *testing.B) {
+	for _, k := range []int{1, 8, 32} {
+		b.Run("K="+strconv.Itoa(k), func(b *testing.B) {
+			env := sim.NewEnv()
+			net, rings := disjointRings(env, k, 6, units.MB)
+			startSteady(b, net, rings[1:])
+			recomputes := 0
+			net.OnRecompute(func() { recomputes++ })
+			env.Go("churn", func(p *sim.Proc) {
+				for i := 0; i < b.N; i++ {
+					if err := net.ParallelTransfer(p, rings[0]); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			solved, _ := net.SolveWork()
+			if err := env.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			after, _ := net.SolveWork()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recomputes), "ns/recompute")
+			b.ReportMetric(float64(after-solved)/float64(recomputes), "solved/recompute")
+		})
 	}
 }

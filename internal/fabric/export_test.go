@@ -35,6 +35,56 @@ func (n *Network) RouteHops(src, dst NodeID) ([]Hop, error) {
 	return hops, nil
 }
 
+// Waterfill is the allocator's max-min system flattened to indices, for the
+// waterfill oracle in package fabric_test. Constraints are listed in the
+// order the allocator scans them, flows in active-set order, and each
+// membership list in the order the allocator walks it, so a reference
+// solver over this view meets ties exactly as the allocator does.
+type Waterfill struct {
+	Caps     []float64 // each constraint's capacity, bytes/sec
+	ConFlows [][]int   // each constraint's flows, as indices into Rates
+	FlowCons [][]int   // each flow's constraints, path order, rate cap last
+	Rates    []float64 // each flow's allocated rate, bytes/sec
+}
+
+// Waterfill returns the current system and allocation without running a
+// pending recompute, so it may be called from inside one (see
+// OnRecompute).
+func (n *Network) Waterfill() Waterfill {
+	w := Waterfill{ConFlows: make([][]int, len(n.cons)), FlowCons: make([][]int, len(n.flows))}
+	index := make(map[*constraint]int, len(n.cons))
+	for i, st := range n.cons {
+		index[st] = i
+		w.Caps = append(w.Caps, st.capacity())
+		for _, cf := range st.flows {
+			w.ConFlows[i] = append(w.ConFlows[i], cf.f.idx)
+		}
+	}
+	for i, f := range n.flows {
+		for _, fc := range f.cons {
+			w.FlowCons[i] = append(w.FlowCons[i], index[fc.st])
+		}
+		w.Rates = append(w.Rates, f.rate)
+	}
+	return w
+}
+
+// OnRecompute runs fn after every allocation recompute, after the auditor
+// installed at the time of the call.
+func (n *Network) OnRecompute(fn func()) {
+	prev := n.auditor
+	n.auditor = func() {
+		if prev != nil {
+			prev()
+		}
+		fn()
+	}
+}
+
+// SolveWork returns the flows re-solved and the waterfill rounds run over
+// the network's lifetime.
+func (n *Network) SolveWork() (flows, rounds int) { return n.solvedFlows, n.solvedRounds }
+
 func TestDotExport(t *testing.T) {
 	env := sim.NewEnv()
 	n := NewNetwork(env)

@@ -296,6 +296,45 @@ func TestMaxMinPropertyInvariants(t *testing.T) {
 	}
 }
 
+// TestSlowFlowDoesNotSpin: a transfer whose completion lies ~3,000 years
+// out (100 GB capped at 1 B/s) must arm its timer at the end of
+// representable time, not wrap negative and spin the engine at t=0.
+func TestSlowFlowDoesNotSpin(t *testing.T) {
+	env, n, a, b, _ := line(t)
+	recomputes := 0
+	n.OnRecompute(func() {
+		if recomputes++; recomputes > 100 {
+			panic("fabric: completion timer re-fires at one instant")
+		}
+	})
+	env.Go("x", func(p *sim.Proc) { _ = n.TransferLimited(p, a, b, 100*units.GB, 1) })
+	if err := env.RunUntil(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if now := env.Now(); now != time.Hour {
+		t.Fatalf("RunUntil returned at %v, want 1h", now)
+	}
+}
+
+func TestDurationFromSecondsSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		s    float64
+		now  sim.Time
+		want time.Duration
+	}{
+		{0, 0, time.Nanosecond},
+		{-1, time.Hour, time.Nanosecond},
+		{1.5, time.Hour, 1500 * time.Millisecond},
+		{1e11, 0, math.MaxInt64},
+		{1e11, time.Hour, math.MaxInt64 - time.Hour},
+		{math.MaxFloat64, time.Hour, math.MaxInt64 - time.Hour},
+	} {
+		if got := durationFromSeconds(tc.s, tc.now); got != tc.want {
+			t.Errorf("durationFromSeconds(%g, %v) = %v, want %v", tc.s, tc.now, got, tc.want)
+		}
+	}
+}
+
 func TestZeroByteTransferTakesLatencyOnly(t *testing.T) {
 	env, n, a, _, c := line(t)
 	var took time.Duration

@@ -44,12 +44,24 @@ type Network struct {
 	// churn.
 	linkCons []*constraint
 	cons     []*constraint
+	// touched lists the constraints whose flow set or capacity changed
+	// since the last recompute: addFlow, removeFlow and SetLinkCapacity
+	// append to it. recomputeNow floods from these seeds over the
+	// flow↔constraint graph and re-solves only the components it reaches;
+	// every other component's rates are already its max-min solution. The
+	// slice doubles as the flood's worklist and is truncated after each
+	// recompute.
+	touched []*constraint
 	// liveCons is recomputeNow's scratch: the constraints still carrying
 	// unfrozen flows, compacted between waterfill rounds so late rounds
 	// scan only survivors instead of the whole active set. Compaction
 	// preserves relative order, so equal-share ties resolve exactly as a
 	// full scan would.
 	liveCons []*constraint
+	// solvedFlows and solvedRounds count, over the network's lifetime, the
+	// flows re-solved and the waterfill rounds run by recomputes. Tests
+	// read them to prove that a change re-solves only its own component.
+	solvedFlows, solvedRounds int
 
 	// freeFlows recycles Flow structs whose transfer fully completed and
 	// whose waiter returned: the blocking helpers (Transfer,
@@ -171,6 +183,9 @@ type constraint struct {
 	// listed twice; it stays set while the constraint sits in cons, even
 	// after its last flow leaves, until a recompute sweeps it out.
 	active bool
+	// mark is the allocation epoch of the last recompute whose flood
+	// reached this constraint; only marked constraints are re-solved.
+	mark uint64
 }
 
 // conFlow is one entry in a constraint's membership list: the flow plus
@@ -235,6 +250,9 @@ type Flow struct {
 	// frozenEpoch marks the allocation epoch the flow was last frozen in,
 	// replacing a per-recompute frozen set.
 	frozenEpoch uint64
+	// compEpoch marks the allocation epoch whose flood last reached the
+	// flow, so each re-solved flow is counted once.
+	compEpoch uint64
 	// obsSpan is the flow's open trace span (0 = untraced); set by addFlow
 	// and closed by removeFlow, surviving pooling because addFlow always
 	// reassigns it.
@@ -330,7 +348,8 @@ func (n *Network) releaseFlow(f *Flow) {
 }
 
 // addFlow registers f with the active set and with the constraints on its
-// path — the only link state touched is the flow's own.
+// path — the only link state touched is the flow's own — and seeds the
+// next recompute with those constraints.
 //
 //perf:hot
 func (n *Network) addFlow(f *Flow) {
@@ -355,6 +374,7 @@ func (n *Network) addFlow(f *Flow) {
 			n.cons = append(n.cons, st)
 		}
 		f.cons = append(f.cons, flowCon{st: st, idx: len(st.flows) - 1})
+		n.touched = append(n.touched, st)
 	}
 	if f.maxRate > 0 {
 		st := f.capCon
@@ -373,15 +393,16 @@ func (n *Network) addFlow(f *Flow) {
 			n.cons = append(n.cons, st)
 		}
 		f.cons = append(f.cons, flowCon{st: st, idx: capIdx})
+		n.touched = append(n.touched, st)
 	}
 }
 
 // removeFlow unregisters a completed flow, again touching only the
-// constraints on its own path. Emptied constraints are left in cons for the
-// next recompute to sweep out. The conIdx back-pointers make each
-// membership removal O(1): the tail entry is swapped into the vacated
-// slot (exactly the order the old linear scan produced) and its flow's
-// back-pointer is patched.
+// constraints on its own path, and seeds the next recompute with them.
+// Emptied constraints are left in cons for the next recompute to sweep
+// out. The conIdx back-pointers make each membership removal O(1): the
+// tail entry is swapped into the vacated slot (exactly the order the old
+// linear scan produced) and its flow's back-pointer is patched.
 //
 //perf:hot
 func (n *Network) removeFlow(f *Flow) {
@@ -404,6 +425,7 @@ func (n *Network) removeFlow(f *Flow) {
 		st.flows[m] = conFlow{}
 		st.flows = st.flows[:m]
 		f.cons[ci] = flowCon{}
+		n.touched = append(n.touched, st)
 	}
 	f.cons = f.cons[:0]
 }
@@ -615,14 +637,10 @@ func (n *Network) advance() {
 	}
 }
 
-// recompute runs max-min fair allocation over the active flows and
-// schedules the next completion event. It must be called with counters
-// already advanced to the current instant.
-//
-// The sweep is incremental in its bookkeeping: constraints persist between
-// calls (no byKey/flowCons maps are rebuilt), frozen state is an epoch
-// stamp on each flow, and per-constraint unfrozen counts replace the
-// per-round rescans of every constraint's flow list.
+// recompute requests a max-min re-solve for the current instant. It queues
+// one deferred flush (see recomputeQueued), so every change made at this
+// instant is solved together by a single recomputeNow. It must be called
+// with counters already advanced to the current instant.
 //
 //perf:hot
 func (n *Network) recompute() {
@@ -656,8 +674,21 @@ func (n *Network) ensureAllocated() {
 	n.recomputeNow()
 }
 
-// recomputeNow is the deferred body of recompute; it runs once per
-// instant that requested one, via flushFn.
+// recomputeNow re-solves the max-min allocation and schedules the next
+// completion event. It is the body of recomputeSync and of the deferred
+// flush that recompute queues.
+//
+// The solve is component-local. Max-min fairness splits exactly over the
+// connected components of the flow↔constraint graph, so only the
+// components holding a touched constraint are re-solved; every other
+// flow keeps the rate it already has. Within a re-solved component the
+// rounds pick the same winners in the same order, with the same float
+// operations, as a sweep over the whole active set would, so the rates
+// are bit-identical to a global solve.
+//
+// The bookkeeping is incremental too: constraints persist between calls,
+// frozen and reached state are epoch stamps, and per-constraint unfrozen
+// counts replace per-round rescans of every constraint's flow list.
 //
 //perf:hot
 func (n *Network) recomputeNow() {
@@ -666,23 +697,55 @@ func (n *Network) recomputeNow() {
 	}
 	n.epoch++
 	if len(n.flows) == 0 {
+		n.touched = n.touched[:0]
 		if n.auditor != nil {
 			n.auditor()
 		}
 		return
 	}
 
-	// Refresh the active constraints for this epoch, sweeping out the
-	// ones whose last flow has left.
+	// Flood from the touched constraints, stamping every constraint and
+	// flow of the components a change can reach. touched is the worklist.
+	marked := 0
+	work := n.touched
+	for i := 0; i < len(work); i++ {
+		st := work[i]
+		if st.mark == n.epoch {
+			continue
+		}
+		st.mark = n.epoch
+		for _, cf := range st.flows {
+			f := cf.f
+			if f.compEpoch == n.epoch {
+				continue
+			}
+			f.compEpoch = n.epoch
+			marked++
+			for _, fc := range f.cons {
+				if fc.st.mark != n.epoch {
+					work = append(work, fc.st)
+				}
+			}
+		}
+	}
+	n.touched = work[:0]
+
+	// Sweep out the constraints whose last flow has left, and refresh the
+	// marked ones for this epoch, keeping cons order so equal-share ties
+	// resolve as a whole-set sweep would.
 	cons := n.cons[:0]
+	live := n.liveCons[:0]
 	for _, st := range n.cons {
 		if len(st.flows) == 0 {
 			st.active = false
 			continue
 		}
-		st.residual = st.capacity()
-		st.unfrozen = len(st.flows)
 		cons = append(cons, st)
+		if st.mark == n.epoch {
+			st.residual = st.capacity()
+			st.unfrozen = len(st.flows)
+			live = append(live, st)
+		}
 	}
 	for i := len(cons); i < len(n.cons); i++ {
 		n.cons[i] = nil
@@ -694,10 +757,9 @@ func (n *Network) recomputeNow() {
 	// those flows at that share, remove their demand, repeat. Every
 	// admitted flow sits on at least one constraint and each round
 	// freezes every flow of the winning constraint, so the loop below
-	// assigns every flow's rate — no reset pass is needed first.
-	frozen := 0
-	live := append(n.liveCons[:0], cons...)
-	for frozen < len(n.flows) {
+	// assigns every marked flow's rate — no reset pass is needed first.
+	frozen, rounds := 0, 0
+	for frozen < marked {
 		bestShare := math.Inf(1)
 		var best *constraint
 		// Scan for the minimum share, compacting out constraints whose
@@ -720,6 +782,7 @@ func (n *Network) recomputeNow() {
 		if best == nil {
 			break
 		}
+		rounds++
 		for _, cf := range best.flows {
 			f := cf.f
 			if f.frozenEpoch == n.epoch {
@@ -739,6 +802,8 @@ func (n *Network) recomputeNow() {
 		}
 	}
 	n.liveCons = live[:0]
+	n.solvedFlows += marked
+	n.solvedRounds += rounds
 
 	// Schedule the next completion.
 	nextIn := math.Inf(1)
@@ -756,7 +821,7 @@ func (n *Network) recomputeNow() {
 		//lint:allow hotalloc(panic path only: formats a configuration-error report)
 		panic(fmt.Sprintf("fabric: %d flows with zero allocated rate", len(n.flows)))
 	}
-	n.armCompletionTimer(durationFromSeconds(nextIn))
+	n.armCompletionTimer(durationFromSeconds(nextIn, n.env.Now()))
 	if n.auditor != nil {
 		n.auditor()
 	}
@@ -887,9 +952,18 @@ func (n *Network) takeBatch() *signalBatch {
 	return b
 }
 
-func durationFromSeconds(s float64) time.Duration {
+// durationFromSeconds converts a delay from now into a timer duration,
+// saturated so that now + d cannot overflow sim.Time. Without the cap, a
+// delay beyond ~292 years (a large transfer capped at a few bytes per
+// second) would wrap negative, the engine would clamp the timer to now, and
+// the simulation would spin at one instant forever.
+func durationFromSeconds(s float64, now sim.Time) time.Duration {
 	if s < 0 {
 		s = 0
+	}
+	limit := time.Duration(math.MaxInt64) - now
+	if s*float64(time.Second) >= float64(limit) {
+		return limit
 	}
 	d := time.Duration(s * float64(time.Second))
 	// Guard against rounding to zero, which would busy-loop the engine:
@@ -922,6 +996,11 @@ func (n *Network) SetLinkCapacity(id LinkID, capAB, capBA units.BytesPerSec) {
 		n.obs.SetAttr(ev, "link", int64(id))
 	}
 	l.CapAtoB, l.CapBtoA = capAB, capBA
+	for _, st := range n.linkCons[2*id : 2*id+2] {
+		if st != nil {
+			n.touched = append(n.touched, st)
+		}
+	}
 	n.recomputeSync()
 }
 

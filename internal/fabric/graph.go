@@ -54,6 +54,10 @@ type LinkID int
 // Link is a full-duplex connection between two nodes with independent
 // per-direction capacities, a one-way traversal latency, and a protocol
 // label (surfaced in Table IV).
+//
+// CapAtoB and CapBtoA may be written directly only before any flow starts.
+// Mid-run changes must go through Network.SetLinkCapacity, which is what
+// tells the allocator to re-solve the flows crossing the link.
 type Link struct {
 	ID       LinkID
 	A, B     NodeID

@@ -230,9 +230,9 @@ func TestRouteOraclePodFleet(t *testing.T) {
 // randomNetwork builds a seeded graph that stresses tie-breaking: three
 // latencies only (so equal-cost paths abound), a random spanning tree per
 // component (so leaves are common), extra links that may be parallel to an
-// earlier one, one-way links (one capacity 0) throughout, and up to three
-// components, so some pairs are unreachable.
-func randomNetwork(rng *rand.Rand, nodes int) *fabric.Network {
+// earlier one, one-way links (one capacity 0) throughout, and up to
+// maxComps components, so some pairs are unreachable.
+func randomNetwork(rng *rand.Rand, nodes, maxComps int) *fabric.Network {
 	net := fabric.NewNetwork(sim.NewEnv())
 	for i := 0; i < nodes; i++ {
 		net.AddNode("n"+strconv.Itoa(i), fabric.KindSwitch)
@@ -252,7 +252,7 @@ func randomNetwork(rng *rand.Rand, nodes int) *fabric.Network {
 		}
 	}
 	// Node i belongs to component i % comps.
-	comps := 1 + rng.Intn(3)
+	comps := 1 + rng.Intn(maxComps)
 	member := func(comp int) int { return comp + comps*rng.Intn((nodes-comp+comps-1)/comps) }
 	for i := comps; i < nodes; i++ {
 		a, b := i, i%comps+comps*rng.Intn(i/comps)
@@ -278,7 +278,7 @@ func TestRouteOracleRandomGraphs(t *testing.T) {
 			nodes = fabric.DenseRouteLimit + 1 + rng.Intn(40)
 		}
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			checkAllPairs(t, randomNetwork(rng, nodes))
+			checkAllPairs(t, randomNetwork(rng, nodes, 3))
 		})
 	}
 }
