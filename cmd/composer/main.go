@@ -227,13 +227,13 @@ func runSingle(cfg core.Config, w dlmodel.Workload, opts train.Options, topo, do
 	if res.FalconPCIeGBps > 0 {
 		fmt.Fprintf(stdout, "  falcon PCIe     %.2f GB/s (slot ports, in+out)\n", res.FalconPCIeGBps)
 	}
-	if s := res.Recorder.Series(train.SeriesGPUUtil); s != nil && s.Len() > 0 {
+	if s := res.Samples.Series(train.SeriesGPUUtil); s != nil && s.Len() > 0 {
 		fmt.Fprintf(stdout, "  GPU util trace  |%s|\n", s.Sparkline(60))
 	}
 	if csvSeries != "" {
-		s := res.Recorder.Series(csvSeries)
+		s := res.Samples.Series(csvSeries)
 		if s == nil {
-			fmt.Fprintf(stderr, "composer: no telemetry series %q (have %v)\n", csvSeries, res.Recorder.Names())
+			fmt.Fprintf(stderr, "composer: no telemetry series %q (have %v)\n", csvSeries, res.Samples.Names())
 			return 1
 		}
 		fmt.Fprint(stdout, s.CSV())

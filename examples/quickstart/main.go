@@ -56,7 +56,7 @@ func main() {
 		float64(res.Iters*res.BatchPerGPU*len(sys.GPUs))/res.TotalTime.Seconds())
 	fmt.Printf("GPU util %.1f%%  GPU mem %.1f%%  CPU %.1f%%\n",
 		res.AvgGPUUtil*100, res.AvgGPUMemUtil*100, res.AvgCPUUtil*100)
-	if s := res.Recorder.Series(train.SeriesGPUUtil); s != nil {
+	if s := res.Samples.Series(train.SeriesGPUUtil); s != nil {
 		fmt.Printf("GPU utilization: |%s|\n", s.Sparkline(60))
 	}
 }

@@ -88,8 +88,8 @@ func StackManifest() []StackComponent {
 		{"CUDA Driver", "450.102.04", "internal/gpu device model"},
 		{"CUDNN", "cudnn7.6.5", "internal/dlmodel layer cost model"},
 		{"NCCL", "NCCL 2.8.4", "internal/collective ring collectives"},
-		{"Profiler (wandb)", "wandb 0.10.14", "internal/telemetry recorder"},
-		{"Profiler (Nsight Systems)", "2020.4.3.7", "internal/telemetry series export"},
+		{"Profiler (wandb)", "wandb 0.10.14", "internal/obs sampler"},
+		{"Profiler (Nsight Systems)", "2020.4.3.7", "internal/obs series export"},
 		{"Profiler (Nsight Compute)", "2020.3.0.0", "internal/gpu utilization accounting"},
 	}
 }

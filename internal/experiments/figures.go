@@ -22,7 +22,7 @@ func Figure9(s *Session) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		series := res.Recorder.Series(train.SeriesGPUUtil)
+		series := res.Samples.Series(train.SeriesGPUUtil)
 		fmt.Fprintf(&b, "%-12s |%s| mean %5.1f%%  min %5.1f%%\n",
 			w.Name, series.Sparkline(60), series.Mean()*100, series.Min()*100)
 	}

@@ -520,7 +520,7 @@ type Hooks struct {
 
 // Injector schedules a plan's events into a simulation and dispatches
 // them through the hooks, keeping the applied-record log the fingerprint
-// and the telemetry event track read from.
+// and the fleet fault track (obs.Track) read from.
 type Injector struct {
 	env     *sim.Env
 	plan    Plan

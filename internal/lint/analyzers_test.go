@@ -10,7 +10,7 @@ func TestNoWallClockGolden(t *testing.T) {
 }
 
 func TestMapOrderGolden(t *testing.T) {
-	runTestdata(t, MapOrder, "composable/internal/telemetry/render")
+	runTestdata(t, MapOrder, "composable/internal/obs/render")
 }
 
 func TestHotAllocGolden(t *testing.T) {

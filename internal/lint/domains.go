@@ -20,7 +20,7 @@ var simDomain = []string{
 	"composable/internal/invariant",
 	"composable/internal/scengen",
 	"composable/internal/experiments",
-	"composable/internal/telemetry",
+	"composable/internal/obs",
 	"composable/internal/falcon",
 	"composable/internal/cluster",
 	"composable/internal/mcs",

@@ -1,7 +1,6 @@
 package mcs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -97,8 +96,7 @@ type jobRunResponse struct {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, u *User) {
 	var req jobSubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
@@ -169,8 +167,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, u *User) {
 // every tenant's hosts.
 func (s *Server) handleJobRun(w http.ResponseWriter, r *http.Request, u *User) {
 	var req jobRunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Policy == "" {

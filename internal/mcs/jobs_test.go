@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"composable/internal/falcon"
@@ -197,5 +199,36 @@ func TestJobRunWithFaultProfile(t *testing.T) {
 	// …and still a 404 (not 403) to other tenants.
 	if resp := doJSON(t, ts, "GET", "/api/jobs/0", "tok-bob", nil, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("bob reading alice's job after faulty drain: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected sends a job submission past maxBodyBytes: the
+// daemon answers 413 and neither the job list nor the audit log changes.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv := NewServer(falcon.New("body-test"), []User{
+		{Name: "alice", Role: RoleUser, Token: "tok-alice", Hosts: []string{"host1"}},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	if resp := doJSON(t, ts, "POST", "/api/jobs", "tok-alice",
+		map[string]any{"workload": "ResNet-50", "gpus": 2, "iters": 3}, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("small submit: %d", resp.StatusCode)
+	}
+	audit := srv.Audit()
+	var before []JobRecord
+	doJSON(t, ts, "GET", "/api/jobs", "tok-alice", nil, &before)
+
+	huge := map[string]any{"workload": strings.Repeat("x", 2*maxBodyBytes), "gpus": 2, "iters": 3}
+	if resp := doJSON(t, ts, "POST", "/api/jobs", "tok-alice", huge, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: %d, want 413", resp.StatusCode)
+	}
+	var after []JobRecord
+	doJSON(t, ts, "GET", "/api/jobs", "tok-alice", nil, &after)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("job list changed:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got := srv.Audit(); !reflect.DeepEqual(audit, got) {
+		t.Errorf("audit log changed:\nbefore %+v\nafter  %+v", audit, got)
 	}
 }

@@ -12,6 +12,7 @@ package mcs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -169,6 +170,27 @@ func (s *Server) adminOnly(next handlerFunc) handlerFunc {
 	}
 }
 
+// maxBodyBytes caps every request body. The largest legitimate body, a
+// job submission, is a few hundred bytes.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v. It answers 413 for a body over
+// maxBodyBytes and 400 for any other malformed body, and reports whether
+// the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, `{"error":"request body too large"}`, http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
@@ -262,8 +284,7 @@ type attachRequest struct {
 
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request, u *User) {
 	var req attachRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ref := falcon.SlotRef{Drawer: req.Drawer, Slot: req.Slot}
@@ -290,8 +311,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request, u *User) {
 
 func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request, u *User) {
 	var req attachRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ref := falcon.SlotRef{Drawer: req.Drawer, Slot: req.Slot}
@@ -327,8 +347,7 @@ type modeRequest struct {
 
 func (s *Server) handleMode(w http.ResponseWriter, r *http.Request, u *User) {
 	var req modeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()

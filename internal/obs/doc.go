@@ -19,9 +19,12 @@
 // hold the pre-instrumentation ceilings. The guarded-call pattern itself
 // is pinned as a simlint hotalloc golden package (testdata/src/obsguard).
 //
-// The package also absorbs internal/telemetry's event-series API:
-// [Series], [Track], [TrackEvent], [Recorder] and [Probe] are re-exported
-// aliases, so new code has one import for spans, metrics and event tracks
-// while the telemetry CSV/ASCII bytes stay exactly as the determinism
-// tests pin them.
+// Sampling has one implementation, [Sampler]: a stepper that snapshots
+// every metric of a [Registry] into one columnar row per sim-time tick.
+// The Collector samples the fleet registry through one, and every
+// training run samples its own GPU/CPU/memory/Falcon gauges through
+// another (exposed as train.Result.Samples). A [Series] is a read-only
+// view of one sampled column; a [Track] is an annotated event series (the
+// fault timeline). Their CSV, sparkline and timeline renderers are
+// byte-stable for byte-identical runs.
 package obs

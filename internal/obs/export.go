@@ -55,7 +55,7 @@ func (c *Collector) appendSpanEvent(b []byte, s *span) []byte {
 	if !s.instant {
 		end := s.end
 		if s.open {
-			end = c.maxTime
+			end = c.MaxTime()
 		}
 		b = append(b, `,"dur":`...)
 		b = appendMicros(b, end-s.start)
@@ -117,15 +117,15 @@ func (c *Collector) writeTrace(w io.Writer, keep func(*span) bool) error {
 	// Metric samples as counter tracks, tick-major then registration
 	// order — never a map walk.
 	if keep == nil {
-		for k := range c.times {
-			for m := range c.cols {
+		for k := range c.smp.times {
+			for m := range c.smp.cols {
 				b = append(b, ",\n"...)
 				b = append(b, `{"ph":"C","pid":1,"ts":`...)
-				b = appendMicros(b, c.times[k])
+				b = appendMicros(b, c.smp.times[k])
 				b = append(b, `,"name":`...)
 				b = strconv.AppendQuote(b, c.reg.Name(m))
 				b = append(b, `,"args":{"value":`...)
-				b = strconv.AppendFloat(b, c.cols[m][k], 'g', -1, 64)
+				b = strconv.AppendFloat(b, c.smp.cols[m][k], 'g', -1, 64)
 				b = append(b, "}}"...)
 			}
 		}
@@ -154,7 +154,7 @@ func (c *Collector) WriteTraceFiltered(w io.Writer, key string, val int64) error
 
 // WriteMetricsCSV renders the sampled metrics as one columnar CSV:
 // a time_s column followed by one column per metric in registration
-// order, matching telemetry's %.3f/%.6f cell formats.
+// order, matching Series.CSV's %.3f/%.6f cell formats.
 func (c *Collector) WriteMetricsCSV(w io.Writer) error {
 	var sb strings.Builder
 	sb.WriteString("time_s")
@@ -163,10 +163,10 @@ func (c *Collector) WriteMetricsCSV(w io.Writer) error {
 		sb.WriteString(c.reg.Name(m))
 	}
 	sb.WriteByte('\n')
-	for k := range c.times {
-		fmt.Fprintf(&sb, "%.3f", c.times[k].Seconds())
-		for m := range c.cols {
-			fmt.Fprintf(&sb, ",%.6f", c.cols[m][k])
+	for k, at := range c.smp.times {
+		fmt.Fprintf(&sb, "%.3f", at.Seconds())
+		for m := range c.smp.cols {
+			fmt.Fprintf(&sb, ",%.6f", c.smp.cols[m][k])
 		}
 		sb.WriteByte('\n')
 	}
@@ -187,30 +187,20 @@ func (c *Collector) Summary() string {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "obs: %d spans, %d samples over %s\n",
-		len(c.spans), len(c.times), c.maxTime)
+		len(c.spans), c.smp.Len(), c.MaxTime())
 	for i := 0; i < int(numCats); i++ {
 		if spans[i] == 0 && instants[i] == 0 {
 			continue
 		}
 		fmt.Fprintf(&sb, "  %-12s %5d spans %5d instants\n", catNames[i], spans[i], instants[i])
 	}
-	for m := range c.cols {
-		col := c.cols[m]
+	for m, col := range c.smp.cols {
 		if len(col) == 0 {
 			continue
 		}
-		lo, hi, sum := col[0], col[0], 0.0
-		for _, v := range col {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			sum += v
-		}
+		s := Series{values: col}
 		fmt.Fprintf(&sb, "  %-24s min %.3f mean %.3f max %.3f\n",
-			c.reg.Name(m), lo, sum/float64(len(col)), hi)
+			c.reg.Name(m), s.Min(), s.Mean(), s.Max())
 	}
 	return sb.String()
 }

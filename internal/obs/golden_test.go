@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"composable/internal/obs"
 	"composable/internal/scengen"
@@ -151,19 +150,5 @@ func TestTraceFiltered(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Fatal("filtered trace for job 0 is empty")
-	}
-}
-
-// TestTelemetryReexports pins the satellite fold-in: the telemetry event
-// and series APIs are reachable through obs with identical behavior.
-func TestTelemetryReexports(t *testing.T) {
-	tr := obs.NewTrack("faults")
-	tr.Record(scengen.FleetFromSeed(1).AttachLatency, "down", "gpu0")
-	if tr.Len() != 1 {
-		t.Fatalf("Track.Len = %d, want 1", tr.Len())
-	}
-	s := obs.Series{Name: "util", Times: []time.Duration{time.Second}, Values: []float64{0.5}}
-	if got := s.CSV(); got != "time_s,util\n1.000,0.500000\n" {
-		t.Fatalf("Series CSV = %q", got)
 	}
 }

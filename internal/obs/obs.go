@@ -67,8 +67,7 @@ type span struct {
 	attrs   []attrVal
 }
 
-// DefaultInterval is the sampling interval used when none is set, chosen
-// to match telemetry.NewRecorder's default.
+// DefaultInterval is the sampling interval used when none is set.
 const DefaultInterval = 100 * time.Millisecond
 
 // Collector gathers spans, instants and metric samples from one
@@ -77,39 +76,34 @@ const DefaultInterval = 100 * time.Millisecond
 // one branch. Collectors are not safe for concurrent use; the simulator
 // is single-threaded, which is what makes the output deterministic.
 type Collector struct {
-	env      *sim.Env
-	reg      Registry
-	interval time.Duration
+	env *sim.Env
+	reg Registry
+	smp Sampler // over reg
 
 	spans   []span
-	maxTime sim.Time // latest sim time seen; closes still-open spans at export
+	maxTime sim.Time // latest span time seen; see MaxTime
 
-	// Sampling state: a telemetry.Recorder-style stepper with the
-	// primed-first-tick convention, writing one columnar row per tick.
-	times     []sim.Time
-	cols      [][]float64
-	sp        *sim.Proc
-	primed    bool
-	stopped   bool
 	sampleOff bool
 }
 
 // NewCollector returns an empty collector sampling every DefaultInterval
 // of sim time once StartSampling runs.
 func NewCollector() *Collector {
-	return &Collector{interval: DefaultInterval}
+	c := &Collector{}
+	c.smp = Sampler{reg: &c.reg, interval: DefaultInterval}
+	return c
 }
 
 // SetInterval sets the metric sampling interval. Non-positive values keep
 // the default. Must be called before StartSampling.
 func (c *Collector) SetInterval(d time.Duration) {
 	if d > 0 {
-		c.interval = d
+		c.smp.interval = d
 	}
 }
 
 // Interval returns the metric sampling interval.
-func (c *Collector) Interval() time.Duration { return c.interval }
+func (c *Collector) Interval() time.Duration { return c.smp.interval }
 
 // Registry returns the collector's metric registry, shared by every
 // instrumented layer of the run.
@@ -247,48 +241,29 @@ func (c *Collector) DisableSampling() { c.sampleOff = true }
 // registered after the first tick are ignored for the rest of the run, so
 // wire all layers before the environment runs. Requires Attach.
 func (c *Collector) StartSampling() {
-	if c.sampleOff || c.env == nil || c.sp != nil {
+	if c.sampleOff || c.env == nil || c.smp.sp != nil {
 		return
 	}
-	c.cols = make([][]float64, c.reg.Len())
-	c.sp = c.env.NewStepper("obs-sampler", c.step)
-	c.primed = false
-	c.stopped = false
-	c.env.Ready(c.sp)
+	c.smp.Start(c.env)
 }
 
 // StopSampling ends sampling after the currently armed tick fires; the
 // orchestrator calls it when the last job settles so the event queue can
 // drain.
-func (c *Collector) StopSampling() { c.stopped = true }
-
-//perf:hot
-func (c *Collector) step() {
-	if c.stopped {
-		return
-	}
-	if !c.primed {
-		// Spawn position: sample only after the first interval elapses,
-		// mirroring telemetry.Recorder's primed-first-tick convention.
-		c.primed = true
-		c.env.ReadyAfter(c.sp, c.interval)
-		return
-	}
-	now := c.env.Now()
-	c.note(now)
-	c.times = append(c.times, now)
-	for i := range c.cols {
-		c.cols[i] = append(c.cols[i], c.reg.value(i))
-	}
-	c.env.ReadyAfter(c.sp, c.interval)
-}
+func (c *Collector) StopSampling() { c.smp.Stop() }
 
 // SpanCount returns the number of recorded spans and instants.
 func (c *Collector) SpanCount() int { return len(c.spans) }
 
-// MaxTime returns the latest sim time the collector observed; exporters
-// and the analyzer close still-open spans at this time.
-func (c *Collector) MaxTime() sim.Time { return c.maxTime }
+// MaxTime returns the latest sim time the collector observed, from a
+// span or a sampling tick; exporters and the analyzer close still-open
+// spans at this time.
+func (c *Collector) MaxTime() sim.Time {
+	if n := len(c.smp.times); n > 0 && c.smp.times[n-1] > c.maxTime {
+		return c.smp.times[n-1]
+	}
+	return c.maxTime
+}
 
 // SpanView is a read-only view of one recorded span or instant, handed
 // to VisitSpans callbacks. Open spans (a permanent fault, a proc alive
@@ -328,11 +303,12 @@ func (v SpanView) AttrStr(key string) (string, bool) {
 // read path for post-hoc analysis (obs/analyze): no copy of the span
 // table, no mutation.
 func (c *Collector) VisitSpans(f func(SpanView)) {
+	maxTime := c.MaxTime()
 	for i := range c.spans {
 		s := &c.spans[i]
 		end := s.end
 		if s.open {
-			end = c.maxTime
+			end = maxTime
 		}
 		f(SpanView{
 			Name:    s.name,
@@ -346,4 +322,4 @@ func (c *Collector) VisitSpans(f func(SpanView)) {
 }
 
 // SampleCount returns the number of sampling ticks taken.
-func (c *Collector) SampleCount() int { return len(c.times) }
+func (c *Collector) SampleCount() int { return c.smp.Len() }

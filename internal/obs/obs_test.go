@@ -111,7 +111,7 @@ func TestCollectorSpans(t *testing.T) {
 }
 
 // TestSamplingCSV pins the sampler: primed first tick, one row per
-// interval, metrics in registration order, CSV cells in telemetry's
+// interval, metrics in registration order, CSV cells in Series.CSV's
 // fixed formats.
 func TestSamplingCSV(t *testing.T) {
 	env := sim.NewEnv()

@@ -1,31 +1,22 @@
-package telemetry
+package obs
 
 import (
 	"strings"
 	"testing"
 	"time"
-
-	"composable/internal/sim"
 )
 
-func TestTrackRecordAndKinds(t *testing.T) {
+func TestTrackRecord(t *testing.T) {
 	tr := NewTrack("faults")
 	tr.Record(time.Second, "fault", "gpu[3]")
 	tr.Record(2*time.Second, "kill", "job 0")
 	tr.Record(3*time.Second, "repair", "gpu[3]")
-	tr.Record(4*time.Second, "fault", "host[1]")
-	if tr.Len() != 4 {
+	if tr.Len() != 3 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	kinds := tr.Kinds()
-	want := []string{"fault", "kill", "repair"}
-	if len(kinds) != len(want) {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("kinds = %v, want %v", kinds, want)
-		}
+	want := TrackEvent{At: 2 * time.Second, Kind: "kill", Label: "job 0"}
+	if tr.Events[1] != want {
+		t.Fatalf("events[1] = %+v, want %+v", tr.Events[1], want)
 	}
 }
 
@@ -63,21 +54,5 @@ func TestTrackTimeline(t *testing.T) {
 	}
 	if tr.Timeline(0, time.Second) != "" || tr.Timeline(10, 0) != "" {
 		t.Error("degenerate timelines should be empty")
-	}
-}
-
-func TestRecorderTracks(t *testing.T) {
-	env := sim.NewEnv()
-	rec := NewRecorder(env, 0)
-	tr := rec.AddTrack("events")
-	tr.Record(time.Second, "checkpoint", "w")
-	if rec.Track("events") != tr {
-		t.Fatal("Track lookup failed")
-	}
-	if rec.Track("nope") != nil {
-		t.Fatal("unknown track should be nil")
-	}
-	if len(rec.Tracks()) != 1 {
-		t.Fatalf("tracks = %d", len(rec.Tracks()))
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"composable/internal/gpu"
 	"composable/internal/obs"
 	"composable/internal/sim"
-	"composable/internal/telemetry"
 	"composable/internal/train"
 )
 
@@ -306,7 +305,7 @@ type scheduler struct {
 	slotConfig []int // compose-time owner per slot (-1 on a cold fleet)
 	maxRetries int
 	injector   *faults.Injector
-	track      *telemetry.Track
+	track      *obs.Track
 	kills      int
 
 	// Live-capacity integral (armed runs only): ∫ live GPUs dt up to
@@ -389,7 +388,7 @@ func Run(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*FleetResult, e
 		podDown:    make([]bool, f.NumPods()),
 		hostDown:   make([]bool, len(f.Hosts)),
 		maxRetries: maxRetries,
-		track:      telemetry.NewTrack("faults"),
+		track:      obs.NewTrack("faults"),
 	}
 	for i := range f.Slots {
 		s.slotJob[i] = -1

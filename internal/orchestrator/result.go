@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"composable/internal/falcon"
-	"composable/internal/telemetry"
+	"composable/internal/obs"
 	"composable/internal/train"
 )
 
@@ -100,7 +100,7 @@ type FleetResult struct {
 	FaultLedger string
 	// Track is the annotated fault/kill event track for CSV export and
 	// chart overlays.
-	Track *telemetry.Track
+	Track *obs.Track
 }
 
 // Fingerprint canonically renders every deterministic scalar of the fleet

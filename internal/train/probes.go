@@ -4,8 +4,8 @@ import (
 	"time"
 
 	"composable/internal/cluster"
+	"composable/internal/obs"
 	"composable/internal/sim"
-	"composable/internal/telemetry"
 	"composable/internal/units"
 )
 
@@ -18,28 +18,17 @@ const (
 	SeriesFalconGBps = "falcon_pcie_gbps"
 )
 
-// TrackEvents is the recorder's annotated event track: training lifecycle
-// marks (epoch, checkpoint, restore, done/abort) recorded alongside the
-// gauge series, so figures and CSV exports can overlay when checkpoints
-// and faults happened on the utilization curves.
-const TrackEvents = "events"
-
-// recorder wires the telemetry probes the paper's tooling collected:
+// newSampler registers the gauges the paper's tooling collected —
 // windowed GPU utilization (nvidia-smi), GPU memory, host CPU and memory
-// (wandb system metrics) and Falcon port traffic (chassis GUI), plus the
-// annotated lifecycle event track.
-type recorder struct {
-	rec    *telemetry.Recorder
-	events *telemetry.Track
-}
-
-func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
-	rec := telemetry.NewRecorder(sys.Env, interval)
+// (wandb system metrics) and Falcon port traffic (chassis GUI) — on a
+// per-run registry and starts sampling them.
+func newSampler(sys *cluster.System, interval time.Duration) *obs.Sampler {
+	reg := &obs.Registry{}
 
 	// GPU utilization: windowed busy fraction averaged across devices.
 	type snap struct{ t, busy sim.Time }
 	gpuMarks := make([]snap, len(sys.GPUs))
-	rec.AddProbe(SeriesGPUUtil, func() float64 {
+	reg.Gauge(SeriesGPUUtil, func() float64 {
 		sum := 0.0
 		for i, g := range sys.GPUs {
 			u := g.UtilizationSince(gpuMarks[i].t, gpuMarks[i].busy)
@@ -48,7 +37,7 @@ func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
 		}
 		return sum / float64(len(sys.GPUs))
 	})
-	rec.AddProbe(SeriesGPUMemUtil, func() float64 {
+	reg.Gauge(SeriesGPUMemUtil, func() float64 {
 		sum := 0.0
 		for _, g := range sys.GPUs {
 			sum += g.MemUtilization()
@@ -56,17 +45,17 @@ func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
 		return sum / float64(len(sys.GPUs))
 	})
 	var cpuMark snap
-	rec.AddProbe(SeriesCPUUtil, func() float64 {
+	reg.Gauge(SeriesCPUUtil, func() float64 {
 		u := sys.Host.UtilizationSince(cpuMark.t, cpuMark.busy)
 		cpuMark.t, cpuMark.busy = sys.Host.BusySnapshot()
 		return u
 	})
-	rec.AddProbe(SeriesHostMem, func() float64 { return sys.Host.MemUtilization() })
+	reg.Gauge(SeriesHostMem, func() float64 { return sys.Host.MemUtilization() })
 
 	if len(sys.FalconGPUPortLinks) > 0 {
-		last := make(map[int]units.Bytes)
+		last := make([]units.Bytes, len(sys.FalconGPUPortLinks))
 		var lastT sim.Time
-		rec.AddProbe(SeriesFalconGBps, func() float64 {
+		reg.Gauge(SeriesFalconGBps, func() float64 {
 			now := sys.Env.Now()
 			dt := (now - lastT).Seconds()
 			var delta units.Bytes
@@ -84,30 +73,16 @@ func newRecorder(sys *cluster.System, interval time.Duration) *recorder {
 			return float64(delta) * pcieWireOverhead / dt / 1e9
 		})
 	}
-	rec.Start()
-	return &recorder{rec: rec, events: rec.AddTrack(TrackEvents)}
+	smp := obs.NewSampler(reg, interval)
+	smp.Start(sys.Env)
+	return smp
 }
 
-func (r *recorder) stop() { r.rec.Stop() }
-
-// event annotates the lifecycle track.
-func (r *recorder) event(at time.Duration, kind, label string) {
-	r.events.Record(at, kind, label)
-}
-
-// fill copies the series means into the result.
-func (r *recorder) fill(res *Result) {
-	res.Recorder = r.rec
-	if s := r.rec.Series(SeriesGPUUtil); s != nil {
-		res.AvgGPUUtil = s.Mean()
-	}
-	if s := r.rec.Series(SeriesGPUMemUtil); s != nil {
-		res.AvgGPUMemUtil = s.Mean()
-	}
-	if s := r.rec.Series(SeriesCPUUtil); s != nil {
-		res.AvgCPUUtil = s.Mean()
-	}
-	if s := r.rec.Series(SeriesHostMem); s != nil {
-		res.AvgHostMemUtil = s.Mean()
-	}
+// fillAverages copies the gauge means into the result.
+func fillAverages(res *Result, smp *obs.Sampler) {
+	res.Samples = smp
+	res.AvgGPUUtil = smp.Series(SeriesGPUUtil).Mean()
+	res.AvgGPUMemUtil = smp.Series(SeriesGPUMemUtil).Mean()
+	res.AvgCPUUtil = smp.Series(SeriesCPUUtil).Mean()
+	res.AvgHostMemUtil = smp.Series(SeriesHostMem).Mean()
 }

@@ -21,7 +21,6 @@ import (
 	"composable/internal/gpu"
 	"composable/internal/obs"
 	"composable/internal/sim"
-	"composable/internal/telemetry"
 	"composable/internal/units"
 )
 
@@ -161,9 +160,9 @@ type Result struct {
 	FalconPCIeGBps float64
 
 	PeakGPUMem units.Bytes
-	// Recorder holds the sampled time series (GPU util etc.) for
+	// Samples holds the sampled time series (GPU util etc.) for
 	// figure rendering.
-	Recorder *telemetry.Recorder
+	Samples *obs.Sampler
 }
 
 // Throughput returns global samples/second.
@@ -193,7 +192,7 @@ func Run(sys *cluster.System, opts Options) (*Result, error) {
 type Job struct {
 	sys       *cluster.System
 	res       *Result
-	rec       *recorder
+	smp       *obs.Sampler
 	opts      Options
 	batch     int
 	start     time.Duration
@@ -342,7 +341,7 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
 
-	rec := newRecorder(sys, opts.SampleInterval)
+	smp := newSampler(sys, opts.SampleInterval)
 
 	// Checkpoint schedule: CheckpointsPerEpoch marks per epoch (workload
 	// default, overridable), the last at the epoch boundary. Because the
@@ -390,7 +389,7 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 		BatchPerGPU: batch, Epochs: epochs, Iters: totalIters,
 	}
 	job := &Job{
-		sys: sys, res: res, rec: rec, opts: opts, batch: batch, start: env.Now(),
+		sys: sys, res: res, smp: smp, opts: opts, batch: batch, start: env.Now(),
 		totalIters: totalIters, maxStarted: -1,
 	}
 	for _, id := range sys.FalconGPUPortLinks {
@@ -417,7 +416,6 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 			if err := sys.Net.ParallelTransfer(p, specs); err != nil {
 				panic(err)
 			}
-			rec.event(p.Now(), ProbeRestore, w.Name)
 			if opts.Probe != nil {
 				opts.Probe(ProbeRestore, p.Now())
 			}
@@ -582,7 +580,6 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 						}
 					})
 					if rank == 0 {
-						rec.event(p.Now(), ProbeCheckpoint, w.Name)
 						if opts.Probe != nil {
 							opts.Probe(ProbeCheckpoint, p.Now())
 						}
@@ -594,7 +591,6 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 				}
 				if rank == 0 && (it+1)%opts.ItersPerEpoch == 0 {
 					job.epochEnds = append(job.epochEnds, p.Now())
-					rec.event(p.Now(), ProbeEpoch, w.Name)
 					if opts.Probe != nil {
 						opts.Probe(ProbeEpoch, p.Now())
 					}
@@ -627,14 +623,13 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 	env.Go("join", func(p *sim.Proc) {
 		ranksDone.Wait(p)
 		job.finish = p.Now()
-		rec.stop()
+		smp.Stop()
 		sys.Host.FreeMem(staging)
 		freeAll()
 		final := ProbeDone
 		if job.aborted {
 			final = ProbeAbort
 		}
-		rec.event(p.Now(), final, w.Name)
 		if opts.Probe != nil {
 			opts.Probe(final, p.Now())
 		}
@@ -665,7 +660,7 @@ func (j *Job) Collect() (*Result, error) {
 		res.EpochTimes = append(res.EpochTimes, e-prev)
 		prev = e
 	}
-	j.rec.fill(res)
+	fillAverages(res, j.smp)
 	res.MemAccessFrac = memAccessFrac(sys, w, j.opts.Precision, j.batch, res.AvgIter)
 	for _, g := range sys.GPUs {
 		if g.PeakUsed() > res.PeakGPUMem {

@@ -241,7 +241,7 @@ func TestCheckpointDipsVisibleInSeries(t *testing.T) {
 	opts.ItersPerEpoch = 15
 	opts.SampleInterval = 50 * time.Millisecond
 	res := runOn(t, cluster.LocalGPUsConfig(), opts)
-	s := res.Recorder.Series(SeriesGPUUtil)
+	s := res.Samples.Series(SeriesGPUUtil)
 	if s.Min() >= s.Mean()*0.8 {
 		t.Fatalf("no utilization dips visible: min %.2f mean %.2f (Figure 9 pattern)", s.Min(), s.Mean())
 	}
@@ -250,7 +250,7 @@ func TestCheckpointDipsVisibleInSeries(t *testing.T) {
 func TestUtilizationSeriesBounded(t *testing.T) {
 	res := runOn(t, cluster.FalconGPUsConfig(), quickOpts(dlmodel.BERTLargeWorkload()))
 	for _, name := range []string{SeriesGPUUtil, SeriesCPUUtil, SeriesGPUMemUtil, SeriesHostMem} {
-		s := res.Recorder.Series(name)
+		s := res.Samples.Series(name)
 		if s == nil {
 			t.Fatalf("missing series %s", name)
 		}
