@@ -481,12 +481,29 @@ func (c *Communicator) StartAllGather(rank int, size units.Bytes) *sim.Signal {
 
 // Broadcast joins rank to a root→all broadcast and blocks.
 func (c *Communicator) Broadcast(p *sim.Proc, rank, root int, size units.Bytes) {
-	c.join("broadcast", size, root, rank).done.Wait(p)
+	if c.ArmBroadcast(p, rank, root, size) {
+		p.Park()
+	}
+}
+
+// ArmBroadcast is Broadcast for steppers: it joins rank and arms sp on the
+// broadcast's completion, returning false (unarmed) only if it has already
+// completed.
+func (c *Communicator) ArmBroadcast(sp *sim.Proc, rank, root int, size units.Bytes) bool {
+	return c.join("broadcast", size, root, rank).done.Arm(sp)
 }
 
 // ReduceToRoot joins rank to an all→root gradient reduction and blocks.
 func (c *Communicator) ReduceToRoot(p *sim.Proc, rank, root int, size units.Bytes) {
-	c.join("reduceroot", size, root, rank).done.Wait(p)
+	if c.ArmReduceToRoot(p, rank, root, size) {
+		p.Park()
+	}
+}
+
+// ArmReduceToRoot is ReduceToRoot for steppers, with ArmBroadcast's
+// protocol.
+func (c *Communicator) ArmReduceToRoot(sp *sim.Proc, rank, root int, size units.Bytes) bool {
+	return c.join("reduceroot", size, root, rank).done.Arm(sp)
 }
 
 // The Exec variants run a collective immediately on behalf of all ranks

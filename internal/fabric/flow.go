@@ -452,13 +452,14 @@ func (n *Network) linkConstraint(dl dirLink) *constraint {
 //
 //perf:hot
 func (n *Network) TransferLimited(p *sim.Proc, src, dst NodeID, size units.Bytes, maxRate units.BytesPerSec) error {
-	f, err := n.StartFlowLimited(src, dst, size, maxRate)
-	if err != nil {
-		return err
+	var t TransferOp
+	for {
+		armed, err := n.ArmTransferLimited(p, &t, src, dst, size, maxRate)
+		if !armed {
+			return err
+		}
+		p.Park()
 	}
-	f.done.Wait(p)
-	n.releaseFlow(f)
-	return nil
 }
 
 // Transfer moves size bytes src→dst, blocking the calling process until the
@@ -466,13 +467,43 @@ func (n *Network) TransferLimited(p *sim.Proc, src, dst NodeID, size units.Bytes
 //
 //perf:hot
 func (n *Network) Transfer(p *sim.Proc, src, dst NodeID, size units.Bytes) error {
-	f, err := n.StartFlow(src, dst, size)
-	if err != nil {
-		return err
+	return n.TransferLimited(p, src, dst, size, 0)
+}
+
+// TransferOp is the caller-held state of one ArmTransfer: the flow in
+// flight, if any. The zero value is ready, and it returns to zero when the
+// transfer completes.
+type TransferOp struct{ f *Flow }
+
+// ArmTransfer is Transfer for steppers; see ArmTransferLimited.
+//
+//perf:hot
+func (n *Network) ArmTransfer(sp *sim.Proc, t *TransferOp, src, dst NodeID, size units.Bytes) (bool, error) {
+	return n.ArmTransferLimited(sp, t, src, dst, size, 0)
+}
+
+// ArmTransferLimited is TransferLimited for steppers. The first call starts
+// the flow and arms sp on its arrival, returning true; calling it again on
+// that step recycles the finished flow and returns false. A routing error
+// is returned, unarmed, from the first call.
+//
+//perf:hot
+func (n *Network) ArmTransferLimited(sp *sim.Proc, t *TransferOp, src, dst NodeID, size units.Bytes, maxRate units.BytesPerSec) (bool, error) {
+	if f := t.f; f != nil {
+		t.f = nil
+		n.releaseFlow(f)
+		return false, nil
 	}
-	f.done.Wait(p)
+	f, err := n.StartFlowLimited(src, dst, size, maxRate)
+	if err != nil {
+		return false, err
+	}
+	if f.done.Arm(sp) {
+		t.f = f
+		return true, nil
+	}
 	n.releaseFlow(f)
-	return nil
+	return false, nil
 }
 
 // parallelStackWidth is the widest ParallelTransfer served from a stack

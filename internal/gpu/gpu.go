@@ -186,9 +186,16 @@ func (d *Device) MemUtilization() float64 {
 // Compute occupies the device's execution engine for d time: the workload
 // model has already converted FLOPs and memory traffic into a duration.
 func (d *Device) Compute(p *sim.Proc, dur time.Duration) {
-	d.compute.Acquire(p, 1)
-	p.Sleep(dur)
-	d.compute.Release(d.env, 1)
+	d.compute.Hold(p, 1, dur)
+}
+
+// ArmCompute is Compute for steppers, with the protocol of
+// sim.Resource.ArmHold: call it with the same arguments on every step
+// until it returns false, at which point the engine has been released.
+//
+//perf:hot
+func (d *Device) ArmCompute(sp *sim.Proc, op *sim.HoldOp, dur time.Duration) bool {
+	return d.compute.ArmHold(sp, op, 1, dur)
 }
 
 // MarkBusyFor credits the device with busy time it spent running

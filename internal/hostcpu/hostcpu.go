@@ -61,24 +61,40 @@ func (h *Host) TotalCores() int { return h.Spec.Sockets * h.Spec.Cores }
 
 // RunOnCore occupies one core for the scaled duration of op.
 func (h *Host) RunOnCore(p *sim.Proc, d time.Duration) {
-	h.cores.Acquire(p, 1)
-	p.Sleep(time.Duration(float64(d) / h.Spec.PerCoreScale))
-	h.cores.Release(h.env, 1)
+	h.RunOnCores(p, 1, d)
 }
 
 // RunOnCores occupies n cores for the scaled duration each — the shape of
 // a data-loader worker pool burning through a batch's preprocessing.
 // n is clamped to the core count.
 func (h *Host) RunOnCores(p *sim.Proc, n int, d time.Duration) {
+	var op sim.HoldOp
+	for h.ArmRunOnCores(p, &op, n, d) {
+		p.Park()
+	}
+}
+
+// ArmRunOnCore is RunOnCore for steppers; see ArmRunOnCores.
+//
+//perf:hot
+func (h *Host) ArmRunOnCore(sp *sim.Proc, op *sim.HoldOp, d time.Duration) bool {
+	return h.ArmRunOnCores(sp, op, 1, d)
+}
+
+// ArmRunOnCores is RunOnCores for steppers, with the protocol of
+// sim.Resource.ArmHold: call it with the same arguments on every step
+// until it returns false, at which point the cores have been held and
+// released.
+//
+//perf:hot
+func (h *Host) ArmRunOnCores(sp *sim.Proc, op *sim.HoldOp, n int, d time.Duration) bool {
 	if n < 1 {
 		n = 1
 	}
 	if max := h.TotalCores(); n > max {
 		n = max
 	}
-	h.cores.Acquire(p, n)
-	p.Sleep(time.Duration(float64(d) / h.Spec.PerCoreScale))
-	h.cores.Release(h.env, n)
+	return h.cores.ArmHold(sp, op, n, time.Duration(float64(d)/h.Spec.PerCoreScale))
 }
 
 // CPUUtilization returns the lifetime average core occupancy.

@@ -691,10 +691,27 @@ func (s *scheduler) launch(js *jobState) {
 		s.obs.SetAttr(js.runSpan, "host", int64(js.host))
 		s.obs.SetAttr(js.runSpan, "attempt", int64(js.retries))
 	}
-	s.fleet.Env.Go("fleet.watch.j"+strconv.Itoa(js.spec.ID)+"r"+strconv.Itoa(js.retries), func(p *sim.Proc) {
-		job.Done().Wait(p)
-		s.finish(js, p.Now())
-	})
+	wt := &watch{s: s, js: js, job: job}
+	s.fleet.Env.Spawn(&wt.proc, "fleet.watch.j"+strconv.Itoa(js.spec.ID)+"r"+strconv.Itoa(js.retries), wt)
+}
+
+// watch is one attempt's completion watcher: a tracked stepper that waits
+// for the training job's Done signal, then finishes the attempt. Each
+// attempt gets its own, because finishing may launch the next attempt
+// before this one exits.
+type watch struct {
+	proc sim.Proc
+	s    *scheduler
+	js   *jobState
+	job  *train.Job
+}
+
+func (w *watch) Step() {
+	if w.job.Done().Arm(&w.proc) {
+		return
+	}
+	w.s.finish(w.js, w.s.fleet.Env.Now())
+	w.proc.Exit()
 }
 
 // finish collects the result, releases the GPUs (attachment is left in

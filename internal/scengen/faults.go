@@ -119,7 +119,12 @@ func RunFaultyFleet(sc FaultScenario) (*FleetOutcome, error) {
 // open blast-radius spans that close on repair. A nil collector
 // degrades to the plain RunFaultyFleet.
 func RunFaultyFleetObserved(sc FaultScenario, c *obs.Collector) (*FleetOutcome, error) {
-	env := sim.NewEnv()
+	return RunFaultyFleetOn(sim.NewEnv(), sc, c)
+}
+
+// RunFaultyFleetOn is RunFaultyFleetObserved on a caller-supplied fresh
+// environment, for callers that attach their own engine probes first.
+func RunFaultyFleetOn(env *sim.Env, sc FaultScenario, c *obs.Collector) (*FleetOutcome, error) {
 	if c != nil {
 		c.Attach(env)
 	}

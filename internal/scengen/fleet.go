@@ -295,7 +295,12 @@ func RunFleet(sc FleetScenario) (*FleetOutcome, error) {
 // the plain, probe-free RunFleet. The fingerprint is unaffected either
 // way — observation never perturbs the simulation.
 func RunFleetObserved(sc FleetScenario, c *obs.Collector) (*FleetOutcome, error) {
-	env := sim.NewEnv()
+	return RunFleetOn(sim.NewEnv(), sc, c)
+}
+
+// RunFleetOn is RunFleetObserved on a caller-supplied fresh environment,
+// for callers that attach their own engine probes (event digests) first.
+func RunFleetOn(env *sim.Env, sc FleetScenario, c *obs.Collector) (*FleetOutcome, error) {
 	if c != nil {
 		c.Attach(env)
 	}

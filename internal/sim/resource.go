@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Resource is a counting semaphore with a FIFO wait queue: the standard
 // model for exclusive or capacity-limited hardware (a GPU's compute engine,
@@ -43,16 +46,69 @@ func (r *Resource) InUse() int { return r.inUse }
 //
 //perf:hot
 func (r *Resource) Acquire(p *Proc, n int) {
+	if r.Arm(p, n) {
+		p.yield()
+	}
+}
+
+// Arm is Acquire for steppers: it takes n units and returns false if they
+// are free now (the caller continues inline), or queues sp FIFO and
+// returns true, in which case sp steps once the units have been granted
+// to it.
+//
+//perf:hot
+func (r *Resource) Arm(sp *Proc, n int) bool {
 	if n <= 0 || n > r.capacity {
 		//lint:allow hotalloc(panic path only: formats a misuse report, never runs in steady state)
 		panic(fmt.Sprintf("sim: acquire %d of resource %q (capacity %d)", n, r.name, r.capacity))
 	}
 	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.take(p.env, n)
-		return
+		r.take(sp.env, n)
+		return false
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
-	p.yieldNamed(waitResource, r.name)
+	r.waiters = append(r.waiters, resWaiter{p: sp, n: n})
+	sp.waitKind, sp.waitName = waitResource, r.name
+	return true
+}
+
+// HoldOp is the caller-held state of one ArmHold: acquire, hold, release.
+// The zero value is ready, and it returns to zero when the hold ends, so
+// one HoldOp serves any number of holds in sequence.
+type HoldOp struct{ stage uint8 }
+
+// Hold acquires n units, keeps them for d of virtual time, and releases
+// them — the shape of occupying a device for a computed duration (a GPU
+// kernel, a CPU core burst).
+func (r *Resource) Hold(p *Proc, n int, d time.Duration) {
+	var h HoldOp
+	for r.ArmHold(p, &h, n, d) {
+		p.yield()
+	}
+}
+
+// ArmHold is Hold for steppers. Call it with the same arguments on every
+// step until it returns false: each true return has armed sp's next wake
+// (the grant, then the end of the hold) at the position Hold's would be;
+// the false return has released the units.
+//
+//perf:hot
+func (r *Resource) ArmHold(sp *Proc, h *HoldOp, n int, d time.Duration) bool {
+	switch h.stage {
+	case 0:
+		h.stage = 1
+		if r.Arm(sp, n) {
+			return true
+		}
+		fallthrough
+	case 1:
+		h.stage = 2
+		sp.env.ReadyAfter(sp, d)
+		return true
+	default:
+		h.stage = 0
+		r.Release(sp.env, n)
+		return false
+	}
 }
 
 // TryAcquire takes n units if immediately available, reporting success.
@@ -232,16 +288,33 @@ func (q *Queue) wakeOne(e *Env) {
 //
 //perf:hot
 func (q *Queue) Get(p *Proc) (item interface{}, ok bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			return nil, false
+	for {
+		item, ok, armed := q.ArmGet(p)
+		if !armed {
+			return item, ok
 		}
-		q.waiters = append(q.waiters, p)
-		p.yieldNamed(waitQueue, q.name)
+		p.yield()
+	}
+}
+
+// ArmGet is Get for steppers. If an item is buffered it removes and
+// returns it (ok true); if the queue is closed and drained it returns ok
+// false. Otherwise it queues sp for the next Put or Close and returns
+// armed true; sp then calls ArmGet again on that step.
+//
+//perf:hot
+func (q *Queue) ArmGet(sp *Proc) (item interface{}, ok, armed bool) {
+	if len(q.items) == 0 {
+		if q.closed {
+			return nil, false, false
+		}
+		q.waiters = append(q.waiters, sp)
+		sp.waitKind, sp.waitName = waitQueue, q.name
+		return nil, false, true
 	}
 	item = q.items[0]
 	m := copy(q.items, q.items[1:])
 	q.items[m] = nil
 	q.items = q.items[:m]
-	return item, true
+	return item, true, false
 }

@@ -1,16 +1,31 @@
 // Package sim is a deterministic discrete-event simulation engine.
 //
-// The engine drives goroutine-based processes over a virtual clock with a
-// strict one-at-a-time handoff: exactly one process (or event callback) runs
-// at any instant, and the order of execution is fully determined by
+// The engine drives processes over a virtual clock with a strict
+// one-at-a-time handoff: exactly one process (or event callback) runs at
+// any instant, and the order of execution is fully determined by
 // (timestamp, scheduling sequence number). This makes simulations of the
 // composable system reproducible bit-for-bit across runs, which the
 // experiment harness relies on.
 //
-// The design follows the SimPy school: a process is an ordinary function
-// that blocks on primitives such as Proc.Sleep, Resource.Acquire or
-// Signal.Wait; behind the scenes each block is a yield back to the event
-// loop. Because handoff is strict, no locking is needed inside models.
+// A process comes in two shapes with identical event semantics:
+//
+//   - A goroutine-backed process (Env.Go) is an ordinary function that
+//     blocks on primitives such as Proc.Sleep, Resource.Acquire or
+//     Signal.Wait, in the SimPy style; behind the scenes each block is a
+//     yield back to the event loop.
+//   - A stepper is a goroutine-free state machine whose wake-ups run its
+//     Step inline on the dispatching goroutine. It re-arms through each
+//     primitive's arm form (Signal.Arm, Resource.Arm, Queue.ArmGet,
+//     Resource.ArmHold, Env.ReadyAfter, ...), which registers the wake-up
+//     exactly where the blocking form would, so a stepper occupies the
+//     same (timestamp, seq) positions as the equivalent blocking process.
+//     Env.Spawn starts a tracked stepper: it is a live process like one
+//     started by Go, counted by LiveProcs, listed in deadlock reports and
+//     reported to the lifetime probe. The blocking forms are their arm
+//     forms plus one park, so every primitive registers waiters in
+//     exactly one place.
+//
+// Because handoff is strict, no locking is needed inside models.
 //
 // The inner loop is allocation-free in steady state: events are small
 // values stored in a reusable typed 4-ary heap (no container/heap
@@ -115,14 +130,22 @@ type Env struct {
 	// nEvents counts dispatched events for the whole run — a free-running
 	// engine odometer the observability layer samples as a gauge.
 	nEvents uint64
-	// procStart/procEnd, when set, observe goroutine-backed process
-	// lifetimes (spawn in Go, completion in runOne). procStart returns an
+	// procStart/procEnd, when set, observe live-process lifetimes (spawn
+	// in Go or Spawn, completion in runOne or Exit). procStart returns an
 	// opaque token carried on the Proc and handed back to procEnd, which
 	// is how internal/obs turns each process into one trace span without
-	// the engine knowing what a span is. Steppers are not reported: they
-	// live for the whole run and would only add noise.
+	// the engine knowing what a span is. Untracked steppers (NewStepper,
+	// InitStepperFor) are not reported: they are engine-internal machinery
+	// and would only add noise.
 	procStart func(name string, at Time) uint64
 	procEnd   func(token uint64, at Time)
+	// digest, when set, folds every dispatched event into a rolling hash
+	// (SetDigest); the nil check keeps the hot loop free.
+	digest *Digest
+	// goSpawns and goWakes count goroutine-backed process starts and
+	// baton hand-offs to process goroutines. They are not exported: tests
+	// read them to prove a run never leaves the dispatching goroutine.
+	goSpawns, goWakes uint64
 }
 
 // SetEventProbe installs fn to be called with the timestamp of every event
@@ -131,9 +154,9 @@ type Env struct {
 // and tracing.
 func (e *Env) SetEventProbe(fn func(at Time)) { e.onEvent = fn }
 
-// SetProcProbe installs lifetime observers for goroutine-backed processes:
-// start is called at spawn and returns a token, end receives that token
-// when the process completes. Zero tokens are never handed to end, so an
+// SetProcProbe installs lifetime observers for live processes — those
+// started by Go or Spawn: start is called at spawn and returns a token,
+// end receives that token when the process completes. Zero tokens are never handed to end, so an
 // observer can use 0 as "not traced". Pass nils to remove the probes. Like
 // the event probe, the observers must not mutate simulation state.
 func (e *Env) SetProcProbe(start func(name string, at Time) uint64, end func(token uint64, at Time)) {
@@ -145,8 +168,9 @@ func (e *Env) SetProcProbe(start func(name string, at Time) uint64, end func(tok
 // environment's lifetime.
 func (e *Env) EventCount() uint64 { return e.nEvents }
 
-// LiveProcs returns the number of currently live processes (including
-// steppers).
+// LiveProcs returns the number of currently live processes: those started
+// by Go plus the tracked steppers started by Spawn that have not exited.
+// Untracked steppers (NewStepper, InitStepperFor) are not counted.
 func (e *Env) LiveProcs() int { return len(e.procs) }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -158,7 +182,7 @@ func NewEnv() *Env {
 //
 //perf:hot
 func (e *Env) addProc(p *Proc) {
-	p.procIdx = len(e.procs)
+	p.procIdx = int32(len(e.procs))
 	e.procs = append(e.procs, p)
 }
 
@@ -304,39 +328,40 @@ const (
 
 // Proc is a running simulation process. All blocking primitives take the
 // Proc so that only code executing inside the process can block it.
+//
+// Steppers embed a Proc in their state machine, so its size is paid once
+// per machine: the small fields are packed at the end.
 type Proc struct {
 	env    *Env
 	name   string
 	resume chan struct{}
-	done   bool
-	// fn is the body the loop goroutine runs on its next wake; exit tells
-	// a parked goroutine to terminate when the pool drains. procIdx is the
-	// process's slot in Env.procs while live.
-	fn      func(p *Proc)
-	exit    bool
-	procIdx int
-	// cont (or contS), when non-nil, marks a stepper: a goroutine-free
-	// process whose wake-up events invoke the continuation inline on the
-	// dispatching goroutine instead of a context switch (NewStepper,
-	// InitStepperFor). contS is the closure-free variant: storing a
-	// pointer in the interface costs no allocation, where a bound method
-	// value costs one.
-	cont  func()
-	contS Stepper
-	// waitN > 0 marks a WaitAll in progress: the process is registered on
-	// waitN unfired signals and must not be woken until the last one fires.
-	// padFrom/padFactor, when padFactor > 0, defer that wake further by
+	// fn is the body the loop goroutine runs on its next wake.
+	fn func(p *Proc)
+	// step, when non-nil, marks a stepper: a goroutine-free process whose
+	// wake-up events invoke step.Step inline on the dispatching goroutine
+	// instead of a context switch (NewStepper, InitStepperFor, Spawn).
+	step Stepper
+	// padFrom/padFactor, when padFactor > 0, defer a WaitAll wake by
 	// (fire time − padFrom) × padFactor (WaitAllPadded).
-	waitN     int
 	padFrom   Time
 	padFactor float64
+	waitDur   time.Duration // waitSleep
+	waitName  string        // waitResource, waitQueue
+	// obsTok is the opaque lifetime-probe token from Env.procStart (0 =
+	// untraced); runOne or Exit hands it back to Env.procEnd on completion.
+	obsTok uint64
+	// procIdx is the process's slot in Env.procs while live.
+	procIdx int32
+	// waitN > 0 marks a WaitAll in progress: the process is registered on
+	// waitN unfired signals and must not be woken until the last one fires.
+	waitN int32
 	// What the process is blocked on; rendered lazily by deadlockError.
 	waitKind waitKind
-	waitDur  time.Duration // waitSleep
-	waitName string        // waitResource, waitQueue
-	// obsTok is the opaque lifetime-probe token from Env.procStart (0 =
-	// untraced); runOne hands it back to Env.procEnd on completion.
-	obsTok uint64
+	// exit tells a parked goroutine to terminate when the pool drains.
+	exit bool
+	// tracked marks a stepper started by Spawn: it sits in the live set
+	// until Exit.
+	tracked bool
 }
 
 // Name returns the name the process was spawned with.
@@ -379,10 +404,10 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		e.freeProcs[n-1] = nil
 		e.freeProcs = e.freeProcs[:n-1]
 		p.name = name
-		p.done = false
 	} else {
 		p = e.newProc(name)
 	}
+	e.goSpawns++
 	p.fn = fn
 	e.addProc(p)
 	p.obsTok = 0
@@ -438,7 +463,6 @@ func (p *Proc) runOne() {
 			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 		}
 		p.fn = nil
-		p.done = true
 		if e.procEnd != nil && p.obsTok != 0 {
 			e.procEnd(p.obsTok, e.now)
 			p.obsTok = 0
@@ -517,23 +541,23 @@ func (e *Env) dispatch() {
 		if e.onEvent != nil {
 			e.onEvent(ev.at)
 		}
+		if e.digest != nil {
+			e.digest.fold(&ev)
+		}
 		switch do := ev.do.(type) {
 		case *Proc:
 			p := do
 			p.waitKind = waitNone
-			if p.cont != nil || p.contS != nil {
+			if p.step != nil {
 				// Stepper: its continuation runs inline, no switch. curCont
 				// marks the owner so the deferred recover above attributes a
 				// panic to this process rather than to a plain callback.
 				e.curCont = p
-				if p.cont != nil {
-					p.cont()
-				} else {
-					p.contS.Step()
-				}
+				p.step.Step()
 				e.curCont = nil
 				continue
 			}
+			e.goWakes++
 			p.resume <- struct{}{}
 			return
 		case *Signal:
@@ -558,6 +582,9 @@ func (e *Env) recoverDispatch() {
 		if e.failure == nil {
 			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 		}
+		if p.tracked {
+			p.Exit()
+		}
 	} else {
 		e.fnPanicked = true
 		e.fnPanic = r
@@ -567,22 +594,27 @@ func (e *Env) recoverDispatch() {
 
 // yield returns control from the process to the event loop by dispatching
 // the next event from this goroutine, then blocks the process until it is
-// woken again. kind is recorded for deadlock reports. The resume channel
-// has capacity 1, so a dispatch that selects this very process's wake-up
+// woken again. The arm call that registered the wake-up has already
+// recorded the wait state for deadlock reports. The resume channel has
+// capacity 1, so a dispatch that selects this very process's wake-up
 // (possible when the wake was scheduled before yielding, as Sleep does)
 // deposits the baton and falls through to the receive immediately.
 //
 //perf:hot
-func (p *Proc) yield(kind waitKind) {
-	p.waitKind = kind
+func (p *Proc) yield() {
 	p.env.dispatch()
 	<-p.resume
 }
 
-// yieldNamed is yield with the blocking primitive's name attached.
-func (p *Proc) yieldNamed(kind waitKind, name string) {
-	p.waitName = name
-	p.yield(kind)
+// Park suspends a goroutine-backed process until the wake-up an arm call
+// just registered for it fires. It is how a blocking form is built from
+// an arm form outside this package: "if arm(p) { p.Park() }". Steppers
+// cannot park; their Step returns instead.
+func (p *Proc) Park() {
+	if p.resume == nil {
+		panic("sim: Park called on stepper " + p.name)
+	}
+	p.yield()
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -591,13 +623,8 @@ func (p *Proc) yieldNamed(kind waitKind, name string) {
 //
 //perf:hot
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e := p.env
-	e.scheduleWake(p, e.now+d)
-	p.waitDur = d
-	p.yield(waitSleep)
+	p.env.ReadyAfter(p, d)
+	p.yield()
 }
 
 // Run executes events until the queue drains or a process panics. It
@@ -700,11 +727,9 @@ func (s *Signal) Reset() {
 //
 //perf:hot
 func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
+	if s.Arm(p) {
+		p.yield()
 	}
-	s.waiters = append(s.waiters, p)
-	p.yield(waitSignal)
 }
 
 // WaitAll blocks the process until every signal in sigs has fired. Unlike
@@ -716,19 +741,19 @@ func (s *Signal) Wait(p *Proc) {
 //
 //perf:hot
 func WaitAll(p *Proc, sigs []*Signal) {
-	pending := 0
-	for _, s := range sigs {
-		if !s.fired {
-			s.waiters = append(s.waiters, p)
-			pending++
-		}
+	if ArmWaitAll(p, sigs) {
+		p.yield()
 	}
-	if pending == 0 {
-		return
-	}
-	p.waitN = pending
-	p.padFactor = 0
-	p.yield(waitSignal)
+}
+
+// ArmWaitAll is WaitAll for steppers: it registers sp on every unfired
+// signal and returns true if at least one is pending, in which case sp
+// steps once, when the last of them fires. It returns false, registering
+// nothing, if every signal has already fired.
+//
+//perf:hot
+func ArmWaitAll(sp *Proc, sigs []*Signal) bool {
+	return ArmWaitAllPadded(sp, sigs, 0, 0)
 }
 
 // WaitAllPadded is WaitAll followed by a proportional cool-down: the
@@ -741,51 +766,82 @@ func WaitAll(p *Proc, sigs []*Signal) {
 //
 //perf:hot
 func WaitAllPadded(p *Proc, sigs []*Signal, from Time, factor float64) {
-	pending := 0
-	for _, s := range sigs {
-		if !s.fired {
-			s.waiters = append(s.waiters, p)
-			pending++
-		}
-	}
-	e := p.env
-	if pending == 0 {
-		// Everything already fired: the elapsed time is known here.
-		if d := time.Duration(float64(e.now-from) * factor); d > 0 {
-			p.Sleep(d)
-		}
+	if ArmWaitAllPadded(p, sigs, from, factor) {
+		p.yield()
 		return
 	}
-	p.waitN = pending
-	p.padFrom, p.padFactor = from, factor
-	p.yield(waitSignal)
+	// Everything already fired: the elapsed time is known here.
+	if d := time.Duration(float64(p.env.now-from) * factor); d > 0 {
+		p.Sleep(d)
+	}
 }
 
-// NewStepper returns a goroutine-free process: a control block whose
-// wake-up events invoke step inline on whatever goroutine is dispatching,
-// costing a function call where a goroutine-backed process costs a context
-// switch. Steppers drive engine-internal state machines on the hot path
-// (the collective rings); they cannot block, so step advances the machine
-// and re-arms via ArmWaitAllPadded or Ready before returning. A stepper is
-// not tracked in the live-process set — a machine that stalls surfaces
-// through whatever process waits on its result, not the deadlock report.
+// NewStepper returns an untracked goroutine-free process: a control block
+// whose wake-up events invoke step inline on whatever goroutine is
+// dispatching, costing a function call where a goroutine-backed process
+// costs a context switch. Untracked steppers drive engine-internal state
+// machines on the hot path (the collective rings, samplers); they cannot
+// block, so step advances the machine and re-arms via an arm form or
+// Ready before returning. Such a stepper is not in the live-process set —
+// a machine that stalls surfaces through whatever process waits on its
+// result, not the deadlock report. Spawn starts a tracked stepper.
 func (e *Env) NewStepper(name string, step func()) *Proc {
-	return &Proc{env: e, name: name, cont: step}
+	return &Proc{env: e, name: name, step: stepFunc(step)}
 }
 
 // Stepper is a state machine driven by an embedded Proc; see
-// InitStepperFor.
+// InitStepperFor and Spawn.
 type Stepper interface {
 	Step()
 }
 
+// stepFunc adapts a NewStepper function to Stepper. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type stepFunc func()
+
+func (f stepFunc) Step() { f() }
+
 // InitStepperFor initializes p (typically a Proc embedded in s itself) as
-// a stepper whose wake-ups call s.Step(). Unlike NewStepper with a bound
-// method value, wiring an interface costs no allocation — the pattern for
-// pooled or per-op machines created on a hot path.
+// an untracked stepper whose wake-ups call s.Step(). Unlike NewStepper
+// with a bound method value, wiring an interface costs no allocation —
+// the pattern for pooled or per-op machines created on a hot path.
 func (e *Env) InitStepperFor(p *Proc, name string, s Stepper) {
-	p.env, p.name, p.contS = e, name, s
-	p.cont = nil
+	p.env, p.name, p.step = e, name, s
+}
+
+// Spawn starts a tracked stepper named name: p (typically a Proc embedded
+// in s itself) becomes a live process whose wake-ups call s.Step(). Like
+// Go it joins the live set, reports its lifetime to the proc probe, and
+// schedules its first step at the current instant in the (timestamp, seq)
+// slot Go's spawn wake occupies, so replacing a Go process by a Spawned
+// machine that arms the same wake-ups leaves the event stream unchanged.
+// The machine calls p.Exit when it finishes. Spawn allocates nothing.
+//
+//perf:hot
+func (e *Env) Spawn(p *Proc, name string, s Stepper) {
+	e.InitStepperFor(p, name, s)
+	p.tracked = true
+	e.addProc(p)
+	p.obsTok = 0
+	if e.procStart != nil {
+		p.obsTok = e.procStart(name, e.now)
+	}
+	e.Ready(p)
+}
+
+// Exit ends a tracked stepper started by Spawn: it leaves the live set and
+// its lifetime closes at the current instant, as a Go process's does when
+// its function returns. The machine must not be woken again.
+//
+//perf:hot
+func (p *Proc) Exit() {
+	e := p.env
+	p.tracked = false
+	if e.procEnd != nil && p.obsTok != 0 {
+		e.procEnd(p.obsTok, e.now)
+		p.obsTok = 0
+	}
+	e.dropProc(p)
 }
 
 // Ready schedules sp's next step at the current instant, in ordinary
@@ -797,9 +853,9 @@ func (e *Env) Ready(sp *Proc) {
 	e.enqueue(event{at: e.now, seq: e.seq, do: sp})
 }
 
-// ReadyAfter schedules sp's next step d from now — the stepper
-// equivalent of a Sleep wake, occupying the same (timestamp, seq)
-// position a blocking process's Sleep(d) would.
+// ReadyAfter schedules sp's next step d from now — the arm form of Sleep,
+// occupying the same (timestamp, seq) position a blocking process's
+// Sleep(d) would. Negative durations are treated as zero.
 //
 //perf:hot
 func (e *Env) ReadyAfter(sp *Proc, d time.Duration) {
@@ -808,6 +864,7 @@ func (e *Env) ReadyAfter(sp *Proc, d time.Duration) {
 	}
 	e.seq++
 	e.enqueue(event{at: e.now + d, seq: e.seq, do: sp})
+	sp.waitKind, sp.waitDur = waitSleep, d
 }
 
 // ArmWaitAllPadded is WaitAllPadded for steppers: it registers sp on every
@@ -830,7 +887,7 @@ func ArmWaitAllPadded(sp *Proc, sigs []*Signal, from Time, factor float64) bool 
 	if pending == 0 {
 		return false
 	}
-	sp.waitN = pending
+	sp.waitN = int32(pending)
 	sp.padFrom, sp.padFactor = from, factor
 	sp.waitKind = waitSignal
 	return true
@@ -873,11 +930,9 @@ func (w *WaitGroup) Done(e *Env) {
 
 // Wait blocks until the counter is zero.
 func (w *WaitGroup) Wait(p *Proc) {
-	if w.n == 0 {
-		return
+	if w.Arm(p) {
+		p.yield()
 	}
-	w.waiters = append(w.waiters, p)
-	p.yield(waitGroup)
 }
 
 // Arm registers stepper sp to step when the counter reaches zero and

@@ -79,42 +79,108 @@ func New(env *sim.Env, net *fabric.Network, spec Spec, node fabric.NodeID, falco
 	}
 }
 
+// IOOp is the caller-held state of one ArmRead or ArmWrite. The zero value
+// is ready, and it returns to zero when the request completes, so one
+// IOOp serves any number of requests in sequence.
+type IOOp struct {
+	stage uint8
+	xfer  fabric.TransferOp
+}
+
 // Read transfers size bytes from the device into host memory at mem,
 // blocking until complete. random selects the random-read media rate.
 func (d *Device) Read(p *sim.Proc, mem fabric.NodeID, size units.Bytes, random bool) error {
-	if size <= 0 {
-		return nil
+	var op IOOp
+	for {
+		armed, err := d.ArmRead(p, &op, mem, size, random)
+		if !armed {
+			return err
+		}
+		p.Park()
 	}
-	rate := d.Spec.SeqRead
-	if random {
-		rate = d.Spec.RandRead
-	}
-	d.queue.Acquire(p, 1)
-	p.Sleep(d.Spec.Latency)
-	err := d.net.TransferLimited(p, d.Node, mem, size, rate)
-	d.queue.Release(d.env, 1)
-	if err != nil {
-		return fmt.Errorf("storage read: %w", err)
-	}
-	d.bytesRead += size
-	return nil
 }
 
 // Write transfers size bytes from host memory at mem onto the device,
 // blocking until complete (checkpoints, logs).
 func (d *Device) Write(p *sim.Proc, mem fabric.NodeID, size units.Bytes) error {
-	if size <= 0 {
-		return nil
+	var op IOOp
+	for {
+		armed, err := d.ArmWrite(p, &op, mem, size)
+		if !armed {
+			return err
+		}
+		p.Park()
 	}
-	d.queue.Acquire(p, 1)
-	p.Sleep(d.Spec.Latency)
-	err := d.net.TransferLimited(p, mem, d.Node, size, d.Spec.Write)
-	d.queue.Release(d.env, 1)
+}
+
+// ArmRead is Read for steppers. Call it with the same arguments on every
+// step until it returns armed false; each armed return has registered
+// sp's next wake where Read would block, and the final return carries
+// Read's error.
+//
+//perf:hot
+func (d *Device) ArmRead(sp *sim.Proc, op *IOOp, mem fabric.NodeID, size units.Bytes, random bool) (bool, error) {
+	if size <= 0 {
+		return false, nil
+	}
+	rate := d.Spec.SeqRead
+	if random {
+		rate = d.Spec.RandRead
+	}
+	armed, err := d.armIO(sp, op, d.Node, mem, size, rate)
+	if armed {
+		return true, nil
+	}
 	if err != nil {
-		return fmt.Errorf("storage write: %w", err)
+		return false, fmt.Errorf("storage read: %w", err)
+	}
+	d.bytesRead += size
+	return false, nil
+}
+
+// ArmWrite is Write for steppers, with ArmRead's protocol.
+//
+//perf:hot
+func (d *Device) ArmWrite(sp *sim.Proc, op *IOOp, mem fabric.NodeID, size units.Bytes) (bool, error) {
+	if size <= 0 {
+		return false, nil
+	}
+	armed, err := d.armIO(sp, op, mem, d.Node, size, d.Spec.Write)
+	if armed {
+		return true, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("storage write: %w", err)
 	}
 	d.bytesWritten += size
-	return nil
+	return false, nil
+}
+
+// armIO advances one request: take a queue slot, pay the access latency,
+// move the bytes at the media rate, free the slot.
+//
+//perf:hot
+func (d *Device) armIO(sp *sim.Proc, op *IOOp, src, dst fabric.NodeID, size units.Bytes, rate units.BytesPerSec) (bool, error) {
+	switch op.stage {
+	case 0:
+		op.stage = 1
+		if d.queue.Arm(sp, 1) {
+			return true, nil
+		}
+		fallthrough
+	case 1:
+		op.stage = 2
+		d.env.ReadyAfter(sp, d.Spec.Latency)
+		return true, nil
+	default:
+		armed, err := d.net.ArmTransferLimited(sp, &op.xfer, src, dst, size, rate)
+		if armed {
+			return true, nil
+		}
+		op.stage = 0
+		d.queue.Release(d.env, 1)
+		return false, err
+	}
 }
 
 // BytesRead returns the cumulative bytes read from the device.

@@ -17,7 +17,6 @@ import (
 	"composable/internal/cluster"
 	"composable/internal/collective"
 	"composable/internal/dlmodel"
-	"composable/internal/fabric"
 	"composable/internal/gpu"
 	"composable/internal/obs"
 	"composable/internal/sim"
@@ -165,14 +164,6 @@ type Result struct {
 	Samples *obs.Sampler
 }
 
-// Throughput returns global samples/second.
-func (r *Result) Throughput() float64 {
-	if r.TotalTime <= 0 {
-		return 0
-	}
-	return float64(r.Iters*r.BatchPerGPU) / r.TotalTime.Seconds() // per GPU; see GlobalThroughput
-}
-
 // Run trains the workload on the composed system and reports the results:
 // it starts the job, drains the simulation, and collects. For concurrent
 // jobs on a shared simulation (advanced-mode tenancy), use Start on each
@@ -200,6 +191,9 @@ type Job struct {
 	epochEnds []time.Duration
 	portBase  units.Bytes
 	done      sim.Signal
+	// pipeline is what the job's machines share while they run (see
+	// engine.go); join clears it.
+	pipeline
 
 	// Abort machinery: when a fault kills the job, every rank stops at the
 	// same iteration boundary (cutoff) so no collective is left waiting on
@@ -256,7 +250,14 @@ func (j *Job) stopAt(it int) bool { return j.aborted && it >= j.cutoff }
 // Start sets up and launches the training job's processes without running
 // the simulation. The caller runs sys.Env (once, possibly with several
 // concurrent jobs) and then calls Collect.
-func Start(sys *cluster.System, opts Options) (*Job, error) {
+func Start(sys *cluster.System, opts Options) (*Job, error) { return startJob(sys, opts) }
+
+// startJob is the engine behind Start. It is a variable so the engine's
+// oracle test can substitute the goroutine-process reference engine for
+// runs driven through the orchestrator.
+var startJob = start
+
+func start(sys *cluster.System, opts Options) (*Job, error) {
 	w := opts.Workload
 	if w.Graph == nil {
 		return nil, errors.New("train: options missing workload")
@@ -304,15 +305,10 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 			return nil, fmt.Errorf("train: %s batch %d: %w", w.Name, batch, err)
 		}
 	}
-	freeAll := func() {
-		for _, g := range sys.GPUs {
-			g.FreeMem(need)
-		}
-	}
 
 	comm, err := collective.New(sys.Net, sys.GPUs)
 	if err != nil {
-		freeAll()
+		freeGPUMem(sys, need)
 		return nil, err
 	}
 	if opts.Channels > 0 {
@@ -337,7 +333,7 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 	// Pinned staging buffers for the loader pipeline.
 	staging := units.Bytes(prefetchDepth) * units.Bytes(nGPU) * inputBytes
 	if err := sys.Host.AllocMem(staging); err != nil {
-		freeAll()
+		freeGPUMem(sys, need)
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
 
@@ -373,9 +369,6 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 		}
 	}
 
-	// Loader: one process feeding per-rank queues, bounded by prefetch
-	// tokens; the first epoch reads from storage, later epochs hit the
-	// page cache (storage.PageCache).
 	// Per-rank process/queue names, computed once up front (strconv, not
 	// fmt) so the spawn paths below never format.
 	rankStr := make([]string, nGPU)
@@ -397,248 +390,29 @@ func Start(sys *cluster.System, opts Options) (*Job, error) {
 		job.portBase += ab + ba
 	}
 
-	// Checkpoint restore on restart: before any rank computes, rank 0
-	// reads the last checkpoint back from the storage tier and every rank
-	// loads the restored parameters host→GPU — the price of resuming that
-	// the R1 checkpoint-interval experiment trades against lost work.
-	var restored sim.Signal
-	resuming := opts.ResumeEpochs > 0
-	if resuming {
-		env.Go("restore", func(p *sim.Proc) {
-			restoreT0 := p.Now()
-			if err := sys.Store.Read(p, sys.Mem, ckptBytes, false); err != nil {
-				panic(err)
-			}
-			specs := make([]fabric.TransferSpec, nGPU)
-			for i, g := range sys.GPUs {
-				specs[i] = fabric.TransferSpec{Src: sys.Mem, Dst: g.Node, Size: ckptBytes}
-			}
-			if err := sys.Net.ParallelTransfer(p, specs); err != nil {
-				panic(err)
-			}
-			if opts.Probe != nil {
-				opts.Probe(ProbeRestore, p.Now())
-			}
-			if opts.Obs != nil {
-				id := opts.Obs.Emit(obs.CatTrain, "restore", restoreT0, p.Now())
-				opts.Obs.SetAttr(id, "job", int64(opts.ObsJob))
-			}
-			restored.Fire(env)
-		})
+	job.pipeline = pipeline{
+		env: env, strategy: strategy, nGPU: nGPU, buckets: buckets, workers: workers,
+		comm: comm, need: need, staging: staging,
+		resuming:    opts.ResumeEpochs > 0,
+		prefetch:    sim.NewResource("loader.prefetch", prefetchDepth*nGPU),
+		queues:      make([]*sim.Queue, nGPU),
+		h2dReady:    make([]*sim.Queue, nGPU),
+		ckptAt:      ckptAt,
+		ckptBytes:   ckptBytes,
+		readPerIter: readPerIter, datasetBytes: datasetBytes, inputBytes: inputBytes,
+		decodePerBatch: decodePerBatch,
+		cacheKey:       w.Name + "/" + w.Data.Name,
+		gradBytes:      w.GradBytes(opts.Precision),
+		paramBytes:     units.Bytes(w.Graph.Params()) * opts.Precision.BytesPerElement(),
+		obsEpochStart:  env.Now(),
 	}
-
-	prefetch := sim.NewResource("loader.prefetch", prefetchDepth*nGPU)
-	queues := make([]*sim.Queue, nGPU)
-	for i := range queues {
-		queues[i] = sim.NewQueue("batches.gpu" + rankStr[i])
+	job.fwd, job.bwd = w.ComputeTime(dev0Spec(sys), opts.Precision, batch)
+	for i := range rankStr {
+		job.queues[i] = sim.NewQueue("batches.gpu" + rankStr[i])
+		job.h2dReady[i] = sim.NewQueue("h2d.gpu" + rankStr[i])
 	}
-	cacheKey := w.Name + "/" + w.Data.Name
-	env.Go("loader", func(p *sim.Proc) {
-		if resuming {
-			restored.Wait(p)
-		}
-		for it := 0; it < totalIters && !job.stopAt(it); it++ {
-			prefetch.Acquire(p, nGPU)
-			if sys.Cache.CachedBytes(cacheKey) < datasetBytes {
-				if err := sys.Store.Read(p, sys.Mem, readPerIter, w.Data.RandomAccess); err != nil {
-					panic(err)
-				}
-				sys.Cache.Admit(cacheKey, readPerIter, datasetBytes)
-			}
-			sys.Host.RunOnCores(p, workers, decodePerBatch/time.Duration(workers))
-			for _, q := range queues {
-				q.Put(env, it)
-			}
-		}
-		for _, q := range queues {
-			q.Close(env)
-		}
-	})
-
-	// Per-rank H2D feeders: double-buffered host→GPU input copies that
-	// overlap the previous iteration's compute (pinned-memory prefetch).
-	// After an abort they keep draining the loader's queue — releasing
-	// prefetch tokens without copying — so every process winds down.
-	h2dReady := make([]*sim.Queue, nGPU)
-	for i := range h2dReady {
-		h2dReady[i] = sim.NewQueue("h2d.gpu" + rankStr[i])
-	}
-	for rank := 0; rank < nGPU; rank++ {
-		dev := sys.GPUs[rank]
-		env.Go("feeder"+rankStr[rank], func(p *sim.Proc) {
-			inflight := sim.NewResource("h2dbuf"+rankStr[rank], 2)
-			for it := 0; ; it++ {
-				_, ok := queues[rank].Get(p)
-				if !ok {
-					h2dReady[rank].Close(env)
-					return
-				}
-				prefetch.Release(env, 1)
-				if job.stopAt(it) {
-					continue // past the cutoff: no rank will consume this
-				}
-				inflight.Acquire(p, 1)
-				f, err := sys.Net.StartFlow(sys.Mem, dev.Node, inputBytes)
-				if err != nil {
-					panic(err)
-				}
-				h2dReady[rank].Put(env, &h2dItem{done: f.Done(), buf: inflight})
-			}
-		})
-	}
-
-	fwd, bwd := w.ComputeTime(dev0Spec(sys), opts.Precision, batch)
-	gradBytes := w.GradBytes(opts.Precision)
-	paramBytes := units.Bytes(w.Graph.Params()) * opts.Precision.BytesPerElement()
-
-	var ranksDone sim.WaitGroup
-	ranksDone.Add(nGPU)
-
-	// obsEpochStart tracks the last epoch boundary for the epoch spans;
-	// only rank 0 reads or writes it.
-	obsEpochStart := env.Now()
-	for rank := 0; rank < nGPU; rank++ {
-		dev := sys.GPUs[rank]
-		env.Go("rank"+rankStr[rank], func(p *sim.Proc) {
-			if resuming {
-				restored.Wait(p)
-			}
-			// Bucket-collective handles, reused across iterations.
-			handles := make([]*sim.Signal, 0, buckets)
-			for it := 0; it < totalIters; it++ {
-				// Abort cutoff: every rank runs exactly the iterations
-				// some rank had begun when Abort fired, then stops — so
-				// collectives never wait on a departed peer.
-				if job.stopAt(it) {
-					break
-				}
-				if it > job.maxStarted {
-					job.maxStarted = it
-				}
-				// Input batch: wait for the prefetched H2D copy.
-				v, ok := h2dReady[rank].Get(p)
-				if !ok {
-					panic("train: feeder closed early")
-				}
-				item := v.(*h2dItem)
-				item.done.Wait(p)
-				item.buf.Release(env, 1)
-
-				// Host-side dispatch (kernel launches, optimizer glue):
-				// CPU time during which the GPU appears mostly busy to
-				// a coarse sampler.
-				sys.Host.RunOnCore(p, w.LaunchOverhead)
-				dev.MarkBusyFor(time.Duration(float64(w.LaunchOverhead) * launchBusyFraction))
-
-				// Forward.
-				dev.Compute(p, fwd)
-
-				// Backward + gradient synchronization.
-				switch {
-				case strategy == DP:
-					dev.Compute(p, bwd)
-					sys.Host.RunOnCore(p, w.DPPerIterOverhead)
-					t0 := p.Now()
-					comm.ReduceToRoot(p, rank, 0, gradBytes)
-					comm.Broadcast(p, rank, 0, paramBytes)
-					dev.MarkBusyFor(p.Now() - t0)
-				case opts.Sharded:
-					handles = handles[:0]
-					for b := 0; b < buckets; b++ {
-						dev.Compute(p, bwd/time.Duration(buckets))
-						handles = append(handles, comm.StartReduceScatter(rank, gradBytes/units.Bytes(buckets)))
-					}
-					t0 := p.Now()
-					// One park at the last bucket's completion: bucket ops
-					// serialize on the communicator, so waiting on all of
-					// them resumes exactly where waiting one-by-one did.
-					sim.WaitAll(p, handles)
-					// Shard-local optimizer step, then parameter
-					// all-gather.
-					comm.StartAllGather(rank, paramBytes).Wait(p)
-					dev.MarkBusyFor(p.Now() - t0)
-				default: // DDP
-					handles = handles[:0]
-					for b := 0; b < buckets; b++ {
-						dev.Compute(p, bwd/time.Duration(buckets))
-						handles = append(handles, comm.StartAllReduce(rank, gradBytes/units.Bytes(buckets)))
-					}
-					t0 := p.Now()
-					sim.WaitAll(p, handles)
-					dev.MarkBusyFor(p.Now() - t0)
-				}
-
-				// Checkpoint barrier (Figure 9's periodic dips).
-				if cp := ckptAt[it]; cp != nil {
-					ckptT0 := p.Now()
-					cp.arrive(env, p, rank, func(cb *sim.Proc) {
-						if err := sys.Net.Transfer(cb, sys.GPUs[0].Node, sys.Mem, ckptBytes); err != nil {
-							panic(err)
-						}
-						if err := sys.Store.Write(cb, sys.Mem, ckptBytes); err != nil {
-							panic(err)
-						}
-					})
-					if rank == 0 {
-						if opts.Probe != nil {
-							opts.Probe(ProbeCheckpoint, p.Now())
-						}
-						if opts.Obs != nil {
-							id := opts.Obs.Emit(obs.CatTrain, "checkpoint", ckptT0, p.Now())
-							opts.Obs.SetAttr(id, "job", int64(opts.ObsJob))
-						}
-					}
-				}
-				if rank == 0 && (it+1)%opts.ItersPerEpoch == 0 {
-					job.epochEnds = append(job.epochEnds, p.Now())
-					if opts.Probe != nil {
-						opts.Probe(ProbeEpoch, p.Now())
-					}
-					if opts.Obs != nil {
-						id := opts.Obs.Emit(obs.CatTrain, "epoch", obsEpochStart, p.Now())
-						opts.Obs.SetAttr(id, "job", int64(opts.ObsJob))
-						opts.Obs.SetAttr(id, "epoch", int64(len(job.epochEnds)+opts.ResumeEpochs))
-						obsEpochStart = p.Now()
-					}
-				}
-			}
-			// Abort wind-down: drain copies the feeder had in flight before
-			// it saw the cutoff, releasing their pinned buffers so the
-			// feeder can finish discarding and every process exits.
-			if job.aborted {
-				for {
-					v, ok := h2dReady[rank].Get(p)
-					if !ok {
-						break
-					}
-					item := v.(*h2dItem)
-					item.done.Wait(p)
-					item.buf.Release(env, 1)
-				}
-			}
-			ranksDone.Done(env)
-		})
-	}
-
-	env.Go("join", func(p *sim.Proc) {
-		ranksDone.Wait(p)
-		job.finish = p.Now()
-		smp.Stop()
-		sys.Host.FreeMem(staging)
-		freeAll()
-		final := ProbeDone
-		if job.aborted {
-			final = ProbeAbort
-		}
-		if opts.Probe != nil {
-			opts.Probe(final, p.Now())
-		}
-		if opts.Obs != nil {
-			id := opts.Obs.Instant(obs.CatTrain, final)
-			opts.Obs.SetAttr(id, "job", int64(opts.ObsJob))
-		}
-		job.done.Fire(env)
-	})
+	job.ranksDone.Add(nGPU)
+	job.spawn(rankStr)
 	return job, nil
 }
 
@@ -686,7 +460,8 @@ type h2dItem struct {
 func dev0Spec(sys *cluster.System) gpu.Spec { return sys.GPUs[0].Spec }
 
 // ckptPoint coordinates one all-rank checkpoint: every rank arrives, rank 0
-// performs the D2H copy and storage write, everyone else waits.
+// waits for the rest, performs the D2H copy and storage write, and fires
+// done; everyone else waits on done.
 type ckptPoint struct {
 	wg   sim.WaitGroup
 	done sim.Signal
@@ -698,15 +473,11 @@ func newCkptPoint(n int) *ckptPoint {
 	return cp
 }
 
-func (cp *ckptPoint) arrive(env *sim.Env, p *sim.Proc, rank int, write func(*sim.Proc)) {
-	cp.wg.Done(env)
-	if rank == 0 {
-		cp.wg.Wait(p)
-		write(p)
-		cp.done.Fire(env)
-		return
+// freeGPUMem returns a job's per-GPU memory admission.
+func freeGPUMem(sys *cluster.System, need units.Bytes) {
+	for _, g := range sys.GPUs {
+		g.FreeMem(need)
 	}
-	cp.done.Wait(p)
 }
 
 // memAccessFrac estimates the fraction of iteration time the GPU spends
