@@ -18,6 +18,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"time"
 
 	"composable/internal/falcon"
 	"composable/internal/gpu"
@@ -25,11 +26,39 @@ import (
 	"composable/internal/storage"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, http.ListenAndServe)) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, listenAndServe)) }
+
+// Connection timeouts for the production server, so a slow or idle client
+// cannot hold a connection open forever. Request bodies are small JSON
+// documents, but an admin queue drain runs the whole orchestrator inside
+// one request, so the write timeout leaves it minutes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the production HTTP server for handler h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// listenAndServe serves h on addr with newServer's timeouts.
+func listenAndServe(addr string, h http.Handler) error {
+	return newServer(addr, h).ListenAndServe()
+}
 
 // run is the testable main: parse flags, seed the chassis, build the
-// server and hand it to serve (http.ListenAndServe in production, a stub
-// in tests). It returns the process exit code.
+// server and hand it to serve (listenAndServe in production, a stub in
+// tests). It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer, serve func(addr string, h http.Handler) error) int {
 	fs := flag.NewFlagSet("mcsd", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"composable/internal/falcon"
 )
@@ -58,6 +59,26 @@ func TestServeErrorPropagates(t *testing.T) {
 	})
 	if code != 1 || !strings.Contains(errb.String(), "address in use") {
 		t.Fatalf("exit %d, stderr %q", code, errb.String())
+	}
+}
+
+// TestProductionServerHasTimeouts guards the server main hands to
+// ListenAndServe: a zero timeout there means a client can hold a
+// connection open forever.
+func TestProductionServerHasTimeouts(t *testing.T) {
+	srv := newServer(":8080", http.NotFoundHandler())
+	if srv.Addr != ":8080" || srv.Handler == nil {
+		t.Fatalf("server addr %q, handler %v", srv.Addr, srv.Handler)
+	}
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a positive bound", name, d)
+		}
 	}
 }
 

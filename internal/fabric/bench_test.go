@@ -107,6 +107,8 @@ func BenchmarkRecomputeWide(b *testing.B) {
 // flat in K. ns/recompute still grows linearly in K: integrating flows up
 // to the instant and finding the next completion scan every active flow.
 // A whole-set solve would grow quadratically, with rounds × constraints.
+// passes/recompute counts waterfill scans: a ring's legs all tie at one
+// share, so a start costs one scan rather than one per winner.
 func BenchmarkRecomputeDisjoint(b *testing.B) {
 	for _, k := range []int{1, 8, 32} {
 		b.Run("K="+strconv.Itoa(k), func(b *testing.B) {
@@ -125,14 +127,15 @@ func BenchmarkRecomputeDisjoint(b *testing.B) {
 			})
 			b.ReportAllocs()
 			b.ResetTimer()
-			solved, _ := net.SolveWork()
+			solved, _, passes := net.SolveWork()
 			if err := env.Run(); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			after, _ := net.SolveWork()
+			after, _, afterPasses := net.SolveWork()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recomputes), "ns/recompute")
 			b.ReportMetric(float64(after-solved)/float64(recomputes), "solved/recompute")
+			b.ReportMetric(float64(afterPasses-passes)/float64(recomputes), "passes/recompute")
 		})
 	}
 }

@@ -81,9 +81,22 @@ func (n *Network) OnRecompute(fn func()) {
 	}
 }
 
-// SolveWork returns the flows re-solved and the waterfill rounds run over
-// the network's lifetime.
-func (n *Network) SolveWork() (flows, rounds int) { return n.solvedFlows, n.solvedRounds }
+// SolveWork returns the flows re-solved, the waterfill rounds (winners)
+// run and the scans of live constraints made over the network's lifetime.
+func (n *Network) SolveWork() (flows, rounds, passes int) {
+	return n.solvedFlows, n.solvedRounds, n.scanPasses
+}
+
+// Reasons a waterfill tie batch stops early, indexing EarlyStops.
+const (
+	StopBelow    = stopBelow    // a freeze pushed some share below the level
+	StopNewTie   = stopNewTie   // a constraint outside the tie list reached the level
+	StopTieMoved = stopTieMoved // the next tie's share left the level
+)
+
+// EarlyStops counts, by reason, the waterfill tie batches stopped early
+// over the network's lifetime.
+func (n *Network) EarlyStops() [3]int { return n.earlyStops }
 
 func TestDotExport(t *testing.T) {
 	env := sim.NewEnv()

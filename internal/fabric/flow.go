@@ -31,7 +31,9 @@ type Network struct {
 	flows      []*Flow
 	lastUpdate sim.Time
 	epoch      uint64
-	routeCache map[[2]NodeID][]dirLink
+	// routeCache is the sparse route cache for large graphs, keyed by
+	// routeKey so lookups take the runtime's 64-bit map fast path.
+	routeCache map[uint64][]dirLink
 	// routes is the dense route cache for small graphs (see Route); it
 	// replaces a map hash per flow start with one slice index.
 	routes []routeEntry
@@ -53,15 +55,24 @@ type Network struct {
 	// recompute.
 	touched []*constraint
 	// liveCons is recomputeNow's scratch: the constraints still carrying
-	// unfrozen flows, compacted between waterfill rounds so late rounds
-	// scan only survivors instead of the whole active set. Compaction
+	// unfrozen flows, compacted on each waterfill scan so late scans
+	// cover only survivors instead of the whole active set. Compaction
 	// preserves relative order, so equal-share ties resolve exactly as a
 	// full scan would.
 	liveCons []*constraint
-	// solvedFlows and solvedRounds count, over the network's lifetime, the
-	// flows re-solved and the waterfill rounds run by recomputes. Tests
-	// read them to prove that a change re-solves only its own component.
-	solvedFlows, solvedRounds int
+	// ties is recomputeNow's other scratch: the constraints one scan found
+	// tied at the minimum share, in live order.
+	ties []*constraint
+	// solvedFlows, solvedRounds and scanPasses count, over the network's
+	// lifetime, the flows re-solved, the waterfill rounds (winners) run by
+	// recomputes and the scans of their live constraints. Tests read them
+	// to prove that a change re-solves only its own component and that a
+	// share level costs one scan, not one per tied constraint. scanPasses
+	// doubles as the stamp that marks a scan's tie list (constraint.tie).
+	solvedFlows, solvedRounds, scanPasses int
+	// earlyStops counts, by reason, the tie batches recomputeNow cut short
+	// for a fresh scan; the tie oracle test proves each reason occurs.
+	earlyStops [numEarlyStops]int
 
 	// freeFlows recycles Flow structs whose transfer fully completed and
 	// whose waiter returned: the blocking helpers (Transfer,
@@ -174,19 +185,32 @@ func (n *Network) VisitFlows(fn func(f *Flow)) {
 type constraint struct {
 	link    *Link // nil for per-flow rate caps
 	forward bool
-	capped  float64 // rate cap when link is nil
-
-	flows    []conFlow
-	residual float64
-	unfrozen int
 	// active tracks membership in Network.cons so a constraint is never
 	// listed twice; it stays set while the constraint sits in cons, even
 	// after its last flow leaves, until a recompute sweeps it out.
 	active bool
+	capped float64 // rate cap when link is nil
+
+	flows    []conFlow
+	residual float64
+	unfrozen int
 	// mark is the allocation epoch of the last recompute whose flood
 	// reached this constraint; only marked constraints are re-solved.
 	mark uint64
+	// tie is the scan pass (Network.scanPasses) that last found this
+	// constraint tied at the minimum share.
+	tie int
 }
+
+// Reasons a waterfill tie batch stops early, indexing Network.earlyStops:
+// a freeze pushed some share below the level, brought a constraint outside
+// the tie list onto the level, or moved the next tie's share off it.
+const (
+	stopBelow = iota
+	stopNewTie
+	stopTieMoved
+	numEarlyStops
+)
 
 // conFlow is one entry in a constraint's membership list: the flow plus
 // the index of this constraint within the flow's own cons list, so a
@@ -717,6 +741,13 @@ func (n *Network) ensureAllocated() {
 // operations, as a sweep over the whole active set would, so the rates
 // are bit-identical to a global solve.
 //
+// A scan costs one pass per share level, not one per winner. Symmetric
+// traffic — a collective's counter-rotating rings, equal-sized parallel
+// legs — ties many constraints at the same fair share; one scan collects
+// them all in scan order and the rounds freeze them in turn, falling back
+// to a fresh scan only when a freeze could change which constraint the
+// next round would pick.
+//
 // The bookkeeping is incremental too: constraints persist between calls,
 // frozen and reached state are epoch stamps, and per-constraint unfrozen
 // counts replace per-round rescans of every constraint's flow list.
@@ -789,14 +820,24 @@ func (n *Network) recomputeNow() {
 	// admitted flow sits on at least one constraint and each round
 	// freezes every flow of the winning constraint, so the loop below
 	// assigns every marked flow's rate — no reset pass is needed first.
+	//
+	// One scan serves a whole share level: it collects every constraint
+	// tied at the minimum, in live order, and the rounds freeze them one
+	// after another. Each tie is the winner a fresh scan would pick next
+	// as long as no freeze has pushed a share below the level, brought a
+	// constraint outside the tie list onto it, or moved the next tie off
+	// it; when one of those happens the batch stops and the next scan
+	// resumes from the state the freezes left.
 	frozen, rounds := 0, 0
+	ties := n.ties
 	for frozen < marked {
-		bestShare := math.Inf(1)
-		var best *constraint
-		// Scan for the minimum share, compacting out constraints whose
-		// flows all froze in earlier rounds as we go: collective-heavy
-		// runs freeze most constraints in the first round or two, so late
-		// rounds scan a short tail instead of the whole active set.
+		level := math.Inf(1)
+		ties = ties[:0]
+		// Scan for the minimum share and its ties, compacting out
+		// constraints whose flows all froze in earlier rounds as we go:
+		// collective-heavy runs freeze most constraints in the first round
+		// or two, so late scans cover a short tail instead of the whole
+		// active set.
 		w := 0
 		for _, st := range live {
 			if st.unfrozen == 0 {
@@ -805,33 +846,65 @@ func (n *Network) recomputeNow() {
 			live[w] = st
 			w++
 			share := st.residual / float64(st.unfrozen)
-			if share < bestShare {
-				bestShare, best = share, st
+			if share < level {
+				level = share
+				ties = append(ties[:0], st)
+			} else if share == level && len(ties) > 0 {
+				ties = append(ties, st)
 			}
 		}
 		live = live[:w]
-		if best == nil {
+		n.scanPasses++
+		if len(ties) == 0 {
 			break
 		}
-		rounds++
-		for _, cf := range best.flows {
-			f := cf.f
-			if f.frozenEpoch == n.epoch {
-				continue
+		for _, st := range ties {
+			st.tie = n.scanPasses
+		}
+		for i, best := range ties {
+			if best.unfrozen == 0 {
+				continue // every flow froze with an earlier tie
 			}
-			f.frozenEpoch = n.epoch
-			f.rate = bestShare
-			frozen++
-			for _, fc := range f.cons {
-				st := fc.st
-				st.residual -= bestShare
-				if st.residual < 0 {
-					st.residual = 0
+			if i > 0 && best.residual/float64(best.unfrozen) != level {
+				n.earlyStops[stopTieMoved]++
+				break
+			}
+			rounds++
+			// Only a later tie's turn can go wrong, so the last tie's
+			// freeze checks nothing.
+			last, stop := i == len(ties)-1, -1
+			for _, cf := range best.flows {
+				f := cf.f
+				if f.frozenEpoch == n.epoch {
+					continue
 				}
-				st.unfrozen--
+				f.frozenEpoch = n.epoch
+				f.rate = level
+				frozen++
+				for _, fc := range f.cons {
+					st := fc.st
+					st.residual -= level
+					if st.residual < 0 {
+						st.residual = 0
+					}
+					st.unfrozen--
+					if last || st == best || st.unfrozen == 0 {
+						continue
+					}
+					if share := st.residual / float64(st.unfrozen); share < level {
+						stop = stopBelow
+					} else if share == level && st.tie != n.scanPasses {
+						stop = stopNewTie
+					}
+				}
+			}
+			if stop >= 0 {
+				n.earlyStops[stop]++
+				break
 			}
 		}
 	}
+	n.ties = ties[:0]
 	n.liveCons = live[:0]
 	n.solvedFlows += marked
 	n.solvedRounds += rounds

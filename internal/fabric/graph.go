@@ -210,9 +210,9 @@ func (n *Network) Route(src, dst NodeID) ([]dirLink, error) {
 	}
 	if n.routeCache == nil {
 		//lint:allow hotalloc(one-time fallback-cache build for >256-node graphs; the steady state hits the map, not this branch)
-		n.routeCache = make(map[[2]NodeID][]dirLink)
+		n.routeCache = make(map[uint64][]dirLink)
 	}
-	key := [2]NodeID{src, dst}
+	key := routeKey(src, dst)
 	if p, ok := n.routeCache[key]; ok {
 		if p == nil {
 			return nil, n.noPathErr(src, dst)
@@ -226,6 +226,10 @@ func (n *Network) Route(src, dst NodeID) ([]dirLink, error) {
 	}
 	return p, nil
 }
+
+// routeKey packs a (src, dst) pair into one routeCache key. Node IDs are
+// dense indices far below 2^32, so the packing is injective.
+func routeKey(src, dst NodeID) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
 
 func (n *Network) noPathErr(src, dst NodeID) error {
 	return fmt.Errorf("fabric: no path %s → %s", n.nodes[src].Name, n.nodes[dst].Name)
