@@ -43,9 +43,12 @@ func BenchmarkFlowChurnContended(b *testing.B) { perfbench.BenchFabricFlowChurnC
 // 1024-GPU pod fleet (8 pods × 8 chassis × 16 GPUs). Each op composes a
 // fresh fleet with the timer stopped, so every route is a cold search,
 // then routes every GPU i→i+1 ring pair and every host-DRAM→GPU pair.
+// pops/route counts heap pops per cold search. Every destination is a GPU,
+// a leaf, so each search ends when the GPU's drawer switch settles, not
+// when the GPU itself does.
 func BenchmarkRouteColdPodFleet(b *testing.B) {
 	b.ReportAllocs()
-	routes := 0
+	routes, pops := 0, 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		fleet, err := cluster.ComposeFleet(sim.NewEnv(), perfbench.PodFleetOptions())
@@ -66,8 +69,11 @@ func BenchmarkRouteColdPodFleet(b *testing.B) {
 			}
 		}
 		routes += len(fleet.Slots) * (1 + len(fleet.Hosts))
+		_, p := fleet.Net.RouteWork()
+		pops += p
 	}
 	b.ReportMetric(float64(routes)/b.Elapsed().Seconds(), "routes/s")
+	b.ReportMetric(float64(pops)/float64(routes), "pops/route")
 }
 
 // BenchmarkRecomputeWide measures a single recompute sweep at width: 32

@@ -19,8 +19,11 @@ type Hop struct {
 // HopPenalty is the per-hop tie-break cost Route adds to link latency.
 const HopPenalty = hopPenalty
 
-// DenseRouteLimit is the node count up to which Route caches in a table.
-const DenseRouteLimit = denseRouteLimit
+// RouteWork returns the route searches run and the heap entries they
+// popped over the network's lifetime.
+func (n *Network) RouteWork() (searches, pops int) {
+	return n.routeSearches, n.routePops
+}
 
 // RouteHops returns Route's src→dst path as hops.
 func (n *Network) RouteHops(src, dst NodeID) ([]Hop, error) {

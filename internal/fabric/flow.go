@@ -31,12 +31,9 @@ type Network struct {
 	flows      []*Flow
 	lastUpdate sim.Time
 	epoch      uint64
-	// routeCache is the sparse route cache for large graphs, keyed by
-	// routeKey so lookups take the runtime's 64-bit map fast path.
-	routeCache map[uint64][]dirLink
-	// routes is the dense route cache for small graphs (see Route); it
-	// replaces a map hash per flow start with one slice index.
-	routes []routeEntry
+	// routes is the route cache (see Route): one row of computed routes
+	// per source, indexed by NodeID.
+	routes [][]routeEntry
 
 	// linkCons holds one persistent constraint per link direction, indexed
 	// by 2*LinkID (+1 for the B→A direction), created lazily on first use.
@@ -110,6 +107,10 @@ type Network struct {
 	djEpoch uint32
 	djRev   []dirLink
 	djHeap  []heapItem
+	// routeSearches and routePops count the searches and their heap pops
+	// over the network's lifetime; tests read them to prove that a search
+	// to a leaf stays local.
+	routeSearches, routePops int
 
 	// recomputeQueued coalesces same-instant recompute requests into one
 	// deferred sweep (flushFn, created once in NewNetwork): rates computed

@@ -124,7 +124,7 @@ func (n *Network) addGraphStructures(l *Link) {
 	}
 	n.degree[l.A]++
 	n.degree[l.B]++
-	n.routeCache, n.routes = nil, nil
+	n.routes = nil
 }
 
 // AddNode adds a node and returns its ID.
@@ -133,7 +133,7 @@ func (n *Network) AddNode(name string, kind NodeKind) NodeID {
 	n.nodes = append(n.nodes, &Node{ID: id, Name: name, Kind: kind})
 	n.adj = append(n.adj, nil)
 	n.degree = append(n.degree, 0)
-	n.routeCache, n.routes = nil, nil
+	n.routes = nil
 	return id
 }
 
@@ -170,66 +170,43 @@ func (n *Network) ConnectSym(a, b NodeID, cap units.BytesPerSec, latency time.Du
 // Link returns the link with the given ID.
 func (n *Network) Link(id LinkID) *Link { return n.links[id] }
 
-// denseRouteLimit is the node count up to which the route cache is a
-// dense nodes×nodes table indexed directly by (src, dst) — one slice
-// index instead of a map hash per flow start. Larger graphs (the
-// 1000-GPU fleet direction) fall back to the map to avoid a quadratic
-// table.
-const denseRouteLimit = 256
-
-// routeEntry is one dense-cache slot; path == nil after compute means
-// dst is unreachable from src.
+// routeEntry is one cached route from a row's source; path == nil means
+// dst is unreachable.
 type routeEntry struct {
-	path     []dirLink
-	computed bool
+	dst  NodeID
+	path []dirLink
 }
 
 // Route returns the directed links on the preferred path src→dst, or an
 // error if dst is unreachable. Paths minimize total latency with a small
 // per-hop penalty (so that, capacities being equal, fewer switch traversals
-// win — matching real PCIe/NVLink route selection) and are cached.
+// win — matching real PCIe/NVLink route selection) and are cached in one
+// row per source, scanned linearly. A source routes to few destinations
+// (at most 21 in any bench/ workload), so the scan stays short on every
+// graph size and the cache grows with the pairs routed, not with nodes².
 //
 //perf:hot
 func (n *Network) Route(src, dst NodeID) ([]dirLink, error) {
 	if src == dst {
 		return nil, nil
 	}
-	if nn := len(n.nodes); nn <= denseRouteLimit {
-		if len(n.routes) != nn*nn {
-			n.routes = make([]routeEntry, nn*nn)
-		}
-		e := &n.routes[int(src)*nn+int(dst)]
-		if !e.computed {
-			e.path = n.dijkstra(src, dst)
-			e.computed = true
-		}
-		if e.path == nil {
-			return nil, n.noPathErr(src, dst)
-		}
-		return e.path, nil
+	if len(n.routes) != len(n.nodes) {
+		n.routes = make([][]routeEntry, len(n.nodes))
 	}
-	if n.routeCache == nil {
-		//lint:allow hotalloc(one-time fallback-cache build for >256-node graphs; the steady state hits the map, not this branch)
-		n.routeCache = make(map[uint64][]dirLink)
+	row := n.routes[src]
+	i := 0
+	for i < len(row) && row[i].dst != dst {
+		i++
 	}
-	key := routeKey(src, dst)
-	if p, ok := n.routeCache[key]; ok {
-		if p == nil {
-			return nil, n.noPathErr(src, dst)
-		}
-		return p, nil
+	if i == len(row) {
+		row = append(row, routeEntry{dst, n.dijkstra(src, dst)})
+		n.routes[src] = row
 	}
-	p := n.dijkstra(src, dst)
-	n.routeCache[key] = p
-	if p == nil {
+	if row[i].path == nil {
 		return nil, n.noPathErr(src, dst)
 	}
-	return p, nil
+	return row[i].path, nil
 }
-
-// routeKey packs a (src, dst) pair into one routeCache key. Node IDs are
-// dense indices far below 2^32, so the packing is injective.
-func routeKey(src, dst NodeID) uint64 { return uint64(src)<<32 | uint64(uint32(dst)) }
 
 func (n *Network) noPathErr(src, dst NodeID) error {
 	return fmt.Errorf("fabric: no path %s → %s", n.nodes[src].Name, n.nodes[dst].Name)
@@ -246,7 +223,7 @@ const hopPenalty = 10 * time.Nanosecond
 // each push strictly lowers a node's dist, so only its latest entry still
 // matches.
 //
-// Two things keep a search cheap on fleet-scale graphs, where most nodes
+// Three things keep a search cheap on fleet-scale graphs, where most nodes
 // are endpoints:
 //   - The scratch is stamped, not cleared: a node's dist and prev count
 //     only while its seen stamp equals the current epoch.
@@ -254,6 +231,11 @@ const hopPenalty = 10 * time.Nanosecond
 //     interior node of a simple path, so settling it would relax nothing;
 //     unless it is dst, it gets its dist and prev and stays off the heap.
 //     Settle order and routes are exactly those of a search that pushes it.
+//   - A leaf dst ends the search early. It can be entered only from its
+//     one neighbour, so once that neighbour settles and relaxes, dst's
+//     dist and prev are final while other nodes are still on the heap.
+//     The neighbour is read off dst's out-link; a leaf whose one link
+//     only enters it has none, so its search runs until dst settles.
 func (n *Network) dijkstra(src, dst NodeID) []dirLink {
 	nn := len(n.nodes)
 	if len(n.djDist) < nn {
@@ -269,11 +251,17 @@ func (n *Network) dijkstra(src, dst NodeID) []dirLink {
 	}
 	epoch := n.djEpoch
 	dist, prev, seen := n.djDist[:nn], n.djPrev[:nn], n.djSeen[:nn]
+	via := dst // the node whose settling makes dst final
+	if n.degree[dst] == 1 && len(n.adj[dst]) == 1 {
+		via = n.adj[dst][0].to()
+	}
+	n.routeSearches++
 	dist[src], seen[src] = 0, epoch
 	h := heapPush(n.djHeap[:0], heapItem{0, src})
 	for len(h) > 0 {
 		var it heapItem
 		h, it = heapPop(h)
+		n.routePops++
 		if it.dist != dist[it.node] {
 			continue
 		}
@@ -290,6 +278,9 @@ func (n *Network) dijkstra(src, dst NodeID) []dirLink {
 			if to == dst || n.degree[to] != 1 {
 				h = heapPush(h, heapItem{nd, to})
 			}
+		}
+		if it.node == via {
+			break
 		}
 	}
 	n.djHeap = h[:0]

@@ -111,14 +111,19 @@ func (g *refGraph) path(prev []fabric.Hop, reached []bool, src, dst int) []fabri
 	return p
 }
 
+// refPerPairLimit is the node count up to which checkPairs runs the
+// reference once per pair; past it, one full reference tree per source
+// keeps the O(V²) reference affordable.
+const refPerPairLimit = 256
+
 // checkPairs diffs Route against the reference for every src in srcs and
-// every other dst in dsts. Up to the dense-cache limit the reference runs
+// every other dst in dsts. Up to refPerPairLimit nodes the reference runs
 // once per pair, exactly as the fabric once did; beyond it one full
 // reference tree per source serves all of that source's destinations.
 func checkPairs(t *testing.T, net *fabric.Network, srcs, dsts []int) {
 	t.Helper()
 	g := newRefGraph(net)
-	perPair := len(g.out) <= fabric.DenseRouteLimit
+	perPair := len(g.out) <= refPerPairLimit
 	for _, src := range srcs {
 		var prev []fabric.Hop
 		var reached []bool
@@ -274,11 +279,140 @@ func TestRouteOracleRandomGraphs(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := 2 + rng.Intn(40)
-		if seed%20 == 0 { // past the dense cache, onto the map cache
-			nodes = fabric.DenseRouteLimit + 1 + rng.Intn(40)
+		if seed%20 == 0 { // past the per-pair reference, onto per-tree
+			nodes = refPerPairLimit + 1 + rng.Intn(40)
 		}
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			checkAllPairs(t, randomNetwork(rng, nodes, 3))
 		})
+	}
+}
+
+// TestRouteOracleLeafExit diffs the leaf-destination early exit against
+// the reference on small graphs built around its edge cases. Each case
+// also names one route and the heap pops its search takes: a leaf dst's
+// search ends when its one neighbour settles, any other dst's when dst
+// itself does.
+func TestRouteOracleLeafExit(t *testing.T) {
+	gb, lat := units.GBps(1), 100*time.Nanosecond
+	for _, tc := range []struct {
+		name     string
+		build    func(net *fabric.Network)
+		src, dst fabric.NodeID
+		reach    bool
+		pops     int
+	}{
+		{
+			// 2 is a leaf whose only link leaves it: it has an out-link,
+			// so the search stops at its neighbour, and finds no path.
+			name: "one-way-out-leaf",
+			build: func(net *fabric.Network) {
+				net.ConnectSym(0, 1, gb, lat, "x")
+				net.Connect(2, 1, gb, 0, lat, "x")
+				net.ConnectSym(1, 3, gb, lat, "x")
+				net.ConnectSym(3, 4, gb, lat, "x")
+			},
+			src: 0, dst: 2, pops: 2,
+		},
+		{
+			// src is the hub every leaf hangs off; the other hub's side is
+			// cheaper, so a search without the exit would settle it first.
+			name: "src-is-only-neighbour",
+			build: func(net *fabric.Network) {
+				net.ConnectSym(0, 1, gb, 0, "x")
+				net.ConnectSym(1, 2, gb, 0, "x")
+				net.ConnectSym(0, 3, gb, 5*lat, "x")
+				net.ConnectSym(0, 4, gb, 5*lat, "x")
+			},
+			src: 0, dst: 4, reach: true, pops: 1,
+		},
+		{
+			// Two leaves joined to each other, beside a second component.
+			name: "two-node-component",
+			build: func(net *fabric.Network) {
+				net.ConnectSym(0, 1, gb, lat, "x")
+				net.ConnectSym(2, 3, gb, lat, "x")
+				net.ConnectSym(3, 4, gb, lat, "x")
+			},
+			src: 1, dst: 0, reach: true, pops: 1,
+		},
+		{
+			// 4 is dst's neighbour. It is reached from 1 and from 2 at one
+			// cost, and settles tied with 3, which has a lower ID.
+			name: "neighbour-settles-tied",
+			build: func(net *fabric.Network) {
+				net.ConnectSym(0, 1, gb, lat, "x")
+				net.ConnectSym(0, 2, gb, lat, "x")
+				net.ConnectSym(1, 3, gb, lat, "x")
+				net.ConnectSym(2, 4, gb, lat, "x")
+				net.ConnectSym(1, 4, gb, lat, "x")
+				net.ConnectSym(4, 5, gb, lat, "x")
+				net.ConnectSym(3, 6, gb, 0, "x")
+				net.ConnectSym(6, 7, gb, lat, "x")
+			},
+			src: 0, dst: 5, reach: true, pops: 5,
+		},
+		{
+			// dst has degree 2 through two parallel links from one
+			// neighbour, so it is no leaf and the search runs until dst
+			// itself settles; the cheaper link must win.
+			name: "parallel-links",
+			build: func(net *fabric.Network) {
+				net.ConnectSym(0, 1, gb, lat, "x")
+				net.ConnectSym(1, 2, gb, 3*lat, "x")
+				net.ConnectSym(1, 2, gb, lat, "x")
+				net.ConnectSym(1, 3, gb, 0, "x")
+				net.ConnectSym(3, 4, gb, 0, "x")
+			},
+			src: 0, dst: 2, reach: true, pops: 4,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := fabric.NewNetwork(sim.NewEnv())
+			for i := 0; i < 8; i++ {
+				net.AddNode("n"+strconv.Itoa(i), fabric.KindSwitch)
+			}
+			tc.build(net)
+			_, before := net.RouteWork()
+			_, err := net.Route(tc.src, tc.dst)
+			if (err == nil) != tc.reach {
+				t.Fatalf("route %d→%d: err %v, want reachable=%v", tc.src, tc.dst, err, tc.reach)
+			}
+			if _, after := net.RouteWork(); after-before != tc.pops {
+				t.Fatalf("route %d→%d popped %d heap entries, want %d", tc.src, tc.dst, after-before, tc.pops)
+			}
+			checkAllPairs(t, net)
+		})
+	}
+}
+
+// TestLeafRouteSettlesLocally pins the early exit on the pod fleet: a
+// route from host DRAM to the host's own storage, and one between two
+// GPUs in one drawer, each settle only their source and the leaf's
+// neighbour, however far the rest of the fleet is.
+func TestLeafRouteSettlesLocally(t *testing.T) {
+	fleet, err := cluster.ComposeFleet(sim.NewEnv(), perfbench.PodFleetOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, a, b := fleet.Hosts[0], fleet.Slots[0], fleet.Slots[1]
+	if a.Drawer != b.Drawer {
+		t.Fatalf("slots 0 and 1 are in drawers %d and %d", a.Drawer, b.Drawer)
+	}
+	for _, r := range []struct {
+		name     string
+		src, dst fabric.NodeID
+	}{
+		{"dram→nvme", host.Mem, host.Store.Node},
+		{"gpu→gpu same drawer", a.Node, b.Node},
+	} {
+		searches, pops := fleet.Net.RouteWork()
+		if _, err := fleet.Net.Route(r.src, r.dst); err != nil {
+			t.Fatal(err)
+		}
+		s, p := fleet.Net.RouteWork()
+		if s-searches != 1 || p-pops > 3 {
+			t.Errorf("%s: %d searches, %d heap pops; want 1 search, ≤ 3 pops", r.name, s-searches, p-pops)
+		}
 	}
 }
