@@ -28,7 +28,6 @@ var simDomain = []string{
 	"composable/cmd/composer",
 	"composable/cmd/benchrunner",
 	"composable/cmd/fleetsim",
-	"composable/cmd/chaossim",
 	"composable/cmd/advisor",
 	"composable/cmd/falconctl",
 }

@@ -47,6 +47,7 @@
 // (goodput, utilization) are reported as skipped, not failed, when
 // stats are unknown.
 //
-// cmd/tracectl is the CLI front end; fleetsim/chaossim expose the same
-// engine via -report/-slo, and mcsd serves it on admin GET /api/health.
+// `fleetsim analyze` is the CLI front end; fleetsim's run and chaos
+// modes expose the same engine via -report/-slo, and mcsd serves it on
+// admin GET /api/health.
 package analyze

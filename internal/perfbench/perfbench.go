@@ -580,8 +580,8 @@ func BenchObsTraceFleetSchedule(b *testing.B) {
 // span extraction, per-job time attribution with critical paths, the
 // percentile histograms, an SLO evaluation and the text report — over
 // the observed fleet-schedule run. The run itself happens once, untimed:
-// this entry prices what `tracectl` / `-report` cost on top of a trace
-// the simulator already produced.
+// this entry prices what `fleetsim analyze` / `-report` cost on top of a
+// trace the simulator already produced.
 func BenchObsAnalyzeFleetTrace(b *testing.B) {
 	col, res, err := observedFleetRun()
 	if err != nil {

@@ -12,12 +12,7 @@ import (
 // outcome and its post-hoc trace analysis — the one-call path sweeps
 // and experiments use to assert on attribution or SLOs.
 func AnalyzeFleet(sc FleetScenario) (*FleetOutcome, *analyze.Analysis, error) {
-	c := obs.NewCollector()
-	out, err := RunFleetObserved(sc, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, analyze.FromCollector(c).Analyze(), nil
+	return AnalyzeFaultyFleet(FaultScenario{Fleet: sc})
 }
 
 // AnalyzeFaultyFleet is AnalyzeFleet for a faulty scenario.

@@ -124,6 +124,7 @@ func RunFaultyFleetObserved(sc FaultScenario, c *obs.Collector) (*FleetOutcome, 
 
 // RunFaultyFleetOn is RunFaultyFleetObserved on a caller-supplied fresh
 // environment, for callers that attach their own engine probes first.
+// An empty plan arms nothing, so it is also the fault-free runner.
 func RunFaultyFleetOn(env *sim.Env, sc FaultScenario, c *obs.Collector) (*FleetOutcome, error) {
 	if c != nil {
 		c.Attach(env)
@@ -152,7 +153,7 @@ func RunFaultyFleetOn(env *sim.Env, sc FaultScenario, c *obs.Collector) (*FleetO
 		Obs:           c,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scengen: faulty fleet %s: %w", sc.ID(), err)
+		return nil, fmt.Errorf("scengen: fleet %s: %w", sc.ID(), err)
 	}
 	inv.CheckFleetResult(f, res)
 	return &FleetOutcome{Scenario: sc.Fleet, Result: res, Inv: inv, Fingerprint: res.Fingerprint()}, nil

@@ -301,33 +301,5 @@ func RunFleetObserved(sc FleetScenario, c *obs.Collector) (*FleetOutcome, error)
 // RunFleetOn is RunFleetObserved on a caller-supplied fresh environment,
 // for callers that attach their own engine probes (event digests) first.
 func RunFleetOn(env *sim.Env, sc FleetScenario, c *obs.Collector) (*FleetOutcome, error) {
-	if c != nil {
-		c.Attach(env)
-	}
-	f, err := cluster.ComposeFleet(env, sc.fleetOptions())
-	if err != nil {
-		return nil, fmt.Errorf("scengen: compose %s: %w", sc.ID(), err)
-	}
-	if c != nil {
-		f.AttachObs(c)
-	}
-	pol, err := orchestrator.PolicyByName(sc.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("scengen: %s: %w", sc.ID(), err)
-	}
-	inv := invariant.New()
-	inv.WatchEnv(env)
-	inv.WatchNetwork(f.Net)
-	inv.WatchFleet(f)
-	res, err := orchestrator.Run(f, sc.Jobs, orchestrator.Options{
-		Policy:        pol,
-		AttachLatency: sc.AttachLatency, // same 0=default/negative=free convention
-		Probe:         inv.OrchestratorProbe(),
-		Obs:           c,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scengen: fleet %s: %w", sc.ID(), err)
-	}
-	inv.CheckFleetResult(f, res)
-	return &FleetOutcome{Scenario: sc, Result: res, Inv: inv, Fingerprint: res.Fingerprint()}, nil
+	return RunFaultyFleetOn(env, FaultScenario{Fleet: sc}, c)
 }
