@@ -55,8 +55,10 @@ const tempAlertC = 65.0
 
 // CheckThermals appends event-log warnings for out-of-spec temperatures
 // and returns the number of alerts raised.
-func (c *Chassis) CheckThermals() int {
-	r := c.Sensors()
+func (c *Chassis) CheckThermals() int { return c.checkThermals(c.Sensors()) }
+
+// checkThermals raises the alerts for one set of readings.
+func (c *Chassis) checkThermals(r SensorReadings) int {
 	alerts := 0
 	for d, t := range r.DrawerTempC {
 		if t > tempAlertC {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -157,5 +158,17 @@ func TestCatalogSpecs(t *testing.T) {
 	}
 	if TeslaP100.PeakFP16 >= TeslaV100SXM2.PeakFP16/2 {
 		t.Fatal("P100 has no tensor cores; FP16 peak must be far below V100")
+	}
+}
+
+// TestComputeResourceName pins the name of each device's compute
+// resource, which carries its global index.
+func TestComputeResourceName(t *testing.T) {
+	env := sim.NewEnv()
+	for _, idx := range []int{0, 7, 99, 100, 1023, -3} {
+		want := fmt.Sprintf("gpu%d.compute", idx)
+		if got := New(env, TeslaV100PCIe, idx, 0, false).compute.Name(); got != want {
+			t.Errorf("device %d compute resource = %q, want %q", idx, got, want)
+		}
 	}
 }

@@ -215,3 +215,34 @@ func TestTrafficEndpoint(t *testing.T) {
 		t.Fatalf("egress = %v", rows[0]["egressBytes"])
 	}
 }
+
+// TestEventsBodyPinned pins the /api/events body byte for byte: "null"
+// for a fresh chassis, whose log is nil, and the JSON log of the test
+// chassis (four cables, a mode switch, four installs) after one attach.
+func TestEventsBodyPinned(t *testing.T) {
+	fresh := httptest.NewServer(NewServer(falcon.New("fresh"), []User{
+		{Name: "root", Role: RoleAdmin, Token: "tok-root"},
+	}).Handler())
+	defer fresh.Close()
+	if _, body := call(t, fresh, "GET", "/api/events", "tok-root", nil); string(body) != "null\n" {
+		t.Errorf("fresh chassis events body = %q, want %q", body, "null\n")
+	}
+
+	_, ts, _ := newTestServer(t)
+	if resp, body := call(t, ts, "POST", "/api/attach", "tok-alice", attachRequest{Drawer: 0, Slot: 2, Port: "H1"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("attach: status %d, body %s", resp.StatusCode, body)
+	}
+	const want = `[{"at":0,"severity":"info","message":"host hostA cabled to port H1"},` +
+		`{"at":0,"severity":"info","message":"host hostA cabled to port H2"},` +
+		`{"at":0,"severity":"info","message":"host hostB cabled to port H3"},` +
+		`{"at":0,"severity":"info","message":"host hostB cabled to port H4"},` +
+		`{"at":0,"severity":"info","message":"drawer 0 mode set to advanced"},` +
+		`{"at":0,"severity":"info","message":"device gpu-0 (GPU) installed in d0/s0"},` +
+		`{"at":0,"severity":"info","message":"device gpu-1 (GPU) installed in d0/s1"},` +
+		`{"at":0,"severity":"info","message":"device gpu-2 (GPU) installed in d0/s2"},` +
+		`{"at":0,"severity":"info","message":"device gpu-3 (GPU) installed in d0/s3"},` +
+		`{"at":0,"severity":"info","message":"device gpu-2 in d0/s2 attached to H1 (host hostA)"}]` + "\n"
+	if _, body := call(t, ts, "GET", "/api/events", "tok-root", nil); string(body) != want {
+		t.Errorf("events body:\n%s\nwant:\n%s", body, want)
+	}
+}

@@ -79,3 +79,26 @@ func TestUnknownGenerationPanics(t *testing.T) {
 	}()
 	RawBandwidth(Gen(9), 16)
 }
+
+// TestGenString pins the protocol labels the fabric links carry, for
+// every known generation and for unknown ones.
+func TestGenString(t *testing.T) {
+	for _, tc := range []struct {
+		g    Gen
+		want string
+	}{
+		{Gen1, "PCI-e 1.0"},
+		{Gen2, "PCI-e 2.0"},
+		{Gen3, "PCI-e 3.0"},
+		{Gen4, "PCI-e 4.0"},
+		{Gen5, "PCI-e 5.0"},
+		{Gen(0), "PCI-e 0.0"},
+		{Gen(6), "PCI-e 6.0"},
+		{Gen(12), "PCI-e 12.0"},
+		{Gen(-1), "PCI-e -1.0"},
+	} {
+		if got := tc.g.String(); got != tc.want {
+			t.Errorf("Gen(%d).String() = %q, want %q", int(tc.g), got, tc.want)
+		}
+	}
+}

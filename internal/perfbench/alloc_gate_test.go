@@ -22,14 +22,7 @@ const (
 )
 
 func runFleetScheduleOnce(t testing.TB) {
-	stream := []orchestrator.JobSpec{
-		{Arrival: 0, Tenant: 0, GPUs: 4, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 0, Tenant: 1, GPUs: 2, Workload: "BERT", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: time.Second, Tenant: 2, GPUs: 2, Workload: "MobileNetV2", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 2 * time.Second, Tenant: 0, GPUs: 4, Workload: "MobileNetV2", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 2 * time.Second, Tenant: 1, GPUs: 2, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 3 * time.Second, Tenant: 2, GPUs: 4, Workload: "BERT", Epochs: 1, ItersPerEpoch: 2},
-	}
+	stream := fleetScheduleStream()
 	env := sim.NewEnv()
 	fleet, err := cluster.ComposeFleet(env, cluster.FleetOptions{Hosts: 3, GPUs: 8})
 	if err != nil {

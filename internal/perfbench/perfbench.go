@@ -389,14 +389,10 @@ func BenchFabricFlowChurnContended(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/s")
 }
 
-// BenchOrchestratorFleetSchedule measures one complete fleet scheduling
-// round: compose a 3-host × 8-GPU fleet and drive a fixed 6-job stream
-// through the orchestrator under the drawer-local policy, dynamic
-// recompositions included. One op = one full fleet run, so the number
-// tracks the whole stack the fleet path crosses — composition, control
-// plane, scheduler, training engine, fabric.
-func BenchOrchestratorFleetSchedule(b *testing.B) {
-	stream := []orchestrator.JobSpec{
+// fleetScheduleStream is the fixed 6-job stream of the fleet-schedule
+// op: three tenants, four arrival waves, every workload twice.
+func fleetScheduleStream() []orchestrator.JobSpec {
+	return []orchestrator.JobSpec{
 		{Arrival: 0, Tenant: 0, GPUs: 4, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2},
 		{Arrival: 0, Tenant: 1, GPUs: 2, Workload: "BERT", Epochs: 1, ItersPerEpoch: 2},
 		{Arrival: time.Second, Tenant: 2, GPUs: 2, Workload: "MobileNetV2", Epochs: 1, ItersPerEpoch: 2},
@@ -404,6 +400,16 @@ func BenchOrchestratorFleetSchedule(b *testing.B) {
 		{Arrival: 2 * time.Second, Tenant: 1, GPUs: 2, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2},
 		{Arrival: 3 * time.Second, Tenant: 2, GPUs: 4, Workload: "BERT", Epochs: 1, ItersPerEpoch: 2},
 	}
+}
+
+// BenchOrchestratorFleetSchedule measures one complete fleet scheduling
+// round: compose a 3-host × 8-GPU fleet and drive a fixed 6-job stream
+// through the orchestrator under the drawer-local policy, dynamic
+// recompositions included. One op = one full fleet run, so the number
+// tracks the whole stack the fleet path crosses — composition, control
+// plane, scheduler, training engine, fabric.
+func BenchOrchestratorFleetSchedule(b *testing.B) {
+	stream := fleetScheduleStream()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
@@ -533,14 +539,7 @@ func TraceFleetSchedule(w io.Writer) error {
 // seam — and returns the loaded collector plus the run result. It is
 // the shared setup behind TraceFleetSchedule and the analyze benchmark.
 func observedFleetRun() (*obs.Collector, *orchestrator.FleetResult, error) {
-	stream := []orchestrator.JobSpec{
-		{Arrival: 0, Tenant: 0, GPUs: 4, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 0, Tenant: 1, GPUs: 2, Workload: "BERT", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: time.Second, Tenant: 2, GPUs: 2, Workload: "MobileNetV2", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 2 * time.Second, Tenant: 0, GPUs: 4, Workload: "MobileNetV2", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 2 * time.Second, Tenant: 1, GPUs: 2, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2},
-		{Arrival: 3 * time.Second, Tenant: 2, GPUs: 4, Workload: "BERT", Epochs: 1, ItersPerEpoch: 2},
-	}
+	stream := fleetScheduleStream()
 	col := obs.NewCollector()
 	env := sim.NewEnv()
 	col.Attach(env)
