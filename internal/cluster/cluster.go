@@ -153,7 +153,7 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 	// Host-local GPUs: PCIe to the root complex plus the NVLink mesh.
 	localNodes := make([]fabric.NodeID, cfg.LocalGPUs)
 	for i := 0; i < cfg.LocalGPUs; i++ {
-		node := net.AddNode(fmt.Sprintf("gpu%d", i), fabric.KindGPU)
+		node := net.AddNode(numbered("gpu", i), fabric.KindGPU)
 		localNodes[i] = node
 		net.ConnectSym(node, s.RC, pcie.EffLocalGPU, pcie.LocalGPULatency, pcie.Gen3.String())
 		s.GPUs = append(s.GPUs, gpu.New(env, gpu.TeslaV100SXM2, i, node, true))
@@ -174,7 +174,7 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 	if err := s.Chassis.CableHost("H2", HostName); err != nil {
 		return nil, err
 	}
-	drawerPort := map[int]string{0: "H1", 1: "H2"}
+	drawerPort := [falcon.NumDrawers]string{"H1", "H2"}
 
 	// Drawer switch fabric, built lazily per drawer in use.
 	var drawerSwitch [falcon.NumDrawers]fabric.NodeID
@@ -183,8 +183,8 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 		if haveDrawer[d] {
 			return drawerSwitch[d]
 		}
-		sw := net.AddNode(fmt.Sprintf("falcon-sw%d", d), fabric.KindSwitch)
-		ha := net.AddNode(fmt.Sprintf("host-adapter%d", d), fabric.KindHostAdapter)
+		sw := net.AddNode(numbered("falcon-sw", d), fabric.KindSwitch)
+		ha := net.AddNode(numbered("host-adapter", d), fabric.KindHostAdapter)
 		s.HostAdapterLinks = append(s.HostAdapterLinks,
 			net.ConnectSym(s.RC, ha, pcie.EffHostAdapter, pcie.AdapterLatency, pcie.Gen4.String()))
 		net.ConnectSym(ha, sw, pcie.CDFPHostCable, pcie.HostLinkLatency, "CDFP")
@@ -212,7 +212,7 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 		slot := i % perDrawer
 		ref := falcon.SlotRef{Drawer: drawer, Slot: slot}
 		dev := falcon.DeviceInfo{
-			ID:    fmt.Sprintf("gpu-%d", i),
+			ID:    numbered("gpu-", i),
 			Type:  falcon.DeviceGPU,
 			Model: falconSpec.Name, VendorID: "10de", LinkGen: 4, Lanes: 16,
 		}
@@ -224,7 +224,7 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 		}
 		sw := ensureDrawer(drawer)
 		idx := cfg.LocalGPUs + i
-		node := net.AddNode(fmt.Sprintf("fgpu%d", i), fabric.KindGPU)
+		node := net.AddNode(numbered("fgpu", i), fabric.KindGPU)
 		link := net.ConnectSym(node, sw, pcie.EffSwitchP2P, pcie.SlotLatency, pcie.Gen4.String())
 		s.FalconGPUPortLinks = append(s.FalconGPUPortLinks, link)
 		s.registerPortMonitor(ref, link)

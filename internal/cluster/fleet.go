@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"composable/internal/fabric"
@@ -100,7 +101,7 @@ type FleetSlot struct {
 // fabricPort is the chassis host port reserved as the fabric uplink in the
 // pod shape: a GPU attached to it is served to a host in another chassis
 // over the spine/leaf tier, with the fleet recording the true owner.
-var fabricPort = fmt.Sprintf("H%d", falcon.NumHostPorts)
+var fabricPort = falcon.PortID(falcon.NumHostPorts)
 
 // FleetSystem is a composed multi-host testbed: hosts cabled to one or
 // more Falcon chassis whose GPU inventory can be re-attached between them
@@ -238,17 +239,43 @@ func ComposeFleet(env *sim.Env, opts FleetOptions) (*FleetSystem, error) {
 		return nil, fmt.Errorf("cluster: unknown fleet GPU model %q", opts.GPUModel)
 	}
 
+	// Size everything from the fleet shape up front: the fabric graph, the
+	// fleet's indexes, and one slab each for the host and slot records.
+	drawersInUse := (opts.GPUs + falcon.SlotsPerDrawer - 1) / falcon.SlotsPerDrawer
+	numChassis, nodes, links := 1, 0, 0
+	if opts.Hierarchical() {
+		numChassis = opts.Pods * opts.ChassisPerPod
+		nodes, links = 1+opts.Pods, opts.Pods+numChassis*drawersInUse
+	}
+	// Per chassis: its drawer switches; per host an rc, DRAM, adapter and
+	// store, linked rc-DRAM, rc-adapter, store-rc and adapter to each
+	// switch; per GPU its node and slot link.
+	nodes += numChassis * (drawersInUse + 4*opts.Hosts + opts.GPUs)
+	links += numChassis * (opts.Hosts*(3+drawersInUse) + opts.GPUs)
+
 	net := fabric.NewNetwork(env)
 	net.EndpointOverhead = pcie.EndpointOverhead
+	net.Reserve(nodes, links)
 
-	f := &FleetSystem{Env: env, Net: net, Opts: opts}
+	f := &FleetSystem{
+		Env: env, Net: net, Opts: opts,
+		ChassisList: make([]*falcon.Chassis, 0, numChassis),
+		Hosts:       make([]*FleetHost, numChassis*opts.Hosts),
+		Slots:       make([]*FleetSlot, numChassis*opts.GPUs),
+		slotHost:    make([]int, numChassis*opts.GPUs),
+	}
+	hosts := make([]FleetHost, len(f.Hosts))
+	for i := range hosts {
+		f.Hosts[i] = &hosts[i]
+	}
+	slots := make([]FleetSlot, len(f.Slots))
+	for i := range slots {
+		f.Slots[i] = &slots[i]
+		f.slotHost[i] = -1
+	}
 
 	if !opts.Hierarchical() {
-		site := chassisSite{
-			name:   "falcon-1",
-			swName: func(d int) string { return fmt.Sprintf("falcon-sw%d", d) },
-			leaf:   -1,
-		}
+		site := chassisSite{name: "falcon-1", swPrefix: "falcon-sw", leaf: -1}
 		if err := f.buildChassis(site, spec); err != nil {
 			return nil, err
 		}
@@ -259,26 +286,26 @@ func ComposeFleet(env *sim.Env, opts FleetOptions) (*FleetSystem, error) {
 	// carries its whole aggregate uplink bandwidth divided by the
 	// oversubscription ratio.
 	spine := net.AddNode("spine-sw", fabric.KindSwitch)
-	drawersInUse := (opts.GPUs + falcon.SlotsPerDrawer - 1) / falcon.SlotsPerDrawer
 	oversub := opts.Oversubscription
 	if oversub == 0 {
 		oversub = 1
 	}
 	spineCap := units.BytesPerSec(float64(leafUplinkBW) * float64(drawersInUse*opts.ChassisPerPod) / oversub)
+	f.PodUplinks = make([]fabric.LinkID, 0, opts.Pods)
 	for p := 0; p < opts.Pods; p++ {
-		leaf := net.AddNode(fmt.Sprintf("pod%d-leaf", p+1), fabric.KindSwitch)
+		leaf := net.AddNode("pod"+strconv.Itoa(p+1)+"-leaf", fabric.KindSwitch)
 		f.PodUplinks = append(f.PodUplinks, net.ConnectSym(leaf, spine, spineCap, spineLinkLatency, "fabric"))
 		for cc := 0; cc < opts.ChassisPerPod; cc++ {
 			c := p*opts.ChassisPerPod + cc
-			name := fmt.Sprintf("falcon-%d", c+1)
+			name := numbered("falcon-", c+1)
 			site := chassisSite{
-				name:    name,
-				swName:  func(d int) string { return fmt.Sprintf("%s-sw%d", name, d) },
-				pod:     p,
-				idx:     c,
-				hostIdx: c * opts.Hosts,
-				gpuIdx:  c * opts.GPUs,
-				leaf:    leaf,
+				name:     name,
+				swPrefix: name + "-sw",
+				pod:      p,
+				idx:      c,
+				hostIdx:  c * opts.Hosts,
+				gpuIdx:   c * opts.GPUs,
+				leaf:     leaf,
 			}
 			if err := f.buildChassis(site, spec); err != nil {
 				return nil, err
@@ -288,16 +315,22 @@ func ComposeFleet(env *sim.Env, opts FleetOptions) (*FleetSystem, error) {
 	return f, nil
 }
 
+// numbered returns prefix followed by n in decimal, in one allocation.
+func numbered(prefix string, n int) string {
+	var b [48]byte
+	return string(strconv.AppendInt(append(b[:0], prefix...), int64(n), 10))
+}
+
 // chassisSite parameterizes one chassis build: its names and its place in
 // the hierarchy. leaf < 0 means no pod fabric tier (degenerate shape).
 type chassisSite struct {
-	name    string
-	swName  func(d int) string
-	pod     int
-	idx     int // global chassis index
-	hostIdx int // global index of this chassis's first host
-	gpuIdx  int // global index of this chassis's first GPU
-	leaf    fabric.NodeID
+	name     string
+	swPrefix string // drawer d's switch is named swPrefix followed by d
+	pod      int
+	idx      int // global chassis index
+	hostIdx  int // global index of this chassis's first host
+	gpuIdx   int // global index of this chassis's first GPU
+	leaf     fabric.NodeID
 }
 
 // buildChassis composes one chassis and its hosts and GPUs into the fleet.
@@ -323,7 +356,7 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 	drawersInUse := (opts.GPUs + falcon.SlotsPerDrawer - 1) / falcon.SlotsPerDrawer
 	switches := make([]fabric.NodeID, drawersInUse)
 	for d := range switches {
-		switches[d] = net.AddNode(site.swName(d), fabric.KindSwitch)
+		switches[d] = net.AddNode(numbered(site.swPrefix, d), fabric.KindSwitch)
 	}
 	if site.leaf >= 0 {
 		for _, sw := range switches {
@@ -336,31 +369,31 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 
 	for h := 0; h < opts.Hosts; h++ {
 		g := site.hostIdx + h
-		host := &FleetHost{
+		host := f.Hosts[g]
+		*host = FleetHost{
 			Index: g,
-			Name:  fmt.Sprintf("host%d", g+1),
-			Port:  fmt.Sprintf("H%d", h+1),
+			Name:  numbered("host", g+1),
+			Port:  falcon.PortID(h + 1),
 			Pod:   site.pod, ChassisIdx: site.idx,
 			CPU: hostcpu.New(env, hostcpu.XeonGold6148x2),
 		}
 		if err := ch.CableHost(host.Port, host.Name); err != nil {
 			return err
 		}
-		host.RC = net.AddNode(fmt.Sprintf("rc-%s", host.Name), fabric.KindRootComplex)
-		host.Mem = net.AddNode(fmt.Sprintf("dram-%s", host.Name), fabric.KindMemory)
+		host.RC = net.AddNode("rc-"+host.Name, fabric.KindRootComplex)
+		host.Mem = net.AddNode("dram-"+host.Name, fabric.KindMemory)
 		net.ConnectSym(host.RC, host.Mem, memLinkBW, memLinkLatency, "SMP")
 
-		ha := net.AddNode(fmt.Sprintf("host-adapter-%s", host.Name), fabric.KindHostAdapter)
+		ha := net.AddNode("host-adapter-"+host.Name, fabric.KindHostAdapter)
 		host.AdapterLink = net.ConnectSym(host.RC, ha, pcie.EffHostAdapter, pcie.AdapterLatency, pcie.Gen4.String())
 		for _, sw := range switches {
 			net.ConnectSym(ha, sw, pcie.CDFPHostCable, pcie.HostLinkLatency, "CDFP")
 		}
 
-		storeNode := net.AddNode(fmt.Sprintf("store-%s", host.Name), fabric.KindNVMe)
+		storeNode := net.AddNode("store-"+host.Name, fabric.KindNVMe)
 		net.ConnectSym(storeNode, host.RC, baselineStoreLinkBW, 5*time.Microsecond, "SATA")
 		host.Store = storage.New(env, net, storage.BaselineStore, storeNode, false)
 		host.Cache = storage.NewPageCache(host.CPU)
-		f.Hosts = append(f.Hosts, host)
 	}
 
 	for i := 0; i < opts.GPUs; i++ {
@@ -368,16 +401,17 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 		drawer := i / falcon.SlotsPerDrawer
 		ref := falcon.SlotRef{Drawer: drawer, Slot: i % falcon.SlotsPerDrawer}
 		dev := falcon.DeviceInfo{
-			ID:    fmt.Sprintf("fleet-gpu-%d", g),
+			ID:    numbered("fleet-gpu-", g),
 			Type:  falcon.DeviceGPU,
 			Model: spec.Name, VendorID: "10de", LinkGen: 4, Lanes: 16,
 		}
 		if err := ch.Install(ref, dev); err != nil {
 			return err
 		}
-		node := net.AddNode(fmt.Sprintf("fgpu%d", g), fabric.KindGPU)
+		node := net.AddNode(numbered("fgpu", g), fabric.KindGPU)
 		link := net.ConnectSym(node, switches[drawer], pcie.EffSwitchP2P, pcie.SlotLatency, pcie.Gen4.String())
-		slot := &FleetSlot{
+		slot := f.Slots[g]
+		*slot = FleetSlot{
 			Index: g, Ref: ref, Node: node, Link: link,
 			Drawer: site.idx*falcon.NumDrawers + drawer,
 			Pod:    site.pod, ChassisIdx: site.idx,
@@ -388,7 +422,6 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 			ab, ba := net.LinkTrafficSnapshot(link)
 			return ba, ab
 		})
-		f.slotHost = append(f.slotHost, -1)
 		if opts.Preattach {
 			host := f.Hosts[site.hostIdx+i%opts.Hosts]
 			if err := ch.Attach(ref, host.Port); err != nil {
@@ -396,7 +429,6 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 			}
 			f.slotHost[g] = host.Index
 		}
-		f.Slots = append(f.Slots, slot)
 	}
 	return nil
 }

@@ -44,22 +44,22 @@ func ComposeShared(env *sim.Env, hosts, gpusPerHost int) ([]*System, *falcon.Cha
 
 	systems := make([]*System, 0, hosts)
 	for h := 0; h < hosts; h++ {
-		hostName := fmt.Sprintf("host%d", h+1)
-		port := fmt.Sprintf("H%d", h+1)
+		hostName := numbered("host", h+1)
+		port := falcon.PortID(h + 1)
 		if err := ch.CableHost(port, hostName); err != nil {
 			return nil, nil, err
 		}
 
 		s := &System{
 			Env: env, Net: net, Chassis: ch,
-			Cfg:  Config{Name: fmt.Sprintf("shared-%s", hostName), FalconGPUs: gpusPerHost, Storage: StorageBaseline},
+			Cfg:  Config{Name: "shared-" + hostName, FalconGPUs: gpusPerHost, Storage: StorageBaseline},
 			Host: hostcpu.New(env, hostcpu.XeonGold6148x2),
 		}
-		s.RC = net.AddNode(fmt.Sprintf("rc-%s", hostName), fabric.KindRootComplex)
-		s.Mem = net.AddNode(fmt.Sprintf("dram-%s", hostName), fabric.KindMemory)
+		s.RC = net.AddNode("rc-"+hostName, fabric.KindRootComplex)
+		s.Mem = net.AddNode("dram-"+hostName, fabric.KindMemory)
 		net.ConnectSym(s.RC, s.Mem, memLinkBW, memLinkLatency, "SMP")
 
-		ha := net.AddNode(fmt.Sprintf("host-adapter-%s", hostName), fabric.KindHostAdapter)
+		ha := net.AddNode("host-adapter-"+hostName, fabric.KindHostAdapter)
 		s.HostAdapterLinks = append(s.HostAdapterLinks,
 			net.ConnectSym(s.RC, ha, pcie.EffHostAdapter, pcie.AdapterLatency, pcie.Gen4.String()))
 		net.ConnectSym(ha, sw, pcie.CDFPHostCable, pcie.HostLinkLatency, "CDFP")
@@ -68,7 +68,7 @@ func ComposeShared(env *sim.Env, hosts, gpusPerHost int) ([]*System, *falcon.Cha
 			slot := h*gpusPerHost + i
 			ref := falcon.SlotRef{Drawer: 0, Slot: slot}
 			if err := ch.Install(ref, falcon.DeviceInfo{
-				ID:    fmt.Sprintf("v100-s%d", slot),
+				ID:    numbered("v100-s", slot),
 				Type:  falcon.DeviceGPU,
 				Model: gpu.TeslaV100PCIe.Name, VendorID: "10de", LinkGen: 4, Lanes: 16,
 			}); err != nil {
@@ -77,13 +77,13 @@ func ComposeShared(env *sim.Env, hosts, gpusPerHost int) ([]*System, *falcon.Cha
 			if err := ch.Attach(ref, port); err != nil {
 				return nil, nil, err
 			}
-			node := net.AddNode(fmt.Sprintf("fgpu-%s-%d", hostName, i), fabric.KindGPU)
+			node := net.AddNode(numbered("fgpu-"+hostName+"-", i), fabric.KindGPU)
 			link := net.ConnectSym(node, sw, pcie.EffSwitchP2P, pcie.SlotLatency, pcie.Gen4.String())
 			s.FalconGPUPortLinks = append(s.FalconGPUPortLinks, link)
 			s.GPUs = append(s.GPUs, gpu.New(env, gpu.TeslaV100PCIe, i, node, false))
 		}
 
-		storeNode := net.AddNode(fmt.Sprintf("store-%s", hostName), fabric.KindNVMe)
+		storeNode := net.AddNode("store-"+hostName, fabric.KindNVMe)
 		net.ConnectSym(storeNode, s.RC, baselineStoreLinkBW, 5*time.Microsecond, "SATA")
 		s.Store = storage.New(env, net, storage.BaselineStore, storeNode, false)
 		s.Cache = storage.NewPageCache(s.Host)

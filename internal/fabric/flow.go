@@ -132,6 +132,14 @@ type Network struct {
 	// disabled collector costs one branch on the hot path.
 	obs          *obs.Collector
 	obsRecompute obs.CounterID
+
+	// nodeSlab, linkSlab and adjSlab hold what Reserve set aside: the
+	// Node and Link structs AddNode and Connect take before the heap, and
+	// each node's first out-link (addAdj). Only graph building reads
+	// them, so they sit last, off the allocator's hot fields.
+	nodeSlab []Node
+	linkSlab []Link
+	adjSlab  []dirLink
 }
 
 // SetAuditor installs fn to run after every allocation recompute, once the

@@ -18,6 +18,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"composable/internal/units"
@@ -117,20 +118,65 @@ func (d dirLink) to() NodeID {
 // addGraphStructures indexes a new link for routing.
 func (n *Network) addGraphStructures(l *Link) {
 	if l.CapAtoB > 0 {
-		n.adj[l.A] = append(n.adj[l.A], dirLink{link: l, forward: true})
+		n.addAdj(l.A, dirLink{link: l, forward: true})
 	}
 	if l.CapBtoA > 0 {
-		n.adj[l.B] = append(n.adj[l.B], dirLink{link: l, forward: false})
+		n.addAdj(l.B, dirLink{link: l, forward: false})
 	}
 	n.degree[l.A]++
 	n.degree[l.B]++
 	n.routes = nil
 }
 
+// addAdj appends an out-link to a node. A node's first out-link comes from
+// the reserved slab as a one-element list, so the many degree-one
+// endpoints cost no allocation; a second out-link moves the list to the
+// heap as a plain append would.
+func (n *Network) addAdj(id NodeID, dl dirLink) {
+	if n.adj[id] == nil && len(n.adjSlab) < cap(n.adjSlab) {
+		n.adjSlab = append(n.adjSlab, dl)
+		k := len(n.adjSlab)
+		n.adj[id] = n.adjSlab[k-1 : k : k]
+		return
+	}
+	n.adj[id] = append(n.adj[id], dl)
+}
+
+// Reserve presizes the graph for nodes more nodes and links more links:
+// the per-node and per-link indexes grow once, and the Node and Link
+// structs and each node's first out-link come from one slab each instead
+// of one allocation apiece. IDs still follow creation order, and a wrong
+// estimate costs only allocations: past the reservation, nodes and links
+// come from the heap.
+func (n *Network) Reserve(nodes, links int) {
+	n.nodes = slices.Grow(n.nodes, nodes)
+	n.adj = slices.Grow(n.adj, nodes)
+	n.degree = slices.Grow(n.degree, nodes)
+	n.links = slices.Grow(n.links, links)
+	n.linkCons = slices.Grow(n.linkCons, 2*links)
+	n.nodeSlab = make([]Node, 0, nodes)
+	n.linkSlab = make([]Link, 0, links)
+	n.adjSlab = make([]dirLink, 0, nodes)
+}
+
+// fromSlab returns the next zeroed element of a reserved slab, or a new
+// heap element once the slab is spent.
+func fromSlab[T any](slab *[]T) *T {
+	s := *slab
+	if len(s) == cap(s) {
+		return new(T)
+	}
+	s = s[:len(s)+1]
+	*slab = s
+	return &s[len(s)-1]
+}
+
 // AddNode adds a node and returns its ID.
 func (n *Network) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, &Node{ID: id, Name: name, Kind: kind})
+	nd := fromSlab(&n.nodeSlab)
+	*nd = Node{ID: id, Name: name, Kind: kind}
+	n.nodes = append(n.nodes, nd)
 	n.adj = append(n.adj, nil)
 	n.degree = append(n.degree, 0)
 	n.routes = nil
@@ -151,7 +197,8 @@ func (n *Network) Connect(a, b NodeID, capAB, capBA units.BytesPerSec, latency t
 	if a == b {
 		panic("fabric: self-link")
 	}
-	l := &Link{
+	l := fromSlab(&n.linkSlab)
+	*l = Link{
 		ID: LinkID(len(n.links)), A: a, B: b,
 		CapAtoB: capAB, CapBtoA: capBA,
 		Latency: latency, Protocol: protocol,

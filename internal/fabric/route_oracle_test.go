@@ -236,9 +236,14 @@ func TestRouteOraclePodFleet(t *testing.T) {
 // latencies only (so equal-cost paths abound), a random spanning tree per
 // component (so leaves are common), extra links that may be parallel to an
 // earlier one, one-way links (one capacity 0) throughout, and up to
-// maxComps components, so some pairs are unreachable.
+// maxComps components, so some pairs are unreachable. Graphs with an even
+// node count reserve half the nodes and links they build, so the build
+// spends Reserve's slabs and carries on from the heap.
 func randomNetwork(rng *rand.Rand, nodes, maxComps int) *fabric.Network {
 	net := fabric.NewNetwork(sim.NewEnv())
+	if nodes%2 == 0 {
+		net.Reserve(nodes/2, nodes/2)
+	}
 	for i := 0; i < nodes; i++ {
 		net.AddNode("n"+strconv.Itoa(i), fabric.KindSwitch)
 	}

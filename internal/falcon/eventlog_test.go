@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"composable/internal/units"
 )
@@ -225,5 +226,13 @@ func TestSetTrafficSourceInvalidSlotIsNoop(t *testing.T) {
 	}
 	if called {
 		t.Fatal("a source wired to an invalid slot was read")
+	}
+}
+
+// TestLogEntryStaysCompact pins the typed log entry's size: every compose
+// and attach appends one, so it must not grow into a formatted message.
+func TestLogEntryStaysCompact(t *testing.T) {
+	if size := unsafe.Sizeof(logEntry{}); size > 56 {
+		t.Fatalf("logEntry is %d bytes, want at most 56", size)
 	}
 }

@@ -11,7 +11,6 @@ package falcon
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -81,7 +80,16 @@ func (r SlotRef) valid() bool {
 type slot struct {
 	device *DeviceInfo
 	port   string // owning host port ID, "" when detached
+	// traffic is the slot's port-traffic source (SetTrafficSource), nil
+	// when the slot is not monitored.
+	traffic TrafficFunc
 }
+
+// portIDs are the host port IDs, in port order.
+var portIDs = [NumHostPorts]string{"H1", "H2", "H3", "H4"}
+
+// PortID returns the ID of host port n, counting from 1 ("H1" for n = 1).
+func PortID(n int) string { return portIDs[n-1] }
 
 // HostPort is one of the four CDFP host connections (H1–H4).
 type HostPort struct {
@@ -116,8 +124,8 @@ type Chassis struct {
 		mode  Mode
 		slots [SlotsPerDrawer]slot
 	}
-	ports map[string]*HostPort
-	log   []Event
+	ports [NumHostPorts]HostPort // in port order, H1 first
+	log   []logEntry
 
 	// Now supplies management-clock timestamps; the cluster layer binds
 	// it to the simulation clock. Defaults to a zero clock.
@@ -125,21 +133,17 @@ type Chassis struct {
 
 	// onChange observers (the MCS and the cluster layer subscribe).
 	observers []func(ev string, slot SlotRef)
-
-	// traffic sources per monitored slot (SetTrafficSource).
-	traffic map[SlotRef]TrafficFunc
 }
 
 // New creates a chassis with all drawers in standard one-host mode and the
 // four host ports uncabled.
 func New(name string) *Chassis {
-	c := &Chassis{Name: name, ports: make(map[string]*HostPort), Now: func() time.Duration { return 0 }}
+	c := &Chassis{Name: name, Now: func() time.Duration { return 0 }}
 	for d := 0; d < NumDrawers; d++ {
 		c.drawers[d].mode = ModeStandardOneHost
 	}
-	for i := 1; i <= NumHostPorts; i++ {
-		id := fmt.Sprintf("H%d", i)
-		c.ports[id] = &HostPort{ID: id, Lanes: 16}
+	for i, id := range portIDs {
+		c.ports[i] = HostPort{ID: id, Lanes: 16}
 	}
 	return c
 }
@@ -154,17 +158,106 @@ func (c *Chassis) notify(ev string, ref SlotRef) {
 	}
 }
 
-func (c *Chassis) logf(sev Severity, format string, args ...interface{}) {
-	c.log = append(c.log, Event{At: c.Now(), Severity: sev, Message: fmt.Sprintf(format, args...)})
+// logKind is what an event-log entry records.
+type logKind uint8
+
+// Event-log kinds. The text kinds carry a message formatted when it was
+// logged; they cover the rare entries (rejected attaches, thermal alerts,
+// the import marker), so the frequent ones never format on the way in.
+const (
+	logCable   logKind = iota // str: host cabled to port
+	logMode                   // str: the drawer's new mode
+	logInstall                // dev installed in the slot
+	logRemove                 // dev removed from the slot
+	logAttach                 // dev attached to port; str: the port's host
+	logDetach                 // dev detached from port
+	logInfo                   // str: an info message
+	logWarning                // str: a warning message
+)
+
+// logEntry is one event-log entry in typed form, formatted into an Event
+// only when the log is read (Events). It keeps the installed device by
+// pointer: a slot's DeviceInfo is the chassis's own copy and is never
+// changed after Install, so the entry still reads the logged device after
+// a later Remove. 56 bytes on 64-bit platforms.
+type logEntry struct {
+	at           time.Duration
+	dev          *DeviceInfo
+	port         string
+	str          string
+	kind         logKind
+	drawer, slot uint8
 }
 
-// Events returns a copy of the event log.
-func (c *Chassis) Events() []Event { return append([]Event(nil), c.log...) }
+func (c *Chassis) logEvent(kind logKind, ref SlotRef, dev *DeviceInfo, port, str string) {
+	c.log = append(c.log, logEntry{
+		at: c.Now(), dev: dev, port: port, str: str,
+		kind: kind, drawer: uint8(ref.Drawer), slot: uint8(ref.Slot),
+	})
+}
+
+// warnf logs a warning, formatted on the way in: warnings are rare.
+func (c *Chassis) warnf(format string, args ...interface{}) {
+	c.logEvent(logWarning, SlotRef{}, nil, "", fmt.Sprintf(format, args...))
+}
+
+// severity grades the entry: the text kinds carry their own, every typed
+// kind is informational.
+func (e *logEntry) severity() Severity {
+	if e.kind == logWarning {
+		return SevWarning
+	}
+	return SevInfo
+}
+
+// message formats the entry as the management GUI shows it.
+func (e *logEntry) message() string {
+	ref := SlotRef{Drawer: int(e.drawer), Slot: int(e.slot)}
+	switch e.kind {
+	case logCable:
+		return fmt.Sprintf("host %s cabled to port %s", e.str, e.port)
+	case logMode:
+		return fmt.Sprintf("drawer %d mode set to %s", ref.Drawer, e.str)
+	case logInstall:
+		return fmt.Sprintf("device %s (%s) installed in %v", e.dev.ID, e.dev.Type, ref)
+	case logRemove:
+		return fmt.Sprintf("device %s removed from %v", e.dev.ID, ref)
+	case logAttach:
+		return fmt.Sprintf("device %s in %v attached to %s (host %s)", e.dev.ID, ref, e.port, e.str)
+	case logDetach:
+		return fmt.Sprintf("device %s in %v detached from %s", e.dev.ID, ref, e.port)
+	default:
+		return e.str
+	}
+}
+
+// Events returns the event log, formatted; nil when the log is empty.
+func (c *Chassis) Events() []Event {
+	if len(c.log) == 0 {
+		return nil
+	}
+	out := make([]Event, len(c.log))
+	for i := range c.log {
+		e := &c.log[i]
+		out[i] = Event{At: e.at, Severity: e.severity(), Message: e.message()}
+	}
+	return out
+}
+
+// port returns the host port with the given ID, or nil.
+func (c *Chassis) port(id string) *HostPort {
+	for i := range c.ports {
+		if c.ports[i].ID == id {
+			return &c.ports[i]
+		}
+	}
+	return nil
+}
 
 // Port returns a host port by ID (H1–H4).
 func (c *Chassis) Port(id string) (*HostPort, error) {
-	p, ok := c.ports[id]
-	if !ok {
+	p := c.port(id)
+	if p == nil {
 		return nil, fmt.Errorf("falcon: no host port %q", id)
 	}
 	return p, nil
@@ -172,12 +265,10 @@ func (c *Chassis) Port(id string) (*HostPort, error) {
 
 // Ports returns the host ports sorted by ID.
 func (c *Chassis) Ports() []*HostPort {
-	out := make([]*HostPort, 0, len(c.ports))
-	//lint:allow maporder(order cannot leak: the slice is sorted by ID before returning)
-	for _, p := range c.ports {
-		out = append(out, p)
+	out := make([]*HostPort, len(c.ports))
+	for i := range c.ports {
+		out[i] = &c.ports[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -188,7 +279,7 @@ func (c *Chassis) CableHost(portID, host string) error {
 		return err
 	}
 	p.Host = host
-	c.logf(SevInfo, "host %s cabled to port %s", host, portID)
+	c.logEvent(logCable, SlotRef{}, nil, p.ID, host)
 	return nil
 }
 
@@ -209,7 +300,7 @@ func (c *Chassis) SetMode(drawer int, m Mode) error {
 		}
 	}
 	c.drawers[drawer].mode = m
-	c.logf(SevInfo, "drawer %d mode set to %s", drawer, m)
+	c.logEvent(logMode, SlotRef{Drawer: drawer}, nil, "", string(m))
 	c.notify("mode", SlotRef{Drawer: drawer})
 	return nil
 }
@@ -228,7 +319,7 @@ func (c *Chassis) Install(ref SlotRef, dev DeviceInfo) error {
 	}
 	d := dev
 	s.device = &d
-	c.logf(SevInfo, "device %s (%s) installed in %v", dev.ID, dev.Type, ref)
+	c.logEvent(logInstall, ref, s.device, "", "")
 	c.notify("install", ref)
 	return nil
 }
@@ -245,7 +336,7 @@ func (c *Chassis) Remove(ref SlotRef) error {
 	if s.port != "" {
 		return fmt.Errorf("falcon: device in %v still attached to %s", ref, s.port)
 	}
-	c.logf(SevInfo, "device %s removed from %v", s.device.ID, ref)
+	c.logEvent(logRemove, ref, s.device, "", "")
 	s.device = nil
 	c.notify("remove", ref)
 	return nil
@@ -288,11 +379,11 @@ func (c *Chassis) Attach(ref SlotRef, portID string) error {
 		return fmt.Errorf("falcon: device %s already attached to %s", s.device.ID, s.port)
 	}
 	if err := c.checkModeConstraint(ref, portID); err != nil {
-		c.logf(SevWarning, "attach %v to %s rejected: %v", ref, portID, err)
+		c.warnf("attach %v to %s rejected: %v", ref, portID, err)
 		return err
 	}
 	s.port = portID
-	c.logf(SevInfo, "device %s in %v attached to %s (host %s)", s.device.ID, ref, portID, port.Host)
+	c.logEvent(logAttach, ref, s.device, port.ID, port.Host)
 	c.notify("attach", ref)
 	return nil
 }
@@ -312,7 +403,7 @@ func (c *Chassis) checkModeConstraint(ref SlotRef, portID string) error {
 		// but each connection serves one fixed half of the drawer.
 		hosts := map[string]bool{}
 		for p := range portsInUse {
-			hosts[c.ports[p].Host] = true
+			hosts[c.port(p).Host] = true
 		}
 		if len(hosts) > 1 {
 			return fmt.Errorf("mode %s allows a single host per drawer", d.mode)
@@ -335,7 +426,7 @@ func (c *Chassis) checkModeConstraint(ref SlotRef, portID string) error {
 	case ModeAdvanced:
 		hosts := map[string]bool{}
 		for p := range portsInUse {
-			hosts[c.ports[p].Host] = true
+			hosts[c.port(p).Host] = true
 		}
 		if len(hosts) > MaxHostsAdvanced {
 			return fmt.Errorf("mode %s allows at most %d hosts per drawer", d.mode, MaxHostsAdvanced)
@@ -380,7 +471,7 @@ func (c *Chassis) Detach(ref SlotRef) error {
 	if s.port == "" {
 		return fmt.Errorf("falcon: device %s is not attached", s.device.ID)
 	}
-	c.logf(SevInfo, "device %s in %v detached from %s", s.device.ID, ref, s.port)
+	c.logEvent(logDetach, ref, s.device, s.port, "")
 	s.port = ""
 	c.notify("detach", ref)
 	return nil
@@ -428,7 +519,7 @@ func (c *Chassis) AttachedToHost(host string) []SlotRef {
 	for d := 0; d < NumDrawers; d++ {
 		for s := 0; s < SlotsPerDrawer; s++ {
 			p := c.drawers[d].slots[s].port
-			if p != "" && c.ports[p].Host == host {
+			if p != "" && c.port(p).Host == host {
 				out = append(out, SlotRef{Drawer: d, Slot: s})
 			}
 		}
@@ -562,7 +653,7 @@ func (c *Chassis) ImportConfig(data []byte) error {
 			}
 		}
 	}
-	c.logf(SevInfo, "configuration imported")
+	c.logEvent(logInfo, SlotRef{}, nil, "", "configuration imported")
 	return nil
 }
 
@@ -588,7 +679,7 @@ func (c *Chassis) Topology() string {
 				fmt.Fprintf(&b, "    s%d: %-22s %-6s free\n", s, sl.device.Model, sl.device.Type)
 			default:
 				fmt.Fprintf(&b, "    s%d: %-22s %-6s -> %s (%s)\n",
-					s, sl.device.Model, sl.device.Type, sl.port, c.ports[sl.port].Host)
+					s, sl.device.Model, sl.device.Type, sl.port, c.port(sl.port).Host)
 			}
 		}
 	}
@@ -600,12 +691,12 @@ func (c *Chassis) Topology() string {
 type TrafficFunc func() (in, out units.Bytes)
 
 // SetTrafficSource wires a slot's traffic counters for the management
-// GUI's port-traffic monitoring (§II-B).
+// GUI's port-traffic monitoring (§II-B). A source for a slot outside the
+// chassis is ignored.
 func (c *Chassis) SetTrafficSource(ref SlotRef, fn TrafficFunc) {
-	if c.traffic == nil {
-		c.traffic = make(map[SlotRef]TrafficFunc)
+	if ref.valid() {
+		c.drawers[ref.Drawer].slots[ref.Slot].traffic = fn
 	}
-	c.traffic[ref] = fn
 }
 
 // PortTrafficRow is one slot's traffic view.
@@ -623,15 +714,14 @@ func (c *Chassis) PortTraffic() []PortTrafficRow {
 	var out []PortTrafficRow
 	for d := 0; d < NumDrawers; d++ {
 		for s := 0; s < SlotsPerDrawer; s++ {
-			ref := SlotRef{Drawer: d, Slot: s}
-			fn, ok := c.traffic[ref]
-			if !ok {
+			sl := &c.drawers[d].slots[s]
+			if sl.traffic == nil {
 				continue
 			}
-			in, eg := fn()
-			row := PortTrafficRow{Slot: ref, Ingress: in, Egress: eg, Attached: c.Owner(ref)}
-			if dev := c.Device(ref); dev != nil {
-				row.Device = dev.ID
+			in, eg := sl.traffic()
+			row := PortTrafficRow{Slot: SlotRef{Drawer: d, Slot: s}, Ingress: in, Egress: eg, Attached: sl.port}
+			if sl.device != nil {
+				row.Device = sl.device.ID
 			}
 			out = append(out, row)
 		}

@@ -62,7 +62,7 @@ func (c *Chassis) checkThermals(r SensorReadings) int {
 	alerts := 0
 	for d, t := range r.DrawerTempC {
 		if t > tempAlertC {
-			c.logf(SevWarning, "drawer %d temperature %.1fC exceeds %.0fC threshold", d, t, tempAlertC)
+			c.warnf("drawer %d temperature %.1fC exceeds %.0fC threshold", d, t, tempAlertC)
 			alerts++
 		}
 	}
@@ -85,8 +85,8 @@ type LinkHealth struct {
 // management surface has realistic data.
 func (c *Chassis) PortHealth() []LinkHealth {
 	attachEvents := 0
-	for _, e := range c.log {
-		if e.Severity == SevInfo {
+	for i := range c.log {
+		if c.log[i].severity() == SevInfo {
 			attachEvents++
 		}
 	}

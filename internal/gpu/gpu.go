@@ -6,6 +6,7 @@ package gpu
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"composable/internal/fabric"
@@ -105,7 +106,7 @@ type Device struct {
 	Local bool          // true: host-local (NVLink); false: Falcon-attached
 
 	env     *sim.Env
-	compute *sim.Resource
+	compute sim.Resource
 	used    units.Bytes
 	peak    units.Bytes
 }
@@ -115,8 +116,14 @@ func New(env *sim.Env, spec Spec, index int, node fabric.NodeID, local bool) *De
 	return &Device{
 		Spec: spec, Index: index, Node: node, Local: local,
 		env:     env,
-		compute: sim.NewResource(fmt.Sprintf("gpu%d.compute", index), 1),
+		compute: *sim.NewResource(computeName(index), 1),
 	}
+}
+
+// computeName returns "gpu<index>.compute", built in one allocation.
+func computeName(index int) string {
+	var b [32]byte
+	return string(append(strconv.AppendInt(append(b[:0], "gpu"...), int64(index), 10), ".compute"...))
 }
 
 // Name returns a short identifier such as "gpu3(local)".

@@ -24,7 +24,16 @@ const (
 	Gen5 Gen = 5
 )
 
-func (g Gen) String() string { return fmt.Sprintf("PCI-e %d.0", int(g)) }
+// genNames are the protocol labels of the known generations, so links
+// labelled by generation share one string instead of formatting their own.
+var genNames = [...]string{Gen1: "PCI-e 1.0", Gen2: "PCI-e 2.0", Gen3: "PCI-e 3.0", Gen4: "PCI-e 4.0", Gen5: "PCI-e 5.0"}
+
+func (g Gen) String() string {
+	if g >= Gen1 && g <= Gen5 {
+		return genNames[g]
+	}
+	return fmt.Sprintf("PCI-e %d.0", int(g))
+}
 
 // laneGTs returns the per-lane transfer rate in GT/s.
 func (g Gen) laneGTs() float64 {

@@ -87,3 +87,24 @@ func TestFaultsRecoverAllocGate(t *testing.T) {
 			allocs, faultsRecoverAllocCeiling, fleetScheduleBytesPerOpNotes)
 	}
 }
+
+// composePodAllocCeiling gates composing the 1024-GPU pod fleet: the
+// measured 9,544 allocations of the fmt-free, presized compose path plus
+// ~10%. The eagerly formatting compose path made 28,228.
+const composePodAllocCeiling = 10500
+
+// TestComposePodAllocGate pins the allocation count of the
+// cluster/compose-pod op, same scheme as TestFleetScheduleAllocGate: a
+// chassis log that formats on the way in, a name built with fmt or an
+// unreserved fabric graph pushes it over the ceiling.
+func TestComposePodAllocGate(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := cluster.ComposeFleet(sim.NewEnv(), PodFleetOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > composePodAllocCeiling {
+		t.Errorf("composing the pod fleet allocates %.0f objects, ceiling %d", allocs, composePodAllocCeiling)
+	}
+	t.Logf("composing the pod fleet allocates %.0f objects", allocs)
+}

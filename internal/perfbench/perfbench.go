@@ -93,6 +93,7 @@ func Suite() []Benchmark {
 		{"sim/sleep-wake", BenchSimSleepWake},
 		{"sim/same-instant-fifo", BenchSimSameInstantFIFO},
 		{"fabric/flow-churn-contended", BenchFabricFlowChurnContended},
+		{"cluster/compose-pod", BenchClusterComposePod},
 		{"orchestrator/fleet-schedule", BenchOrchestratorFleetSchedule},
 		{"orchestrator/pod-schedule", BenchOrchestratorPodSchedule},
 		{"faults/recover-reschedule", BenchFaultsRecoverReschedule},
@@ -484,6 +485,20 @@ func BenchOrchestratorPodSchedule(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*len(stream))/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// BenchClusterComposePod measures composing the 1024-GPU pod fleet alone:
+// 64 chassis control planes, the spine/leaf fabric graph and the host and
+// GPU models, the setup every pod-fleet scenario pays before its first
+// event. One op = one composed fleet.
+func BenchClusterComposePod(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.ComposeFleet(sim.NewEnv(), PodFleetOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "fleets/s")
 }
 
 // BenchFaultsRecoverReschedule measures the full fault-recovery path:
