@@ -43,6 +43,7 @@ func faultSweepParams(t *testing.T) (base int64, n int) {
 // fingerprints, applied-fault ledger included.
 func TestFaultScenarioSweep(t *testing.T) {
 	base, n := faultSweepParams(t)
+	pins := newFingerprintPins("fault")
 
 	seeds := make(chan int64)
 	var wg sync.WaitGroup
@@ -80,6 +81,7 @@ func TestFaultScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
 				}
+				pins.record(seed, first.Fingerprint)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process faulty runs diverged:\n--- first\n%s--- second\n%s",
 						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
@@ -92,6 +94,7 @@ func TestFaultScenarioSweep(t *testing.T) {
 	}
 	close(seeds)
 	wg.Wait()
+	pins.check(t)
 }
 
 func TestFaultsFromSeedDeterministic(t *testing.T) {

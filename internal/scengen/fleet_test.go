@@ -41,6 +41,7 @@ func fleetSweepParams(t *testing.T) (base int64, n int) {
 // fingerprints.
 func TestFleetScenarioSweep(t *testing.T) {
 	base, n := fleetSweepParams(t)
+	pins := newFingerprintPins("fleet")
 
 	seeds := make(chan int64)
 	var wg sync.WaitGroup
@@ -78,6 +79,7 @@ func TestFleetScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
 				}
+				pins.record(seed, first.Fingerprint)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process fleet runs diverged:\n--- first\n%s--- second\n%s",
 						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
@@ -90,6 +92,7 @@ func TestFleetScenarioSweep(t *testing.T) {
 	}
 	close(seeds)
 	wg.Wait()
+	pins.check(t)
 }
 
 // podSweepParams reads the pod sweep shape from the environment (CI pins
@@ -120,6 +123,7 @@ func podSweepParams(t *testing.T) (base int64, n int) {
 // byte-identical.
 func TestPodScenarioSweep(t *testing.T) {
 	base, n := podSweepParams(t)
+	pins := newFingerprintPins("pod")
 
 	seeds := make(chan int64)
 	var wg sync.WaitGroup
@@ -157,6 +161,7 @@ func TestPodScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
 				}
+				pins.record(seed, first.Fingerprint)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process pod fleet runs diverged:\n--- first\n%s--- second\n%s",
 						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
@@ -169,6 +174,7 @@ func TestPodScenarioSweep(t *testing.T) {
 	}
 	close(seeds)
 	wg.Wait()
+	pins.check(t)
 }
 
 func TestPodFleetFromSeedDeterministic(t *testing.T) {

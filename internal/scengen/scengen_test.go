@@ -43,6 +43,7 @@ func sweepParams(t *testing.T) (base int64, n int) {
 // memory peak).
 func TestScenarioSweep(t *testing.T) {
 	base, n := sweepParams(t)
+	pins := newFingerprintPins("scenario")
 
 	type job struct {
 		seed int64
@@ -84,6 +85,7 @@ func TestScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", j.seed, sc.ID(), err)
 					continue
 				}
+				pins.record(j.seed, first.Fingerprint)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process runs diverged:\n--- first\n%s--- second\n%s",
 						j.seed, sc.ID(), first.Fingerprint, second.Fingerprint)
@@ -109,6 +111,7 @@ func TestScenarioSweep(t *testing.T) {
 	}
 	close(jobs)
 	wg.Wait()
+	pins.check(t)
 }
 
 func TestFromSeedDeterministic(t *testing.T) {
