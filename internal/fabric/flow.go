@@ -79,21 +79,27 @@ type Network struct {
 	// and cons backing — instead of allocating per transfer. Flows handed
 	// out by StartFlow escape to the caller and are simply never recycled.
 	freeFlows []*Flow
-	// freeTimers recycles completion-timer thunks: each recompute arms one
-	// timer carrying the allocation epoch it belongs to, and the thunk
-	// returns itself to this list after it fires, making the arm
-	// allocation-free in steady state.
-	freeTimers []*completionTimer
-	// armedTimer is the completion timer armed by the most recent
-	// recompute, with the instant it was armed at and its fire time. When
-	// several recomputes happen at the same instant and agree on the next
-	// completion time (the symmetric ring channels of a collective do this
-	// every round), re-arming just bumps the live timer's epoch instead of
-	// enqueueing a superseding event — one completion event per instant
-	// group instead of one per recompute.
-	armedTimer *completionTimer
-	armedAt    sim.Time
-	armedFor   sim.Time
+	// legBufs and legSigs serve parallel transfers wider than a stack
+	// buffer (parallelStackWidth): legBufs recycles ParallelTransfer's flow
+	// lists, which live across the caller's park, and legSigs is the leg
+	// signal list handed to the wait registration, which keeps no
+	// reference to it.
+	legBufs [][]*Flow
+	legSigs []*sim.Signal
+
+	// alarm is the network's only completion timer: every recompute sets
+	// it to the next flow completion, replacing the instance it armed
+	// before, so a superseded deadline never becomes an event. armedAt is
+	// the instant it was last set. When several recomputes at one instant
+	// agree on the next completion (the symmetric ring channels of a
+	// collective do this every round), the pending alarm already covers
+	// them and re-arming consumes no sequence number.
+	alarm   *sim.Alarm
+	armedAt sim.Time
+	// checks counts the alarm's runs and emptyChecks those that retired
+	// nothing and took the one-pass path (see checkCompletions); tests
+	// read them.
+	checks, emptyChecks int
 
 	// freeBatches recycles the grouped completion-signal events emitted by
 	// finishCompleted (see signalBatch).
@@ -252,6 +258,7 @@ func NewNetwork(env *sim.Env) *Network {
 	n.flushFn = func() {
 		n.ensureAllocated()
 	}
+	n.alarm = env.NewAlarm(n.checkCompletions)
 	return n
 }
 
@@ -539,9 +546,9 @@ func (n *Network) ArmTransferLimited(sp *sim.Proc, t *TransferOp, src, dst NodeI
 	return false, nil
 }
 
-// parallelStackWidth is the widest ParallelTransfer served from a stack
-// buffer; collective ring passes and restore fan-outs have one leg per
-// rank, far below it.
+// parallelStackWidth is the widest parallel transfer served from stack
+// buffers; collective ring passes and restore fan-outs have one leg per
+// rank, and wider batches use the network's pooled lists.
 const parallelStackWidth = 32
 
 // ParallelTransfer starts one flow per (src,dst,size) triple and blocks
@@ -563,30 +570,39 @@ func (n *Network) ParallelTransfer(p *sim.Proc, xs []TransferSpec) error {
 //
 //perf:hot
 func (n *Network) ParallelTransferPadded(p *sim.Proc, xs []TransferSpec, padFactor float64) error {
-	from := n.env.Now()
 	var buf [parallelStackWidth]*Flow
 	flows := buf[:0]
-	if len(xs) > parallelStackWidth {
-		flows = make([]*Flow, 0, len(xs))
-	}
-	flows, err := n.startLegs(xs, flows)
-	if err != nil {
-		return err
+	// A wider batch takes a pooled list with room for every leg, so the
+	// appends never move it and it goes back to the pool as it came.
+	var wide []*Flow
+	if len(xs) > len(buf) {
+		if last := len(n.legBufs) - 1; last >= 0 {
+			wide = n.legBufs[last]
+			n.legBufs[last] = nil
+			n.legBufs = n.legBufs[:last]
+		}
+		if cap(wide) < len(xs) {
+			wide = make([]*Flow, 0, len(xs))
+		}
+		flows = wide
 	}
 	// One park for the whole batch: the wait resumes when the slowest leg
 	// completes (plus the pad), exactly when the last of the sequential
-	// Waits (plus a Sleep) would have.
-	var sigBuf [parallelStackWidth]*sim.Signal
-	sigs := sigBuf[:0]
-	if len(flows) > parallelStackWidth {
-		sigs = make([]*sim.Signal, 0, len(flows))
+	// Waits (plus a Sleep) would have. With nothing pending no time has
+	// passed since the legs started, so there is nothing to pad.
+	flows, armed, err := n.armLegs(p, xs, padFactor, flows)
+	if err != nil {
+		return err
 	}
-	for _, f := range flows {
-		sigs = append(sigs, &f.done)
+	if armed {
+		p.Park()
 	}
-	sim.WaitAllPadded(p, sigs, from, padFactor)
-	for _, f := range flows {
+	for i, f := range flows {
 		n.releaseFlow(f)
+		flows[i] = nil
+	}
+	if wide != nil {
+		n.legBufs = append(n.legBufs, wide[:0])
 	}
 	return nil
 }
@@ -643,21 +659,37 @@ func (n *Network) startLegs(xs []TransferSpec, flows []*Flow) ([]*Flow, error) {
 //
 //perf:hot
 func (n *Network) ArmParallelTransfer(sp *sim.Proc, xs []TransferSpec, padFactor float64, out *[]*Flow) (bool, error) {
-	from := n.env.Now()
-	flows, err := n.startLegs(xs, (*out)[:0])
+	flows, armed, err := n.armLegs(sp, xs, padFactor, (*out)[:0])
 	*out = flows
+	return armed, err
+}
+
+// armLegs starts every leg, appending to flows, and registers sp on their
+// completion: the body of both parallel forms. The flow list comes back
+// as a result, not through a pointer, so a caller's stack buffer stays on
+// the stack.
+//
+//perf:hot
+func (n *Network) armLegs(sp *sim.Proc, xs []TransferSpec, padFactor float64, flows []*Flow) ([]*Flow, bool, error) {
+	from := n.env.Now()
+	flows, err := n.startLegs(xs, flows)
 	if err != nil {
-		return false, err
+		return flows, false, err
 	}
-	var sigBuf [parallelStackWidth]*sim.Signal
-	sigs := sigBuf[:0]
-	if len(flows) > parallelStackWidth {
-		sigs = make([]*sim.Signal, 0, len(flows))
+	var buf [parallelStackWidth]*sim.Signal
+	sigs := buf[:0]
+	if len(flows) > len(buf) {
+		if cap(n.legSigs) < len(flows) {
+			n.legSigs = make([]*sim.Signal, 0, len(flows))
+		}
+		sigs = n.legSigs[:0]
 	}
 	for _, f := range flows {
 		sigs = append(sigs, &f.done)
 	}
-	return sim.ArmWaitAllPadded(sp, sigs, from, padFactor), nil
+	armed := sim.ArmWaitAllPadded(sp, sigs, from, padFactor)
+	clear(sigs)
+	return flows, armed, nil
 }
 
 // ReleaseFlows returns a batch of completed flows to the pool and
@@ -682,23 +714,46 @@ type TransferSpec struct {
 // rates, crediting per-link byte counters.
 //
 //perf:hot
-func (n *Network) advance() {
+func (n *Network) advance() { n.integrate(false) }
+
+// integrate is advance's one loop over the flows. With scan set — the
+// completion alarm's pass — the same loop also counts the flows now due
+// (at or below completionEpsilon) and returns the shortest remaining/rate
+// among the others: the delay to the next completion while no rate
+// changes. The other callers skip the division.
+//
+//perf:hot
+func (n *Network) integrate(scan bool) (due int, nextIn float64) {
 	now := n.env.Now()
 	dt := (now - n.lastUpdate).Seconds()
 	n.lastUpdate = now
-	if dt <= 0 {
-		return
+	nextIn = math.Inf(1)
+	if dt <= 0 && !scan {
+		return 0, nextIn
 	}
 	for _, f := range n.flows {
-		moved := f.rate * dt
-		if moved > f.remaining {
-			moved = f.remaining
+		if dt > 0 {
+			moved := f.rate * dt
+			if moved > f.remaining {
+				moved = f.remaining
+			}
+			f.remaining -= moved
+			for _, dl := range f.path {
+				dl.addBytes(moved)
+			}
 		}
-		f.remaining -= moved
-		for _, dl := range f.path {
-			dl.addBytes(moved)
+		if !scan {
+			continue
+		}
+		if f.remaining <= completionEpsilon {
+			due++
+		} else if f.rate > 0 {
+			if t := f.remaining / f.rate; t < nextIn {
+				nextIn = t
+			}
 		}
 	}
+	return due, nextIn
 }
 
 // recompute requests a max-min re-solve for the current instant. It queues
@@ -723,7 +778,7 @@ func (n *Network) recompute() {
 //perf:hot
 func (n *Network) recomputeSync() {
 	n.recomputeQueued = false
-	n.recomputeNow()
+	n.recomputeNow(noPassMin)
 }
 
 // ensureAllocated runs a pending deferred recompute immediately. Read
@@ -735,8 +790,12 @@ func (n *Network) ensureAllocated() {
 		return
 	}
 	n.recomputeQueued = false
-	n.recomputeNow()
+	n.recomputeNow(noPassMin)
 }
+
+// noPassMin tells recomputeNow that no integration pass measured the next
+// completion at this instant.
+const noPassMin = -1.0
 
 // recomputeNow re-solves the max-min allocation and schedules the next
 // completion event. It is the body of recomputeSync and of the deferred
@@ -761,13 +820,19 @@ func (n *Network) ensureAllocated() {
 // frozen and reached state are epoch stamps, and per-constraint unfrozen
 // counts replace per-round rescans of every constraint's flow list.
 //
+// passMin, unless it is noPassMin, is the completion alarm's shortest
+// remaining/rate over the flows that survive this recompute. When the
+// flood marks nothing no rate changes, so it is the next completion and
+// the scan for it is skipped.
+//
 //perf:hot
-func (n *Network) recomputeNow() {
+func (n *Network) recomputeNow(passMin float64) {
 	if n.obs != nil {
 		n.obs.Inc(n.obsRecompute)
 	}
 	n.epoch++
 	if len(n.flows) == 0 {
+		n.alarm.Stop()
 		n.touched = n.touched[:0]
 		if n.auditor != nil {
 			n.auditor()
@@ -919,13 +984,16 @@ func (n *Network) recomputeNow() {
 	n.solvedRounds += rounds
 
 	// Schedule the next completion.
-	nextIn := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.remaining / f.rate; t < nextIn {
-			nextIn = t
+	nextIn := passMin
+	if marked > 0 || passMin == noPassMin {
+		nextIn = math.Inf(1)
+		for _, f := range n.flows {
+			if f.rate <= 0 {
+				continue
+			}
+			if t := f.remaining / f.rate; t < nextIn {
+				nextIn = t
+			}
 		}
 	}
 	if math.IsInf(nextIn, 1) {
@@ -940,98 +1008,104 @@ func (n *Network) recomputeNow() {
 	}
 }
 
-// completionTimer is a reusable epoch-guarded completion thunk. Each
-// recompute arms one; superseded timers fire as no-ops. The thunk is
-// created once per timer object and recycles itself after firing, so
-// arming allocates nothing in steady state.
-type completionTimer struct {
-	n     *Network
-	epoch uint64
-	fn    func()
-}
-
-// armCompletionTimer schedules the next flow-completion check for the
-// current allocation epoch.
+// armCompletionTimer sets the completion alarm d from now.
 //
 //perf:hot
 func (n *Network) armCompletionTimer(d time.Duration) {
 	now := n.env.Now()
 	at := now + sim.Time(d)
-	if t := n.armedTimer; t != nil && n.armedAt == now && n.armedFor == at {
-		// Same instant, same deadline: the already-queued timer does this
-		// epoch's work (it would have fired stale and been immediately
-		// followed by an identical live timer at the same instant).
-		t.epoch = n.epoch
+	if pending, ok := n.alarm.Pending(); ok && n.armedAt == now && pending == at {
+		// Same instant, same deadline: the pending alarm does this epoch's
+		// work.
 		return
 	}
-	var t *completionTimer
-	if last := len(n.freeTimers) - 1; last >= 0 {
-		t = n.freeTimers[last]
-		n.freeTimers[last] = nil
-		n.freeTimers = n.freeTimers[:last]
-	} else {
-		t = &completionTimer{n: n}
-		//lint:allow hotalloc(one closure per pooled timer object, created on the pool-miss path and reused forever)
-		t.fn = func() {
-			if t.n.armedTimer == t {
-				t.n.armedTimer = nil
-			}
-			if t.n.epoch == t.epoch {
-				t.n.advance()
-				t.n.finishCompleted()
-			}
-			t.n.freeTimers = append(t.n.freeTimers, t)
-		}
+	n.armedAt = now
+	n.alarm.Set(at)
+}
+
+// checkCompletions is the completion alarm's callback. One integration
+// pass brings every flow up to now, counts the flows due and finds the
+// next completion among the rest. The alarm fires up to 1 ns before a
+// completion, because durationFromSeconds truncates, so about half its
+// runs retire nothing; when no allocation change is pending either, such
+// a run does exactly what recomputeNow would with an empty flood — count
+// the recompute, open a new epoch, re-arm, audit — without its walks.
+//
+//perf:hot
+func (n *Network) checkCompletions() {
+	n.checks++
+	due, nextIn := n.integrate(true)
+	if due > 0 || len(n.touched) > 0 || n.recomputeQueued || math.IsInf(nextIn, 1) {
+		n.finishCompleted(due, nextIn)
+		return
 	}
-	t.epoch = n.epoch
-	n.armedTimer, n.armedAt, n.armedFor = t, now, at
-	n.env.After(d, t.fn)
+	n.emptyChecks++
+	if n.obs != nil {
+		n.obs.Inc(n.obsRecompute)
+	}
+	n.epoch++
+	n.armCompletionTimer(durationFromSeconds(nextIn, n.env.Now()))
+	if n.auditor != nil {
+		n.auditor()
+	}
 }
 
 // completionEpsilon absorbs float rounding when deciding a flow is done.
 const completionEpsilon = 1e-3 // bytes
 
+// finishCompleted retires the due flows checkCompletions counted, in
+// active-set order, and re-solves with its pass minimum.
+//
+// Completion signals with the same path latency fire at the same instant,
+// so each such group goes out as one batched event instead of one event
+// per flow (a ring round retires every leg at once). The groups are
+// chained as they open, and emitted in that order with their signals in
+// retirement order, which are the event positions per-flow events would
+// have had.
+//
 //perf:hot
-func (n *Network) finishCompleted() {
-	var doneBuf [16]*Flow
-	done := doneBuf[:0]
-	for i := 0; i < len(n.flows); {
+func (n *Network) finishCompleted(due int, nextIn float64) {
+	var first, last *signalBatch
+	for i := 0; due > 0; {
 		f := n.flows[i]
 		if f.remaining > completionEpsilon {
 			i++
 			continue
 		}
 		n.removeFlow(f) // swaps the tail into slot i; revisit it
-		done = append(done, f)
-	}
-	// Completion signals with the same path latency fire at the same
-	// instant; emit each such group as one batched event instead of one
-	// heap event per flow (a ring round retires every leg at once). The
-	// batch fires its signals in the order the per-flow events would have
-	// had, so event positions are unchanged.
-	for len(done) > 0 {
-		lat := done[0].latency
-		b := n.takeBatch()
-		keep := done[:0]
-		for _, f := range done {
-			if f.latency == lat {
-				b.sigs = append(b.sigs, &f.done)
-			} else {
-				keep = append(keep, f)
-			}
+		due--
+		b := first
+		for b != nil && b.lat != f.latency {
+			b = b.next
 		}
+		if b == nil {
+			b = n.takeBatch()
+			b.lat = f.latency
+			if last == nil {
+				first = b
+			} else {
+				last.next = b
+			}
+			last = b
+		}
+		b.sigs = append(b.sigs, &f.done)
+	}
+	for b := first; b != nil; {
+		next := b.next
+		b.next = nil
 		if len(b.sigs) == 1 {
 			// Sole flow at this latency: a plain signal event is cheaper.
-			n.env.AfterSignal(lat, b.sigs[0])
+			n.env.AfterSignal(b.lat, b.sigs[0])
 			b.sigs[0] = nil
 			b.sigs = b.sigs[:0]
 			n.freeBatches = append(n.freeBatches, b)
 		} else {
-			n.env.After(lat, b.fn)
+			n.env.After(b.lat, b.fn)
 		}
-		done = keep
+		b = next
 	}
-	n.recomputeSync()
+	n.recomputeQueued = false
+	n.recomputeNow(nextIn)
 }
 
 // signalBatch fires a group of completion signals that share one fire
@@ -1041,6 +1115,9 @@ type signalBatch struct {
 	n    *Network
 	sigs []*sim.Signal
 	fn   func()
+	// lat and next group a batch while finishCompleted fills it.
+	lat  time.Duration
+	next *signalBatch
 }
 
 //perf:hot

@@ -107,58 +107,98 @@ type FleetResult struct {
 // telemetry. Durations are exact nanosecond integers and floats use the
 // shortest round-trip encoding, so two runs match if and only if they are
 // bit-identical — the fleet sweep's run-twice check diffs these strings.
+// Every fleet scenario and sweep renders one, so it appends with strconv
+// into a presized builder instead of formatting.
 func (r *FleetResult) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s hosts=%d gpus=%d jobs=%d", r.Policy, r.Hosts, r.GPUs, len(r.Jobs))
+	w := fingerprinter{}
+	w.b.Grow(128 + 256*len(r.Jobs) + len(r.FaultLedger))
+	w.str("policy=", r.Policy)
+	w.int(" hosts=", int64(r.Hosts))
+	w.int(" gpus=", int64(r.GPUs))
+	w.int(" jobs=", int64(len(r.Jobs)))
 	if r.Chassis != 0 {
 		// Rendered only for hierarchical fleets, so degenerate fingerprints
 		// stay byte-identical across the topology generations.
-		fmt.Fprintf(&b, " pods=%d chassis=%d oversub=%s",
-			r.Pods, r.Chassis, strconv.FormatFloat(r.Oversubscription, 'g', -1, 64))
+		w.int(" pods=", int64(r.Pods))
+		w.int(" chassis=", int64(r.Chassis))
+		w.float(" oversub=", r.Oversubscription)
 	}
-	b.WriteByte('\n')
+	w.b.WriteByte('\n')
 	for _, j := range r.Jobs {
-		fmt.Fprintf(&b, "job id=%d wl=%s g=%d tenant=%d host=%d moves=%d slots=", j.ID, j.Workload, j.GPUs, j.Tenant, j.Host, j.Moves)
+		w.int("job id=", int64(j.ID))
+		w.str(" wl=", j.Workload)
+		w.int(" g=", int64(j.GPUs))
+		w.int(" tenant=", int64(j.Tenant))
+		w.int(" host=", int64(j.Host))
+		w.int(" moves=", int64(j.Moves))
+		w.b.WriteString(" slots=")
 		for i, ref := range j.Slots {
+			sep := "d"
 			if i > 0 {
-				b.WriteByte('+')
+				sep = "+d"
 			}
-			b.WriteString(ref.String())
+			w.int(sep, int64(ref.Drawer))
+			w.int("/s", int64(ref.Slot))
 		}
-		fmt.Fprintf(&b, " arr=%d placed=%d launch=%d fin=%d", int64(j.Arrival), int64(j.Placed), int64(j.Launched), int64(j.Finished))
-		fmt.Fprintf(&b, " retries=%d edone=%d failed=%t lost=%s",
-			j.Retries, j.EpochsDone, j.Failed, strconv.FormatFloat(j.LostGPUSeconds, 'g', -1, 64))
+		w.int(" arr=", int64(j.Arrival))
+		w.int(" placed=", int64(j.Placed))
+		w.int(" launch=", int64(j.Launched))
+		w.int(" fin=", int64(j.Finished))
+		w.int(" retries=", int64(j.Retries))
+		w.int(" edone=", int64(j.EpochsDone))
+		w.str(" failed=", strconv.FormatBool(j.Failed))
+		w.float(" lost=", j.LostGPUSeconds)
 		if j.Retries > 0 {
 			// Per-attempt delivered time differs from GPUs × final runtime
 			// only once a retry happened; rendering it conditionally keeps
 			// every fault-free job line byte-identical to prior generations.
-			fmt.Fprintf(&b, " gpuSec=%s", strconv.FormatFloat(j.GPUSeconds, 'g', -1, 64))
+			w.float(" gpuSec=", j.GPUSeconds)
 		}
 		if j.Train != nil {
-			fmt.Fprintf(&b, " total=%d avgIter=%d peak=%d", int64(j.Train.TotalTime), int64(j.Train.AvgIter), int64(j.Train.PeakGPUMem))
+			w.int(" total=", int64(j.Train.TotalTime))
+			w.int(" avgIter=", int64(j.Train.AvgIter))
+			w.int(" peak=", int64(j.Train.PeakGPUMem))
 		}
-		b.WriteByte('\n')
+		w.b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "makespan=%d recomp=%d waitTotal=%d waitMax=%d waitMean=%d\n",
-		int64(r.Makespan), r.Recompositions, int64(r.TotalWait), int64(r.MaxWait), int64(r.MeanWait))
-	fmt.Fprintf(&b, "faults=%d kills=%d failedJobs=%d\n", r.Faults, r.Kills, r.FailedJobs)
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"gpuSec", r.GPUSeconds},
-		{"util", r.Utilization},
-		{"fragGPUSec", r.FragmentationGPUSeconds},
-		{"lostGPUSec", r.LostGPUSeconds},
-		{"goodput", r.Goodput},
-	} {
-		b.WriteString(f.name)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatFloat(f.v, 'g', -1, 64))
-		b.WriteByte('\n')
-	}
-	b.WriteString(r.FaultLedger)
-	return b.String()
+	w.int("makespan=", int64(r.Makespan))
+	w.int(" recomp=", int64(r.Recompositions))
+	w.int(" waitTotal=", int64(r.TotalWait))
+	w.int(" waitMax=", int64(r.MaxWait))
+	w.int(" waitMean=", int64(r.MeanWait))
+	w.int("\nfaults=", int64(r.Faults))
+	w.int(" kills=", int64(r.Kills))
+	w.int(" failedJobs=", int64(r.FailedJobs))
+	w.float("\ngpuSec=", r.GPUSeconds)
+	w.float("\nutil=", r.Utilization)
+	w.float("\nfragGPUSec=", r.FragmentationGPUSeconds)
+	w.float("\nlostGPUSec=", r.LostGPUSeconds)
+	w.float("\ngoodput=", r.Goodput)
+	w.b.WriteByte('\n')
+	w.b.WriteString(r.FaultLedger)
+	return w.b.String()
+}
+
+// fingerprinter appends Fingerprint's "key=value" fields; num is the
+// scratch the numbers are rendered into.
+type fingerprinter struct {
+	b   strings.Builder
+	num [32]byte
+}
+
+func (w *fingerprinter) str(key, v string) {
+	w.b.WriteString(key)
+	w.b.WriteString(v)
+}
+
+func (w *fingerprinter) int(key string, v int64) {
+	w.b.WriteString(key)
+	w.b.Write(strconv.AppendInt(w.num[:0], v, 10))
+}
+
+func (w *fingerprinter) float(key string, v float64) {
+	w.b.WriteString(key)
+	w.b.Write(strconv.AppendFloat(w.num[:0], v, 'g', -1, 64))
 }
 
 // Summary renders the fleet aggregates as a one-paragraph report line set.

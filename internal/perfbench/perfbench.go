@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"composable/internal/cluster"
+	"composable/internal/collective"
 	"composable/internal/experiments"
 	"composable/internal/fabric"
 	"composable/internal/faults"
@@ -93,6 +94,7 @@ func Suite() []Benchmark {
 		{"sim/sleep-wake", BenchSimSleepWake},
 		{"sim/same-instant-fifo", BenchSimSameInstantFIFO},
 		{"fabric/flow-churn-contended", BenchFabricFlowChurnContended},
+		{"collective/allreduce-local", BenchCollectiveAllReduceLocal},
 		{"cluster/compose-pod", BenchClusterComposePod},
 		{"orchestrator/fleet-schedule", BenchOrchestratorFleetSchedule},
 		{"orchestrator/pod-schedule", BenchOrchestratorPodSchedule},
@@ -388,6 +390,39 @@ func BenchFabricFlowChurnContended(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "flows/s")
+}
+
+// BenchCollectiveAllReduceLocal measures the fabric's completion path in
+// the shape of the paper-train workload: repeated 25 MB all-reduces (one
+// DDP gradient bucket) over both ring channels of a warm 8-GPU localGPUs
+// communicator, every round retiring all its legs at once. One op is one
+// all-reduce.
+func BenchCollectiveAllReduceLocal(b *testing.B) {
+	const bucket = 25 * units.MB
+	env := sim.NewEnv()
+	sys, err := cluster.Compose(env, cluster.LocalGPUsConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	comm, err := collective.New(sys.Net, sys.GPUs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	allReduce := func(n int) {
+		env.Go("driver", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				comm.ExecAllReduce(p, bucket)
+			}
+		})
+		if err := env.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	allReduce(1) // warm the flow, batch and leg pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	allReduce(b.N)
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "allreduces/s")
 }
 
 // fleetScheduleStream is the fixed 6-job stream of the fleet-schedule

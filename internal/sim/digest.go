@@ -11,7 +11,7 @@ const (
 	EventProc EventKind = iota + 1
 	// EventSignal fires a deferred Signal (ScheduleSignal, AfterSignal).
 	EventSignal
-	// EventFn runs a Schedule/After callback.
+	// EventFn runs a Schedule/After callback or fires an Alarm.
 	EventFn
 )
 

@@ -31,9 +31,11 @@
 // values stored in a reusable typed 4-ary heap (no container/heap
 // interface boxing, no per-event pointer), process wake-ups carry the
 // *Proc directly instead of a closure, and events scheduled for the
-// current instant bypass the heap through a reusable FIFO. Both queues
-// respect the global (timestamp, seq) order, so the fast paths change
-// nothing about execution order.
+// current instant bypass the heap through a reusable FIFO. A deadline
+// that keeps moving lives in an Alarm beside the queues, so its superseded
+// instances never reach the heap. All three respect the global
+// (timestamp, seq) order, so the fast paths change nothing about execution
+// order.
 package sim
 
 import (
@@ -56,10 +58,10 @@ type Time = time.Duration
 type event struct {
 	at  Time
 	seq uint64
-	do  eventDo // *Proc (wake), *Signal (fire), or eventFn (call)
+	do  eventDo // *Proc (wake), *Signal (fire), *Alarm (fire) or eventFn (call)
 }
 
-// eventDo is the closed union of event payloads. All three implementations
+// eventDo is the closed union of event payloads. All implementations
 // are pointer-shaped, so storing one in the interface never allocates, and
 // the union keeps event at 32 bytes — two payload pointer fields instead of
 // three. The struct size is load-bearing: the event value is copied on
@@ -92,6 +94,11 @@ type Env struct {
 	// heap entries with larger seq and its storage is recycled on drain.
 	fifo     []event
 	fifoHead int
+	// alarms lists every alarm made by NewAlarm, and alarm is the earliest
+	// armed one (nil when none is): dispatch merges it with the two queue
+	// heads, at one nil check per event when no alarm is armed.
+	alarms []*Alarm
+	alarm  *Alarm
 	// rootWake parks the Run caller while processes hold the dispatch
 	// baton; the goroutine whose dispatch ends the run (queue drained,
 	// limit reached, failure) sends on it. Capacity 1 so the root's own
@@ -512,7 +519,16 @@ func (e *Env) dispatch() {
 	defer e.recoverDispatch()
 	for e.failure == nil && !e.fnPanicked {
 		var ev event
-		if e.fifoHead < len(e.fifo) {
+		if a := e.alarm; a != nil && e.alarmFirst(a) {
+			if e.limit >= 0 && a.at > e.limit {
+				e.now = e.limit
+				break
+			}
+			a.armed = false
+			e.nextAlarm()
+			ev = event{at: a.at, seq: a.seq, do: a}
+			e.now = a.at
+		} else if e.fifoHead < len(e.fifo) {
 			// Same-instant fast path. A heap entry at the current instant
 			// can still precede the FIFO head if it was scheduled earlier
 			// (smaller seq) while now was in its future.
@@ -562,6 +578,8 @@ func (e *Env) dispatch() {
 			return
 		case *Signal:
 			do.Fire(e)
+		case *Alarm:
+			do.fn()
 		default:
 			ev.do.(eventFn)()
 		}

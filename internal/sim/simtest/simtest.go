@@ -87,16 +87,17 @@ func Compare(a, b Setup) (*sim.Digest, error) {
 	if db, err = digest(b, true); err != nil {
 		return nil, err
 	}
-	if d := firstDivergence(da.Events, db.Events); d != nil {
+	if d := FirstDivergence(da.Events, db.Events); d != nil {
 		return nil, d
 	}
 	return nil, fmt.Errorf("simtest: digests differ (%#x/%d vs %#x/%d) but the kept records match: a setup is not deterministic",
 		da.Sum(), da.Count(), db.Sum(), db.Count())
 }
 
-// firstDivergence returns the first position at which the two record
-// streams differ, or nil if they are identical.
-func firstDivergence(a, b []sim.EventRecord) *Divergence {
+// FirstDivergence returns the first position at which the two record
+// streams differ, or nil if they are identical. Compare reports through
+// it, and so do oracles that pit the engine against a reference model.
+func FirstDivergence(a, b []sim.EventRecord) *Divergence {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
