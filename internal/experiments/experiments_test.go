@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,9 +19,21 @@ import (
 
 func quickSession() *Session { return NewSession(Quick) }
 
+var update = flag.Bool("update", false, "rewrite the experiment goldens in testdata/")
+
+// TestAllExperimentsRender renders every registry experiment at quick
+// scale and compares each report with testdata/<ID>.golden, so a change
+// that claims byte-identical output (a paper figure, an S/R table) is
+// checked against a stored value. Regenerate with `go test
+// ./internal/experiments -run TestAllExperimentsRender -update` after an
+// intended change.
+//
+// The goldens are captured on the CI architecture (amd64). Go may fuse
+// x*y+z into one FMA instruction on arm64 but not on amd64, so the last
+// printed digit can differ elsewhere; the comparison runs only on amd64.
 func TestAllExperimentsRender(t *testing.T) {
 	s := quickSession()
-	for _, e := range All() {
+	for _, e := range Registry() {
 		out, err := e.Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -25,7 +41,31 @@ func TestAllExperimentsRender(t *testing.T) {
 		if len(strings.TrimSpace(out)) == 0 {
 			t.Fatalf("%s produced empty report", e.ID)
 		}
-		t.Logf("%s: %s\n%s", e.ID, e.Title, out)
+		checkExperimentGolden(t, e.ID, out)
+	}
+}
+
+func checkExperimentGolden(t *testing.T, id, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", id+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got\n%s\n--- want\n%s", id, path, got, want)
 	}
 }
 
