@@ -101,6 +101,7 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 			s.capAccrue(s.now())
 			s.slotFaulty[slot] = !up
 			s.recountLive()
+			s.syncSlot(slot)
 			if up {
 				s.slotRepaired(slot)
 				s.trySchedule()
@@ -112,6 +113,9 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 			s.capAccrue(s.now())
 			s.drawerDown[drawer] = !up
 			s.recountLive()
+			for i := s.idx.drawerStart[drawer]; i < s.idx.drawerStart[drawer+1]; i++ {
+				s.syncSlot(i)
+			}
 			for i, slot := range f.Slots {
 				if slot.Drawer != drawer {
 					continue
@@ -133,6 +137,16 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 			s.capAccrue(now)
 			s.podDown[pod] = !up
 			s.recountLive()
+			for i, slot := range f.Slots {
+				if slot.Pod == pod {
+					s.syncSlot(i)
+				}
+			}
+			for h, host := range f.Hosts {
+				if host.Pod == pod {
+					s.syncHost(h)
+				}
+			}
 			if up {
 				s.probe(Event{Kind: EventPodUp, At: now, Job: -1, Host: -1, Pod: pod})
 				// Probe every returning slot before any scheduling resumes;
@@ -166,6 +180,7 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 		},
 		Host: func(host int, up bool) {
 			s.hostDown[host] = !up
+			s.syncHost(host)
 			now := s.now()
 			if up {
 				s.probe(Event{Kind: EventHostUp, At: now, Job: -1, Host: host})
@@ -269,6 +284,7 @@ func (s *scheduler) slotLost(i int, cause string) {
 		}
 	}
 	s.slotHost[i] = -1
+	s.syncSlot(i)
 	s.probe(Event{Kind: EventSlotDown, At: now, Job: -1, Host: -1, Slots: []falcon.SlotRef{ref}, Indices: []int{i}})
 	if id := s.slotJob[i]; id != -1 {
 		s.kill(s.jobs[id], cause)
@@ -344,6 +360,7 @@ func (s *scheduler) reschedule(js *jobState, now time.Duration) {
 	}
 	for _, slot := range js.slots {
 		s.slotJob[slot.Index] = -1
+		s.syncSlot(slot.Index)
 	}
 	s.hostGPUs[js.host] -= js.spec.GPUs
 	s.hostJobs[js.host]--

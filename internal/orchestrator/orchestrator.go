@@ -325,20 +325,18 @@ type scheduler struct {
 	lastT      time.Duration
 	fragGPUSec float64
 
-	// Reusable scratch for the placement hot path: the View handed to the
-	// policy each Place call (policies must not retain it), the policy
-	// scoring buffers behind it, and the epoch-stamped duplicate check in
-	// checkPlacement (seenGen bumps instead of clearing; a slot is "seen"
-	// when its stamp matches the current generation).
-	viewSlots       []SlotView
-	viewGPUs        []int
-	viewJobs        []int
-	viewUp          []bool
-	viewHostChassis []int // static: host index → chassis index
-	viewHostPod     []int // static: host index → pod index
-	pscratch        policyScratch
-	seenSlot        []uint64
-	seenGen         uint64
+	// Live placement state: the View handed to every Place call, built once
+	// by buildView and kept current by syncSlot and syncHost wherever a
+	// slot's owner, attachment or health, or a host's availability,
+	// changes; idx is its free-slot index. Then come the policy scoring
+	// buffers and the epoch-stamped duplicate check in checkPlacement
+	// (seenGen bumps instead of clearing; a slot is "seen" when its stamp
+	// matches the current generation).
+	view     View
+	idx      *slotIndex
+	pscratch policyScratch
+	seenSlot []uint64
+	seenGen  uint64
 
 	// Observability (nil obs = off; every emit below is nil-checked so
 	// the disabled hot path costs one branch and zero allocations).
@@ -356,6 +354,17 @@ type scheduler struct {
 // a job cannot start (configuration error), or jobs remain unplaceable
 // under the policy once the stream drains.
 func Run(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*FleetResult, error) {
+	s, err := newScheduler(f, specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
+
+// newScheduler sets a run up without starting it: options defaulted, the
+// live View built, arrivals scheduled, faults armed and observability
+// wired.
+func newScheduler(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*scheduler, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("orchestrator: empty job stream")
 	}
@@ -395,6 +404,7 @@ func Run(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*FleetResult, e
 		s.slotHost[i] = f.OwnerHost(f.Slots[i])
 	}
 	s.slotConfig = append([]int(nil), s.slotHost...)
+	s.buildView()
 	devSpec := f.Slots[0].Dev.Spec
 	for i := range specs {
 		spec := specs[i].Sanitize(len(f.Slots), len(f.Hosts), devSpec)
@@ -409,7 +419,12 @@ func Run(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*FleetResult, e
 	if opts.Obs != nil {
 		s.obsSetup(opts.Obs)
 	}
+	return s, nil
+}
 
+// run drives the environment to completion and collects the result.
+func (s *scheduler) run() (*FleetResult, error) {
+	f := s.fleet
 	if err := f.Env.Run(); err != nil {
 		return nil, fmt.Errorf("orchestrator: %w", err)
 	}
@@ -424,7 +439,7 @@ func Run(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*FleetResult, e
 	}
 	if len(stuck) > 0 {
 		return nil, fmt.Errorf("orchestrator: policy %s left job(s) %s unplaceable on %d hosts × %d GPUs",
-			opts.Policy.Name(), strings.Join(stuck, ","), len(f.Hosts), len(f.Slots))
+			s.opts.Policy.Name(), strings.Join(stuck, ","), len(f.Hosts), len(f.Slots))
 	}
 	return s.result(), nil
 }
@@ -448,15 +463,7 @@ func (s *scheduler) obsSetup(c *obs.Collector) {
 		}
 		return float64(len(s.fleet.Slots))
 	})
-	reg.Gauge("orchestrator.stranded_gpus", func() float64 {
-		free := 0
-		for i, j := range s.slotJob {
-			if j == -1 && s.slotAvailable(i) {
-				free++
-			}
-		}
-		return float64(free)
-	})
+	reg.Gauge("orchestrator.stranded_gpus", func() float64 { return float64(s.idx.free) })
 	if s.injector != nil {
 		s.injector.SetObs(c)
 	}
@@ -485,13 +492,7 @@ func (s *scheduler) probe(ev Event) {
 //perf:hot
 func (s *scheduler) account(now time.Duration) {
 	if len(s.queue) > 0 && now > s.lastT {
-		free := 0
-		for i, j := range s.slotJob {
-			if j == -1 && s.slotAvailable(i) {
-				free++
-			}
-		}
-		s.fragGPUSec += float64(free) * (now - s.lastT).Seconds()
+		s.fragGPUSec += float64(s.idx.free) * (now - s.lastT).Seconds()
 	}
 	s.lastT = now
 }
@@ -518,7 +519,7 @@ func (s *scheduler) arrive(js *jobState) {
 func (s *scheduler) trySchedule() {
 	for s.err == nil && len(s.queue) > 0 {
 		js := s.queue[0]
-		host, picks, ok := s.opts.Policy.Place(s.view(), Request{
+		host, picks, ok := s.opts.Policy.Place(s.view, Request{
 			Job: js.spec.ID, Tenant: js.spec.Tenant, GPUs: js.spec.GPUs,
 		})
 		if !ok {
@@ -590,31 +591,32 @@ func (s *scheduler) place(js *jobState, host int, picks []int) {
 		js.slots = append(js.slots, slot)
 		js.refs = append(js.refs, slot.Ref)
 		js.indices = append(js.indices, i)
-		if s.slotHost[i] == host {
-			continue
+		if s.slotHost[i] != host {
+			// Recomposition: advanced mode re-allocates on the fly; a
+			// detached device attaches, an attached one reassigns in a single
+			// step. The fleet routes the op through the slot's own chassis,
+			// over its local host port or the pod fabric port for a
+			// cross-chassis composition.
+			var err error
+			if s.slotHost[i] == -1 {
+				err = s.fleet.AttachSlot(slot, h)
+			} else {
+				err = s.fleet.ReassignSlot(slot, h)
+			}
+			if err != nil {
+				s.err = fmt.Errorf("orchestrator: recomposing %v for job %d: %w", slot.Ref, js.spec.ID, err)
+				return
+			}
+			s.slotHost[i] = host
+			moves++
+			if s.obs != nil {
+				ev := s.obs.Instant(obs.CatOrchestrator, "recompose")
+				s.obs.SetAttr(ev, "job", int64(js.spec.ID))
+				s.obs.SetAttr(ev, "slot", int64(i))
+				s.obs.SetAttr(ev, "host", int64(host))
+			}
 		}
-		// Recomposition: advanced mode re-allocates on the fly; a detached
-		// device attaches, an attached one reassigns in a single step. The
-		// fleet routes the op through the slot's own chassis, over its local
-		// host port or the pod fabric port for a cross-chassis composition.
-		var err error
-		if s.slotHost[i] == -1 {
-			err = s.fleet.AttachSlot(slot, h)
-		} else {
-			err = s.fleet.ReassignSlot(slot, h)
-		}
-		if err != nil {
-			s.err = fmt.Errorf("orchestrator: recomposing %v for job %d: %w", slot.Ref, js.spec.ID, err)
-			return
-		}
-		s.slotHost[i] = host
-		moves++
-		if s.obs != nil {
-			ev := s.obs.Instant(obs.CatOrchestrator, "recompose")
-			s.obs.SetAttr(ev, "job", int64(js.spec.ID))
-			s.obs.SetAttr(ev, "slot", int64(i))
-			s.obs.SetAttr(ev, "host", int64(host))
-		}
+		s.syncSlot(i)
 	}
 	js.moves += moves
 	s.recomps += moves
@@ -734,6 +736,7 @@ func (s *scheduler) finish(js *jobState, now time.Duration) {
 	js.deliveredSec += float64(js.spec.GPUs) * (now - js.launched).Seconds()
 	for _, slot := range js.slots {
 		s.slotJob[slot.Index] = -1
+		s.syncSlot(slot.Index)
 	}
 	s.hostGPUs[js.host] -= js.spec.GPUs
 	s.hostJobs[js.host]--
@@ -753,64 +756,80 @@ func (s *scheduler) finish(js *jobState, now time.Duration) {
 	s.trySchedule()
 }
 
-// view snapshots scheduler state into the scheduler-owned scratch View.
-// The snapshot is rebuilt from live state on every call, so a policy (which
-// must not retain it) always sees current values while the placement path
-// allocates nothing after the first call.
-//
-//perf:hot
-func (s *scheduler) view() View {
-	if s.viewSlots == nil {
-		s.viewSlots = make([]SlotView, len(s.fleet.Slots))
-		s.viewGPUs = make([]int, len(s.fleet.Hosts))
-		s.viewJobs = make([]int, len(s.fleet.Hosts))
-		s.viewUp = make([]bool, len(s.fleet.Hosts))
-		s.viewHostChassis = make([]int, len(s.fleet.Hosts))
-		s.viewHostPod = make([]int, len(s.fleet.Hosts))
-		for h, host := range s.fleet.Hosts {
-			s.viewHostChassis[h] = host.ChassisIdx
-			s.viewHostPod[h] = host.Pod
-		}
-	}
-	cpp := s.fleet.Opts.ChassisPerPod
+// buildView builds the live View once, before the run: the hierarchy
+// extents, the static per-slot and per-host fields, every slot's and
+// host's initial state, and the free-slot index. From then on syncSlot
+// and syncHost keep it current, so handing it to a policy costs nothing.
+func (s *scheduler) buildView() {
+	f := s.fleet
+	cpp := f.Opts.ChassisPerPod
 	if cpp < 1 {
 		cpp = 1
 	}
-	v := View{
-		Hosts:             len(s.fleet.Hosts),
-		Drawers:           s.fleet.NumDrawers(),
-		Pods:              s.fleet.NumPods(),
-		Chassis:           s.fleet.NumChassis(),
+	hostChassis := make([]int, len(f.Hosts))
+	hostPod := make([]int, len(f.Hosts))
+	for h, host := range f.Hosts {
+		hostChassis[h] = host.ChassisIdx
+		hostPod[h] = host.Pod
+	}
+	s.view = View{
+		Hosts:             len(f.Hosts),
+		Drawers:           f.NumDrawers(),
+		Pods:              f.NumPods(),
+		Chassis:           f.NumChassis(),
 		DrawersPerChassis: falcon.NumDrawers,
 		ChassisPerPod:     cpp,
-		HostActiveGPUs:    s.viewGPUs,
-		HostActiveJobs:    s.viewJobs,
-		HostUp:            s.viewUp,
-		HostChassis:       s.viewHostChassis,
-		HostPod:           s.viewHostPod,
-		Slots:             s.viewSlots,
+		HostActiveGPUs:    s.hostGPUs,
+		HostActiveJobs:    s.hostJobs,
+		HostUp:            make([]bool, len(f.Hosts)),
+		HostChassis:       hostChassis,
+		HostPod:           hostPod,
+		Slots:             make([]SlotView, len(f.Slots)),
 		scratch:           &s.pscratch,
 	}
-	copy(v.HostActiveGPUs, s.hostGPUs)
-	copy(v.HostActiveJobs, s.hostJobs)
-	for h := range v.HostUp {
-		v.HostUp[h] = s.hostAvailable(h)
+	for h := range f.Hosts {
+		s.syncHost(h)
 	}
-	for i, slot := range s.fleet.Slots {
-		down := !s.slotAvailable(i)
-		v.Slots[i] = SlotView{
+	for i, slot := range f.Slots {
+		s.view.Slots[i] = SlotView{
 			Index:   i,
 			Drawer:  slot.Drawer,
 			Chassis: slot.ChassisIdx,
 			Pod:     slot.Pod,
-			Host:    s.slotHost[i],
-			Free:    s.slotJob[i] == -1 && !down,
-			Down:    down,
 			Config:  s.slotConfig[i],
 		}
 	}
-	return v
+	s.idx = newSlotIndex(s.view.Slots, s.view.Drawers)
+	s.view.idx = s.idx
+	for i := range f.Slots {
+		s.syncSlot(i)
+	}
 }
+
+// syncSlot refreshes slot i's SlotView and the free-slot index from the
+// scheduler's state. It must run after every change to slotJob[i],
+// slotHost[i] or a fault flag covering the slot, before anything reads
+// the View or the free count.
+//
+//perf:hot
+func (s *scheduler) syncSlot(i int) {
+	sv := &s.view.Slots[i]
+	down := !s.slotAvailable(i)
+	free := s.slotJob[i] == -1 && !down
+	if free != sv.Free {
+		delta := 1
+		if !free {
+			delta = -1
+		}
+		s.idx.free += delta
+		s.idx.drawerFree[sv.Drawer] += delta
+	}
+	sv.Host, sv.Free, sv.Down = s.slotHost[i], free, down
+}
+
+// syncHost refreshes host h's entry in the View after its own or its
+// pod's availability changed.
+func (s *scheduler) syncHost(h int) { s.view.HostUp[h] = s.hostAvailable(h) }
 
 func (s *scheduler) result() *FleetResult {
 	r := &FleetResult{

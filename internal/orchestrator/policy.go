@@ -5,8 +5,10 @@ import (
 	"strings"
 )
 
-// View is the scheduler state a Policy decides over. It is a snapshot; a
-// policy must not retain it across calls.
+// View is the scheduler state a Policy decides over. The scheduler's View
+// is live: one View, kept current in place as slots and hosts change, is
+// handed to every Place call, so a policy must neither retain it across
+// calls nor modify it.
 type View struct {
 	Hosts int
 	// Drawers is the fleet-global drawer index space (chassis ×
@@ -41,6 +43,52 @@ type View struct {
 	// hand-built View (tests, external callers) leaves it nil and the
 	// helpers fall back to allocating.
 	scratch *policyScratch
+	// idx, when set by the scheduler, is its maintained free-slot index. A
+	// hand-built View leaves it nil and index derives one from Slots.
+	idx *slotIndex
+}
+
+// slotIndex counts the free pool over the drawer-contiguous slot order:
+// drawer d's slots are Slots[drawerStart[d]:drawerStart[d+1]].
+type slotIndex struct {
+	free        int   // free slots in the fleet
+	drawerFree  []int // free slots per drawer
+	drawerStart []int // per-drawer slot range offsets, len drawers+1
+}
+
+// newSlotIndex derives the index of a drawer-contiguous slot list over
+// the given number of drawers.
+func newSlotIndex(slots []SlotView, drawers int) *slotIndex {
+	x := &slotIndex{drawerFree: make([]int, drawers), drawerStart: make([]int, drawers+1)}
+	d := 0
+	for i, s := range slots {
+		for d < s.Drawer {
+			d++
+			x.drawerStart[d] = i
+		}
+		if s.Free {
+			x.free++
+			x.drawerFree[s.Drawer]++
+		}
+	}
+	for d < drawers {
+		d++
+		x.drawerStart[d] = len(slots)
+	}
+	return x
+}
+
+// index returns the scheduler's free-slot index, or derives one from
+// Slots for a hand-built View (which may leave Drawers short or zero).
+func (v View) index() *slotIndex {
+	if v.idx != nil {
+		return v.idx
+	}
+	drawers := v.Drawers
+	if n := len(v.Slots); n > 0 && v.Slots[n-1].Drawer >= drawers {
+		drawers = v.Slots[n-1].Drawer + 1
+	}
+	return newSlotIndex(v.Slots, drawers)
 }
 
 // policyScratch is the scheduler-owned buffer set behind allocation-free
@@ -48,12 +96,11 @@ type View struct {
 // call; the picks returned to the scheduler are consumed before the next
 // call overwrites them.
 type policyScratch struct {
-	picks  []int      // returned picks (FirstFit, Static, BandwidthAware)
-	best   []int      // DrawerLocal: best single-drawer picks so far
-	cands  []SlotView // candidate slots being ranked
-	taken  []bool     // BandwidthAware: slots already picked this placement
-	load   []int      // BandwidthAware: per-drawer active-device counts
-	dstart []int      // BandwidthAware: per-drawer slot range offsets
+	picks []int      // returned picks (FirstFit, Static, BandwidthAware, spanning DrawerLocal)
+	best  []int      // DrawerLocal: the winning drawer's picks
+	cands []SlotView // DrawerLocal: the winning drawer's free slots being ranked
+	taken []bool     // BandwidthAware: slots already picked this placement
+	load  []int      // BandwidthAware: per-drawer active-device counts
 }
 
 // pickBuf returns a zero-length int buffer with at least the given
@@ -186,23 +233,10 @@ func PolicyByName(name string) (Policy, error) {
 		name, strings.Join(PolicyNames(), ", "))
 }
 
-// countFree returns the number of free slots.
-//
-//perf:hot
-func countFree(v View) int {
-	n := 0
-	for _, s := range v.Slots {
-		if s.Free {
-			n++
-		}
-	}
-	return n
-}
-
 // sortSlotsByRank stable-sorts candidate slots by (attach rank for host,
-// slot index) with a typed insertion sort: the candidate sets are small
-// (one drawer, or the free pool) and the closure-free sort keeps policy
-// scoring off the allocator.
+// slot index) with a typed insertion sort: the candidate set is one
+// drawer's free slots and the closure-free sort keeps policy scoring off
+// the allocator.
 //
 //perf:hot
 func sortSlotsByRank(cands []SlotView, host int) {
@@ -213,31 +247,6 @@ func sortSlotsByRank(cands []SlotView, host int) {
 		for j >= 0 {
 			rj := attachRank(cands[j], host)
 			if rj < rc || (rj == rc && cands[j].Index < c.Index) {
-				break
-			}
-			cands[j+1] = cands[j]
-			j--
-		}
-		cands[j+1] = c
-	}
-}
-
-// sortSlotsByRankDist extends sortSlotsByRank's key with the fabric
-// distance tier between attach rank and index: (rank, distance, index).
-// On a flat View distance never differs and the order matches
-// sortSlotsByRank exactly.
-//
-//perf:hot
-func sortSlotsByRankDist(cands []SlotView, host, hostChassis, hostPod int) {
-	for i := 1; i < len(cands); i++ {
-		c := cands[i]
-		rc := attachRank(c, host)
-		dc := distTier(c.Chassis, c.Pod, hostChassis, hostPod)
-		j := i - 1
-		for j >= 0 {
-			rj := attachRank(cands[j], host)
-			dj := distTier(cands[j].Chassis, cands[j].Pod, hostChassis, hostPod)
-			if rj < rc || (rj == rc && (dj < dc || (dj == dc && cands[j].Index < c.Index))) {
 				break
 			}
 			cands[j+1] = cands[j]
@@ -312,7 +321,7 @@ func (FirstFit) Name() string { return "firstfit" }
 //
 //perf:hot
 func (FirstFit) Place(v View, r Request) (int, []int, bool) {
-	if countFree(v) < r.GPUs {
+	if v.index().free < r.GPUs {
 		return 0, nil, false
 	}
 	picks := v.pickBuf(r.GPUs)
@@ -347,78 +356,87 @@ func (DrawerLocal) Name() string { return "drawer" }
 //
 //perf:hot
 func (DrawerLocal) Place(v View, r Request) (int, []int, bool) {
-	if countFree(v) < r.GPUs {
+	x := v.index()
+	if x.free < r.GPUs {
 		return 0, nil, false
 	}
 	host := leastLoadedHost(v)
 	if host == -1 {
 		return 0, nil, false
 	}
-	var cands []SlotView
-	var best []int
-	if sc := v.scratch; sc != nil {
-		cands, best = sc.cands[:0], sc.best[:0]
-	}
 	hc, hp := v.hostChassis(host), v.hostPod(host)
-	// Free slots in fleet order: every drawer's free slots form one
-	// contiguous run, so one pass groups them without a per-drawer rescan
-	// (the old Drawers × Slots loop was quadratic at pod-fleet scale).
-	for _, s := range v.Slots {
-		if s.Free {
-			cands = append(cands, s)
-		}
-	}
 	// Single-drawer placements first: among drawers that fit the whole
 	// job, take the one whose best slots need the fewest moves (ties:
 	// closer to the host, then lower drawer index; in the degenerate
-	// shape distance never differs and moves alone decide, as before).
-	bestMoves, bestTier := -1, 0
-	for start := 0; start < len(cands); {
-		end := start + 1
-		for end < len(cands) && cands[end].Drawer == cands[start].Drawer {
-			end++
-		}
-		run := cands[start:end]
-		start = end
-		if len(run) < r.GPUs {
+	// shape distance never differs and moves alone decide). A drawer's
+	// best slots are its free slots attached to the host first, so its
+	// moves are the demand those cannot cover.
+	win, bestMoves, bestTier := -1, 0, 0
+	for d, free := range x.drawerFree {
+		if free == 0 || free < r.GPUs {
 			continue
 		}
-		sortSlotsByRank(run, host)
-		moves := 0
-		for _, c := range run[:r.GPUs] {
-			if c.Host != host {
-				moves++
+		slots := v.Slots[x.drawerStart[d]:x.drawerStart[d+1]]
+		attached := 0
+		for _, s := range slots {
+			if s.Free && s.Host == host {
+				attached++
 			}
 		}
-		tier := distTier(run[0].Chassis, run[0].Pod, hc, hp)
-		if bestMoves == -1 || moves < bestMoves || (moves == bestMoves && tier < bestTier) {
-			bestMoves, bestTier = moves, tier
-			best = best[:0]
-			for _, c := range run[:r.GPUs] {
-				best = append(best, c.Index)
+		moves := r.GPUs - min(r.GPUs, attached)
+		tier := distTier(slots[0].Chassis, slots[0].Pod, hc, hp)
+		if win == -1 || moves < bestMoves || (moves == bestMoves && tier < bestTier) {
+			win, bestMoves, bestTier = d, moves, tier
+			if moves == 0 && tier == 0 {
+				break // nothing scores lower
 			}
 		}
 	}
-	if sc := v.scratch; sc != nil {
-		sc.cands, sc.best = cands, best
-	}
-	if bestMoves != -1 {
+	if win != -1 {
+		var cands []SlotView
+		var best []int
+		if sc := v.scratch; sc != nil {
+			cands, best = sc.cands[:0], sc.best[:0]
+		}
+		for _, s := range v.Slots[x.drawerStart[win]:x.drawerStart[win+1]] {
+			if s.Free {
+				cands = append(cands, s)
+			}
+		}
+		sortSlotsByRank(cands, host)
+		for _, c := range cands[:r.GPUs] {
+			best = append(best, c.Index)
+		}
+		if sc := v.scratch; sc != nil {
+			sc.cands, sc.best = cands, best
+		}
 		return host, best, true
 	}
-	// No drawer fits alone: span drawers, minimizing moves then distance.
-	cands = cands[:0]
-	for _, s := range v.Slots {
-		if s.Free {
-			cands = append(cands, s)
-		}
-	}
-	sortSlotsByRankDist(cands, host, hc, hp)
+	// No drawer fits alone: span drawers, taking free slots in (attach
+	// rank, distance tier, index) order to minimize moves, then distance.
+	// Drawers ascend in slot order, so visiting each (rank, tier) class
+	// drawer by drawer yields its slots in index order.
 	picks := v.pickBuf(r.GPUs)
-	for _, c := range cands[:r.GPUs] {
-		picks = append(picks, c.Index)
-	}
-	if sc := v.scratch; sc != nil {
-		sc.cands = cands
+	for rank := 0; rank < 3; rank++ {
+		for tier := 0; tier < 3; tier++ {
+			for d, free := range x.drawerFree {
+				if free == 0 {
+					continue
+				}
+				slots := v.Slots[x.drawerStart[d]:x.drawerStart[d+1]]
+				if distTier(slots[0].Chassis, slots[0].Pod, hc, hp) != tier {
+					continue
+				}
+				for _, s := range slots {
+					if s.Free && attachRank(s, host) == rank {
+						picks = append(picks, s.Index)
+						if len(picks) == r.GPUs {
+							return host, picks, true
+						}
+					}
+				}
+			}
+		}
 	}
 	return host, picks, true
 }
@@ -436,27 +454,25 @@ func (BandwidthAware) Name() string { return "bandwidth" }
 //
 //perf:hot
 func (BandwidthAware) Place(v View, r Request) (int, []int, bool) {
-	if countFree(v) < r.GPUs {
+	x := v.index()
+	if x.free < r.GPUs {
 		return 0, nil, false
 	}
 	host := leastLoadedHost(v)
 	if host == -1 {
 		return 0, nil, false
 	}
-	// Per-drawer load: devices currently assigned to any job. taken marks
-	// slots already picked this placement, a bitset standing in for the
-	// old map.
+	// Per-drawer load: devices currently assigned to any job, or down.
+	// taken marks slots already picked this placement, a bitset standing in
+	// for the old map.
+	drawers := len(x.drawerFree)
 	var load []int
 	var taken []bool
-	var dstart []int
 	if sc := v.scratch; sc != nil {
-		if cap(sc.load) < v.Drawers {
-			sc.load = make([]int, v.Drawers)
+		if cap(sc.load) < drawers {
+			sc.load = make([]int, drawers)
 		}
-		load = sc.load[:v.Drawers]
-		for i := range load {
-			load[i] = 0
-		}
+		load = sc.load[:drawers]
 		if cap(sc.taken) < len(v.Slots) {
 			sc.taken = make([]bool, len(v.Slots))
 		}
@@ -464,35 +480,14 @@ func (BandwidthAware) Place(v View, r Request) (int, []int, bool) {
 		for i := range taken {
 			taken[i] = false
 		}
-		if cap(sc.dstart) < v.Drawers+1 {
-			sc.dstart = make([]int, v.Drawers+1)
-		}
-		dstart = sc.dstart[:v.Drawers+1]
 	} else {
 		//lint:allow hotalloc(fallback for hand-built Views without scratch)
-		load = make([]int, v.Drawers)
+		load = make([]int, drawers)
 		//lint:allow hotalloc(fallback for hand-built Views without scratch)
 		taken = make([]bool, len(v.Slots))
-		//lint:allow hotalloc(fallback for hand-built Views without scratch)
-		dstart = make([]int, v.Drawers+1)
 	}
-	// One pass builds per-drawer load and slot-range offsets: Slots come in
-	// drawer-contiguous fleet order, so drawer d spans dstart[d]..dstart[d+1]
-	// and the pick loop below never rescans the whole fleet per drawer.
-	di := 0
-	dstart[0] = 0
-	for i, s := range v.Slots {
-		if !s.Free {
-			load[s.Drawer]++
-		}
-		for di < s.Drawer {
-			di++
-			dstart[di] = i
-		}
-	}
-	for di < v.Drawers {
-		di++
-		dstart[di] = len(v.Slots)
+	for d := range load {
+		load[d] = x.drawerStart[d+1] - x.drawerStart[d] - x.drawerFree[d]
 	}
 	hc, hp := v.hostChassis(host), v.hostPod(host)
 	picks := v.pickBuf(r.GPUs)
@@ -504,16 +499,19 @@ func (BandwidthAware) Place(v View, r Request) (int, []int, bool) {
 		// degenerate shape every drawer is tier 0 and load alone decides,
 		// exactly as before.
 		bestDrawer, bestSlot, bestTier := -1, -1, 0
-		for d := 0; d < v.Drawers; d++ {
+		for d := 0; d < drawers; d++ {
 			tier := distTier(v.drawerChassis(d), v.drawerPod(d), hc, hp)
 			if bestDrawer != -1 {
 				if tier > bestTier || (tier == bestTier && load[d] >= load[bestDrawer]) {
 					continue
 				}
 			}
+			if x.drawerFree[d] == 0 {
+				continue
+			}
 			slot := -1
 			bestRank := 0
-			for _, s := range v.Slots[dstart[d]:dstart[d+1]] {
+			for _, s := range v.Slots[x.drawerStart[d]:x.drawerStart[d+1]] {
 				if !s.Free || taken[s.Index] {
 					continue
 				}
