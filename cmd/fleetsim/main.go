@@ -72,7 +72,7 @@ func parse(args []string, stderr io.Writer) (cfg config, code int) {
 	fs.IntVar(&cfg.cpp, "chassis-per-pod", 0, "override the chassis per pod (selects the pod shape, 1-3)")
 	fs.Float64Var(&cfg.oversub, "oversub", 0, "override the spine oversubscription ratio (pod shape, 1-16)")
 	fs.Int64Var(&cfg.faultSeed, "fault-seed", 0, "arm the fault schedule drawn from this seed (0 = none, or in chaos mode the scenario seed's own schedule)")
-	fs.IntVar(&cfg.retries, "retries", 0, "per-job retry budget after fault kills (0 = default)")
+	fs.IntVar(&cfg.retries, "retries", 0, "per-job retry budget after fault kills (0 = default 3, negative = no retries)")
 	fs.BoolVar(&cfg.fingerprint, "fingerprint", false, "print the canonical telemetry fingerprint after the report")
 	fs.BoolVar(&cfg.listPol, "list-policies", false, "list placement policies and exit")
 	fs.StringVar(&cfg.traceOut, "trace", "", "write a Chrome trace_event JSON of the run to this file (load in Perfetto, re-analyze with analyze -file)")

@@ -14,6 +14,10 @@ import (
 // the orchestrator, dynamic recompositions included.
 func BenchmarkFleetSchedule(b *testing.B) { perfbench.BenchOrchestratorFleetSchedule(b) }
 
+// BenchmarkPodBurst measures placement-heavy scheduling: compose the cold
+// 1024-GPU pod fleet and place and run 128 one-iteration jobs.
+func BenchmarkPodBurst(b *testing.B) { perfbench.BenchOrchestratorPodBurst(b) }
+
 // BenchmarkFaultsRecoverReschedule measures the full fault-recovery path:
 // fault injection, cooperative wind-down, control-plane hot-unplug,
 // requeue, and checkpoint-resume on a 2-host × 8-GPU fleet.

@@ -113,7 +113,7 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 			s.capAccrue(s.now())
 			s.drawerDown[drawer] = !up
 			s.recountLive()
-			for i := s.idx.drawerStart[drawer]; i < s.idx.drawerStart[drawer+1]; i++ {
+			for i := s.view.idx.drawerStart[drawer]; i < s.view.idx.drawerStart[drawer+1]; i++ {
 				s.syncSlot(i)
 			}
 			for i, slot := range f.Slots {

@@ -328,12 +328,11 @@ type scheduler struct {
 	// Live placement state: the View handed to every Place call, built once
 	// by buildView and kept current by syncSlot and syncHost wherever a
 	// slot's owner, attachment or health, or a host's availability,
-	// changes; idx is its free-slot index. Then come the policy scoring
-	// buffers and the epoch-stamped duplicate check in checkPlacement
-	// (seenGen bumps instead of clearing; a slot is "seen" when its stamp
-	// matches the current generation).
+	// changes, together with its free-slot index. Then come the policy
+	// scoring buffers and the epoch-stamped duplicate check in
+	// checkPlacement (seenGen bumps instead of clearing; a slot is "seen"
+	// when its stamp matches the current generation).
 	view     View
-	idx      *slotIndex
 	pscratch policyScratch
 	seenSlot []uint64
 	seenGen  uint64
@@ -463,7 +462,7 @@ func (s *scheduler) obsSetup(c *obs.Collector) {
 		}
 		return float64(len(s.fleet.Slots))
 	})
-	reg.Gauge("orchestrator.stranded_gpus", func() float64 { return float64(s.idx.free) })
+	reg.Gauge("orchestrator.stranded_gpus", func() float64 { return float64(s.view.idx.free) })
 	if s.injector != nil {
 		s.injector.SetObs(c)
 	}
@@ -492,7 +491,7 @@ func (s *scheduler) probe(ev Event) {
 //perf:hot
 func (s *scheduler) account(now time.Duration) {
 	if len(s.queue) > 0 && now > s.lastT {
-		s.fragGPUSec += float64(s.idx.free) * (now - s.lastT).Seconds()
+		s.fragGPUSec += float64(s.view.idx.free) * (now - s.lastT).Seconds()
 	}
 	s.lastT = now
 }
@@ -799,8 +798,7 @@ func (s *scheduler) buildView() {
 			Config:  s.slotConfig[i],
 		}
 	}
-	s.idx = newSlotIndex(s.view.Slots, s.view.Drawers)
-	s.view.idx = s.idx
+	s.view.idx = newSlotIndex(s.view.Slots, s.view.Drawers)
 	for i := range f.Slots {
 		s.syncSlot(i)
 	}
@@ -821,8 +819,8 @@ func (s *scheduler) syncSlot(i int) {
 		if !free {
 			delta = -1
 		}
-		s.idx.free += delta
-		s.idx.drawerFree[sv.Drawer] += delta
+		s.view.idx.free += delta
+		s.view.idx.drawerFree[sv.Drawer] += delta
 	}
 	sv.Host, sv.Free, sv.Down = s.slotHost[i], free, down
 }

@@ -98,6 +98,7 @@ func Suite() []Benchmark {
 		{"cluster/compose-pod", BenchClusterComposePod},
 		{"orchestrator/fleet-schedule", BenchOrchestratorFleetSchedule},
 		{"orchestrator/pod-schedule", BenchOrchestratorPodSchedule},
+		{"orchestrator/pod-burst", BenchOrchestratorPodBurst},
 		{"faults/recover-reschedule", BenchFaultsRecoverReschedule},
 		{"obs/trace-fleet-schedule", BenchObsTraceFleetSchedule},
 		{"obs/analyze-fleet-trace", BenchObsAnalyzeFleetTrace},
@@ -517,6 +518,54 @@ func BenchOrchestratorPodSchedule(b *testing.B) {
 		}
 		if len(res.Jobs) != len(stream) || res.FailedJobs != 0 {
 			b.Fatalf("incomplete pod fleet run: %d results, %d failed", len(res.Jobs), res.FailedJobs)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(stream))/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// PodBurstStream is the orchestrator/pod-burst workload: 128
+// one-iteration jobs of 2, 4 or 6 GPUs, every fiftieth spanning chassis at
+// 20 GPUs, one arrival every 25 ms from tenants spread over all 128 hosts.
+// Each job trains briefly, so placement, not training, dominates the op.
+// Deterministic by construction.
+func PodBurstStream() []orchestrator.JobSpec {
+	workloads := []string{"ResNet-50", "BERT", "MobileNetV2"}
+	jobs := make([]orchestrator.JobSpec, 128)
+	for i := range jobs {
+		gpus := 2 + (i%3)*2
+		if i%50 == 0 {
+			gpus = 20
+		}
+		jobs[i] = orchestrator.JobSpec{
+			Arrival:  time.Duration(i) * 25 * time.Millisecond,
+			Tenant:   i * 37 % 128,
+			GPUs:     gpus,
+			Workload: workloads[i%3],
+			Epochs:   1, ItersPerEpoch: 1,
+		}
+	}
+	return jobs
+}
+
+// BenchOrchestratorPodBurst measures placement-heavy scheduling on the
+// cold 1024-GPU pod fleet: one op composes the fleet and places and runs
+// the 128-job PodBurstStream through the drawer-local policy, one Place
+// call per arrival against the whole fleet.
+func BenchOrchestratorPodBurst(b *testing.B) {
+	stream := PodBurstStream()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		fleet, err := cluster.ComposeFleet(env, PodFleetOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := orchestrator.Run(fleet, stream, orchestrator.Options{Policy: orchestrator.DrawerLocal{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Jobs) != len(stream) || res.FailedJobs != 0 {
+			b.Fatalf("incomplete pod burst run: %d results, %d failed", len(res.Jobs), res.FailedJobs)
 		}
 	}
 	b.ReportMetric(float64(b.N*len(stream))/b.Elapsed().Seconds(), "jobs/s")

@@ -24,8 +24,9 @@ import (
 type FaultScenario struct {
 	Fleet FleetScenario
 	Plan  faults.Plan
-	// MaxRetries is the per-job reschedule budget (0 = orchestrator
-	// default).
+	// MaxRetries is the per-job reschedule budget, with the convention of
+	// orchestrator.Options: 0 picks the orchestrator default, negative
+	// means no retries (SanitizeFaults normalises it to -1).
 	MaxRetries int
 }
 
@@ -98,7 +99,7 @@ func SanitizeFaults(sc FaultScenario) FaultScenario {
 	sc.Fleet = SanitizeFleet(sc.Fleet)
 	sc.Plan = faults.Sanitize(sc.Plan, faultBounds(sc.Fleet))
 	if sc.MaxRetries < 0 {
-		sc.MaxRetries = 0
+		sc.MaxRetries = -1
 	}
 	return sc
 }

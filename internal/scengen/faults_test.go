@@ -157,6 +157,45 @@ func TestSanitizeFaultsIdempotentAndValid(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxRetriesMeansNoRetries checks that a negative retry
+// budget survives SanitizeFaults as "no retries": a host crash under the
+// only job abandons it at the first kill, where the default budget lets
+// it recover.
+func TestNegativeMaxRetriesMeansNoRetries(t *testing.T) {
+	fleet := FleetScenario{Hosts: 1, GPUs: 8, Policy: "drawer", AttachLatency: -1,
+		Jobs: []orchestrator.JobSpec{{GPUs: 4, Workload: "ResNet-50", Epochs: 2, ItersPerEpoch: 8}}}
+	base, err := RunFaultyFleet(SanitizeFaults(FaultScenario{Fleet: fleet}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.Plan{Events: []faults.Event{
+		{At: base.Result.Makespan / 2, Kind: faults.KindHost, Target: 0, Repair: base.Result.Makespan},
+	}}
+	for _, tc := range []struct {
+		retries, sanitized int
+		failed             bool
+	}{
+		{-5, -1, true},
+		{0, 0, false},
+	} {
+		sc := SanitizeFaults(FaultScenario{Fleet: fleet, Plan: plan, MaxRetries: tc.retries})
+		if sc.MaxRetries != tc.sanitized {
+			t.Errorf("MaxRetries %d sanitized to %d, want %d", tc.retries, sc.MaxRetries, tc.sanitized)
+		}
+		out, err := RunFaultyFleet(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Err(); err != nil {
+			t.Fatal(err)
+		}
+		j := out.Result.Jobs[0]
+		if j.Failed != tc.failed || j.Retries != 1 {
+			t.Errorf("MaxRetries %d: job failed %v after %d kills, want failed %v after 1", tc.retries, j.Failed, j.Retries, tc.failed)
+		}
+	}
+}
+
 func TestStaticFaultScenariosAlwaysHeal(t *testing.T) {
 	sc := SanitizeFaults(FaultScenario{
 		Fleet: FleetScenario{Hosts: 3, GPUs: 12, Policy: "static",
