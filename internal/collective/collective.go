@@ -59,6 +59,9 @@ type Communicator struct {
 	// each channel then costs zero context switches: the stepper's
 	// continuation runs inline in the event dispatcher.
 	ringChans []*ringChannel
+	// execWG is the Exec variants' wait for the ring channels, reused
+	// across ops like the channels themselves.
+	execWG sim.WaitGroup
 }
 
 // ringChannel drives one counter-rotating ring channel as a stepper state
@@ -71,12 +74,14 @@ type ringChannel struct {
 	c       *Communicator
 	sp      *sim.Proc
 	reverse bool
-	specs   []fabric.TransferSpec
-	flows   []*fabric.Flow
-	chunk   units.Bytes
-	r       int
-	rounds  int
-	wg      *sim.WaitGroup
+	// legs is the round's transfers, one per rank to its ring neighbour,
+	// prepared on the channel's first round and re-armed on every round
+	// after it.
+	legs   *fabric.LegSet
+	chunk  units.Bytes
+	r      int
+	rounds int
+	wg     *sim.WaitGroup
 }
 
 // start primes the channel for one op and schedules its first step at the
@@ -93,34 +98,39 @@ func (rc *ringChannel) start(chunk units.Bytes, rounds int, wg *sim.WaitGroup) {
 //perf:hot
 func (rc *ringChannel) step() {
 	c := rc.c
-	if len(rc.flows) > 0 {
-		c.net.ReleaseFlows(&rc.flows)
+	if rc.legs == nil {
+		rc.prepare()
 	}
-	n := len(c.ring)
+	rc.legs.Release()
 	for rc.r < rc.rounds {
 		rc.r++
-		for i := 0; i < n; i++ {
-			src := c.gpus[c.ring[i]].Node
-			var dst fabric.NodeID
-			if rc.reverse {
-				dst = c.gpus[c.ring[(i+n-1)%n]].Node
-			} else {
-				dst = c.gpus[c.ring[(i+1)%n]].Node
-			}
-			rc.specs[i] = fabric.TransferSpec{Src: src, Dst: dst, Size: rc.chunk}
-		}
 		// The pad charges the round's protocol overhead beyond payload
 		// movement in the same event as the completion wake.
-		armed, err := c.net.ArmParallelTransfer(rc.sp, rc.specs, 1/c.eff-1, &rc.flows)
+		armed, err := rc.legs.Arm(rc.sp, rc.chunk, 1/c.eff-1)
 		if err != nil {
 			panic(err)
 		}
 		if armed {
 			return
 		}
-		c.net.ReleaseFlows(&rc.flows) // every leg finished instantly
+		rc.legs.Release() // every leg finished instantly
 	}
 	rc.wg.Done(c.env)
+}
+
+// prepare builds the channel's leg set: rank i of the ring sends to its
+// successor, or to its predecessor on a reverse channel.
+func (rc *ringChannel) prepare() {
+	c := rc.c
+	n := len(c.ring)
+	rc.legs = c.net.NewLegSet(n)
+	for i := 0; i < n; i++ {
+		next := (i + 1) % n
+		if rc.reverse {
+			next = (i + n - 1) % n
+		}
+		rc.legs.Add(c.gpus[c.ring[i]].Node, c.gpus[c.ring[next]].Node)
+	}
 }
 
 // SetChannels overrides the counter-rotating ring count (ablation knob;
@@ -138,11 +148,7 @@ func (c *Communicator) SetChannels(n int) {
 func (c *Communicator) buildChannels() {
 	c.ringChans = make([]*ringChannel, c.channels)
 	for ch := range c.ringChans {
-		rc := &ringChannel{
-			c:       c,
-			reverse: ch%2 == 1,
-			specs:   make([]fabric.TransferSpec, len(c.ring)),
-		}
+		rc := &ringChannel{c: c, reverse: ch%2 == 1}
 		rc.sp = c.env.NewStepper("ring-ch"+strconv.Itoa(ch), rc.step)
 		c.ringChans[ch] = rc
 	}
@@ -414,12 +420,11 @@ func (c *Communicator) runRingPasses(p *sim.Proc, size units.Bytes, passes int) 
 	if chunk <= 0 {
 		chunk = 1
 	}
-	var wg sim.WaitGroup
-	wg.Add(c.channels)
+	c.execWG.Add(c.channels)
 	for ch := 0; ch < c.channels; ch++ {
-		c.ringChans[ch].start(chunk, rounds, &wg)
+		c.ringChans[ch].start(chunk, rounds, &c.execWG)
 	}
-	wg.Wait(p)
+	c.execWG.Wait(p)
 }
 
 // runBroadcast sends the payload root → every other rank as concurrent

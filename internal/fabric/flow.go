@@ -34,6 +34,10 @@ type Network struct {
 	// routes is the route cache (see Route): one row of computed routes
 	// per source, indexed by NodeID.
 	routes [][]routeEntry
+	// graph is the graph generation, bumped with every change that drops
+	// the route cache (AddNode, Connect). A prepared LegSet resolved under
+	// an older generation is resolved again before it is armed.
+	graph uint64
 
 	// linkCons holds one persistent constraint per link direction, indexed
 	// by 2*LinkID (+1 for the B→A direction), created lazily on first use.
@@ -73,11 +77,14 @@ type Network struct {
 
 	// freeFlows recycles Flow structs whose transfer fully completed and
 	// whose waiter returned: the blocking helpers (Transfer,
-	// TransferLimited, ParallelTransfer) release their flows here, so the
-	// collective/storage traffic that dominates a training run reuses a
-	// handful of Flow structs — including their done-signal waiter arrays
-	// and cons backing — instead of allocating per transfer. Flows handed
-	// out by StartFlow escape to the caller and are simply never recycled.
+	// TransferLimited, ParallelTransfer), the arm forms and prepared leg
+	// sets release their flows here, so the collective/storage traffic that
+	// dominates a training run reuses a handful of Flow structs — including
+	// their done-signal waiter arrays and cons backing — instead of
+	// allocating per transfer. A flow handed out by StartFlow belongs to
+	// its caller, who returns it with ReleaseFlow once its Done has fired
+	// and nothing waits on it any more; one never released is simply not
+	// recycled.
 	freeFlows []*Flow
 	// legBufs and legSigs serve parallel transfers wider than a stack
 	// buffer (parallelStackWidth): legBufs recycles ParallelTransfer's flow
@@ -86,6 +93,11 @@ type Network struct {
 	// reference to it.
 	legBufs [][]*Flow
 	legSigs []*sim.Signal
+	// legs and legCons are the spec forms' resolution scratch (see
+	// resolve); legCons also holds a single flow's path constraints while
+	// StartFlowLimited admits it.
+	legs    []leg
+	legCons []*constraint
 
 	// alarm is the network's only completion timer: every recompute sets
 	// it to the next flow completion, replacing the instance it armed
@@ -254,7 +266,7 @@ func (st *constraint) capacity() float64 {
 
 // NewNetwork creates an empty fabric bound to a simulation environment.
 func NewNetwork(env *sim.Env) *Network {
-	n := &Network{env: env}
+	n := &Network{env: env, graph: 1}
 	n.flushFn = func() {
 		n.ensureAllocated()
 	}
@@ -351,7 +363,8 @@ func (n *Network) StartFlowLimited(src, dst NodeID, size units.Bytes, maxRate un
 		n.env.AfterSignal(lat, &f.done)
 		return f, nil
 	}
-	n.addFlow(f)
+	n.legCons = n.appendPathCons(n.legCons[:0], path)
+	n.addFlow(f, n.legCons)
 	n.recomputeSync()
 	return f, nil
 }
@@ -374,25 +387,37 @@ func (n *Network) takeFlow() *Flow {
 	return &Flow{net: n}
 }
 
-// releaseFlow recycles a flow whose Done signal has fired and whose
-// waiters have all returned. Only the blocking helpers call it — a flow
+// ReleaseFlow returns a flow to the pool once its Done signal has fired
+// and its waiters have all returned; the flow must not be used afterwards.
+// The blocking helpers and arm forms release their own flows. A flow
 // returned by StartFlow belongs to the caller, who may hold its Done
-// signal indefinitely.
+// signal as long as it likes and may hand it back here when done with it.
+// It panics if the flow has not completed.
 //
 //perf:hot
-func (n *Network) releaseFlow(f *Flow) {
+func (n *Network) ReleaseFlow(f *Flow) {
 	if !f.done.Fired() {
-		panic("fabric: releaseFlow on an incomplete flow")
+		panic("fabric: ReleaseFlow on an incomplete flow")
 	}
 	n.freeFlows = append(n.freeFlows, f)
 }
 
-// addFlow registers f with the active set and with the constraints on its
-// path — the only link state touched is the flow's own — and seeds the
-// next recompute with those constraints.
+// appendPathCons appends the link constraint of each hop of path to cons.
 //
 //perf:hot
-func (n *Network) addFlow(f *Flow) {
+func (n *Network) appendPathCons(cons []*constraint, path []dirLink) []*constraint {
+	for _, dl := range path {
+		cons = append(cons, n.linkConstraint(dl))
+	}
+	return cons
+}
+
+// addFlow registers f with the active set and with cons, the link
+// constraints of its path in path order — the only link state touched is
+// the flow's own — and seeds the next recompute with those constraints.
+//
+//perf:hot
+func (n *Network) addFlow(f *Flow, cons []*constraint) {
 	f.obsSpan = 0
 	if n.obs != nil {
 		f.obsSpan = n.obs.Begin(obs.CatFabric, "flow")
@@ -401,13 +426,12 @@ func (n *Network) addFlow(f *Flow) {
 	}
 	f.idx = len(n.flows)
 	n.flows = append(n.flows, f)
-	if cap(f.cons) < len(f.path)+1 {
-		f.cons = make([]flowCon, 0, len(f.path)+1)
+	if cap(f.cons) < len(cons)+1 {
+		f.cons = make([]flowCon, 0, len(cons)+1)
 	} else {
 		f.cons = f.cons[:0]
 	}
-	for _, dl := range f.path {
-		st := n.linkConstraint(dl)
+	for _, st := range cons {
 		st.flows = append(st.flows, conFlow{f: f, back: len(f.cons)})
 		if !st.active {
 			st.active = true
@@ -531,7 +555,7 @@ func (n *Network) ArmTransfer(sp *sim.Proc, t *TransferOp, src, dst NodeID, size
 func (n *Network) ArmTransferLimited(sp *sim.Proc, t *TransferOp, src, dst NodeID, size units.Bytes, maxRate units.BytesPerSec) (bool, error) {
 	if f := t.f; f != nil {
 		t.f = nil
-		n.releaseFlow(f)
+		n.ReleaseFlow(f)
 		return false, nil
 	}
 	f, err := n.StartFlowLimited(src, dst, size, maxRate)
@@ -542,7 +566,7 @@ func (n *Network) ArmTransferLimited(sp *sim.Proc, t *TransferOp, src, dst NodeI
 		t.f = f
 		return true, nil
 	}
-	n.releaseFlow(f)
+	n.ReleaseFlow(f)
 	return false, nil
 }
 
@@ -598,7 +622,7 @@ func (n *Network) ParallelTransferPadded(p *sim.Proc, xs []TransferSpec, padFact
 		p.Park()
 	}
 	for i, f := range flows {
-		n.releaseFlow(f)
+		n.ReleaseFlow(f)
 		flows[i] = nil
 	}
 	if wide != nil {
@@ -607,37 +631,78 @@ func (n *Network) ParallelTransferPadded(p *sim.Proc, xs []TransferSpec, padFact
 	return nil
 }
 
-// startLegs starts one flow per spec, appending to flows, with a single
-// fair-share recompute for the whole batch. On a routing error the legs
-// already admitted keep running (they were observably started); the error
-// is returned after their rates are fixed up.
+// leg is one resolved leg of a parallel transfer: its endpoints and size,
+// its route, the summed latency of the route's links (the endpoint
+// overhead is added as the leg starts) and con, the offset of the route's
+// link constraints, one per hop, in the owner's constraint block.
+type leg struct {
+	src, dst NodeID
+	size     units.Bytes
+	path     []dirLink
+	hopLat   time.Duration
+	con      int
+}
+
+// resolve routes legs in order and fills in each one's path, hop latency
+// and constraint offset, writing the constraints into cons, which is
+// reused when it has room and otherwise replaced by one block of exactly
+// the size needed. It stops at the first unreachable leg and returns the
+// legs resolved before it, the block and the routing error.
 //
 //perf:hot
-func (n *Network) startLegs(xs []TransferSpec, flows []*Flow) ([]*Flow, error) {
+func (n *Network) resolve(legs []leg, cons []*constraint) ([]leg, []*constraint, error) {
+	var err error
+	k, hops := 0, 0
+	for ; k < len(legs); k++ {
+		l := &legs[k]
+		if l.path, err = n.Route(l.src, l.dst); err != nil {
+			break
+		}
+		l.hopLat = 0
+		for _, dl := range l.path {
+			l.hopLat += dl.link.Latency
+		}
+		hops += len(l.path)
+	}
+	if cap(cons) < hops {
+		cons = make([]*constraint, 0, hops)
+	}
+	cons = cons[:0]
+	for i := range legs[:k] {
+		legs[i].con = len(cons)
+		cons = n.appendPathCons(cons, legs[i].path)
+	}
+	return legs[:k], cons, err
+}
+
+// armResolved is the one leg-arming body, behind both the spec forms and
+// prepared leg sets: it starts one flow per resolved leg, appending to
+// flows, with a single fair-share recompute for the whole batch, and
+// registers sp on their completion, padded by (T − now) × padFactor.
+// routeErr is the error that stopped resolution after legs: those legs
+// still start and keep running (they were observably admitted before the
+// unreachable one), sp is not registered and the error is returned. The
+// flow list comes back as a result, not through a pointer, so a caller's
+// stack buffer stays on the stack.
+//
+//perf:hot
+func (n *Network) armResolved(sp *sim.Proc, legs []leg, cons []*constraint, routeErr error, padFactor float64, flows []*Flow) ([]*Flow, bool, error) {
+	from := n.env.Now()
 	n.advance()
 	added := false
-	for _, x := range xs {
-		path, err := n.Route(x.Src, x.Dst)
-		if err != nil {
-			if added {
-				n.recompute() // flows already admitted must get rates
-			}
-			return flows, err
-		}
-		lat := n.EndpointOverhead
-		for _, dl := range path {
-			lat += dl.link.Latency
-		}
+	for i := range legs {
+		l := &legs[i]
+		lat := n.EndpointOverhead + l.hopLat
 		f := n.takeFlow()
-		f.Src, f.Dst, f.path = x.Src, x.Dst, path
-		f.remaining = float64(x.Size)
+		f.Src, f.Dst, f.path = l.src, l.dst, l.path
+		f.remaining = float64(l.size)
 		f.maxRate = 0
 		f.latency = lat
 		f.net = n
-		if f.remaining <= 0 || len(path) == 0 {
+		if f.remaining <= 0 || len(l.path) == 0 {
 			n.env.AfterSignal(lat, &f.done)
 		} else {
-			n.addFlow(f)
+			n.addFlow(f, cons[l.con:l.con+len(l.path)])
 			added = true
 		}
 		flows = append(flows, f)
@@ -645,7 +710,23 @@ func (n *Network) startLegs(xs []TransferSpec, flows []*Flow) ([]*Flow, error) {
 	if added {
 		n.recompute()
 	}
-	return flows, nil
+	if routeErr != nil {
+		return flows, false, routeErr
+	}
+	var buf [parallelStackWidth]*sim.Signal
+	sigs := buf[:0]
+	if len(flows) > len(buf) {
+		if cap(n.legSigs) < len(flows) {
+			n.legSigs = make([]*sim.Signal, 0, len(flows))
+		}
+		sigs = n.legSigs[:0]
+	}
+	for _, f := range flows {
+		sigs = append(sigs, &f.done)
+	}
+	armed := sim.ArmWaitAllPadded(sp, sigs, from, padFactor)
+	clear(sigs)
+	return flows, armed, nil
 }
 
 // ArmParallelTransfer is the stepper form of ParallelTransferPadded: it
@@ -664,33 +745,91 @@ func (n *Network) ArmParallelTransfer(sp *sim.Proc, xs []TransferSpec, padFactor
 	return armed, err
 }
 
-// armLegs starts every leg, appending to flows, and registers sp on their
-// completion: the body of both parallel forms. The flow list comes back
-// as a result, not through a pointer, so a caller's stack buffer stays on
-// the stack.
+// armLegs resolves xs into the network's scratch and arms them: the body
+// of both spec forms.
 //
 //perf:hot
 func (n *Network) armLegs(sp *sim.Proc, xs []TransferSpec, padFactor float64, flows []*Flow) ([]*Flow, bool, error) {
-	from := n.env.Now()
-	flows, err := n.startLegs(xs, flows)
-	if err != nil {
-		return flows, false, err
+	legs := n.legs[:0]
+	for _, x := range xs {
+		legs = append(legs, leg{src: x.Src, dst: x.Dst, size: x.Size})
 	}
-	var buf [parallelStackWidth]*sim.Signal
-	sigs := buf[:0]
-	if len(flows) > len(buf) {
-		if cap(n.legSigs) < len(flows) {
-			n.legSigs = make([]*sim.Signal, 0, len(flows))
-		}
-		sigs = n.legSigs[:0]
-	}
-	for _, f := range flows {
-		sigs = append(sigs, &f.done)
-	}
-	armed := sim.ArmWaitAllPadded(sp, sigs, from, padFactor)
-	clear(sigs)
-	return flows, armed, nil
+	n.legs = legs
+	legs, cons, err := n.resolve(legs, n.legCons)
+	n.legCons = cons
+	return n.armResolved(sp, legs, cons, err, padFactor, flows)
 }
+
+// LegSet is a parallel transfer resolved once and armed many times: the
+// legs of a collective ring channel, whose endpoints stay fixed while the
+// communicator lives. Arm starts every leg with one size and arms a
+// stepper on their completion, with exactly the calls and event positions
+// of ArmParallelTransfer over the same legs, but without routing, summing
+// latencies or looking up link constraints each time. A set resolved
+// before the graph changed (AddNode, Connect) is resolved again before it
+// is next armed.
+type LegSet struct {
+	n    *Network
+	legs []leg
+	// cons holds every leg's link constraints in one block, sized when the
+	// set is resolved.
+	cons []*constraint
+	// gen is the graph generation the legs were resolved under; 0 until
+	// they first are.
+	gen uint64
+	// size is the size the legs carry, set by Arm.
+	size units.Bytes
+	// flows holds the armed round's flows until Release.
+	flows []*Flow
+}
+
+// NewLegSet returns an empty leg set with room for legs legs. Nothing is
+// routed until the set is first armed.
+func (n *Network) NewLegSet(legs int) *LegSet {
+	return &LegSet{n: n, legs: make([]leg, 0, legs), flows: make([]*Flow, 0, legs)}
+}
+
+// Add appends a src→dst leg; legs start in the order they were added.
+func (s *LegSet) Add(src, dst NodeID) {
+	s.legs = append(s.legs, leg{src: src, dst: dst, size: s.size})
+	s.gen = 0
+}
+
+// Arm starts every leg with size bytes and registers sp to step when the
+// slowest completes, padded by (T − now) × padFactor, exactly as
+// ArmParallelTransfer does with the same legs in the same order. It
+// returns false, with no registration, if every leg finished instantly.
+// On a routing error the legs resolved before the unreachable one keep
+// running and the error is returned. The previous round's flows must have
+// gone back through Release.
+//
+//perf:hot
+func (s *LegSet) Arm(sp *sim.Proc, size units.Bytes, padFactor float64) (bool, error) {
+	n := s.n
+	if size != s.size {
+		for i := range s.legs {
+			s.legs[i].size = size
+		}
+		s.size = size
+	}
+	legs := s.legs
+	var err error
+	if s.gen != n.graph {
+		legs, s.cons, err = n.resolve(s.legs, s.cons)
+		if err == nil {
+			s.gen = n.graph
+		}
+	}
+	flows, armed, err := n.armResolved(sp, legs, s.cons, err, padFactor, s.flows[:0])
+	s.flows = flows
+	return armed, err
+}
+
+// Release returns the last round's flows to the pool; every one must have
+// completed.
+//
+//perf:hot
+func (s *LegSet) Release() { s.n.ReleaseFlows(&s.flows) }
 
 // ReleaseFlows returns a batch of completed flows to the pool and
 // truncates the slice in place.
@@ -698,7 +837,7 @@ func (n *Network) armLegs(sp *sim.Proc, xs []TransferSpec, padFactor float64, fl
 //perf:hot
 func (n *Network) ReleaseFlows(fs *[]*Flow) {
 	for i, f := range *fs {
-		n.releaseFlow(f)
+		n.ReleaseFlow(f)
 		(*fs)[i] = nil
 	}
 	*fs = (*fs)[:0]

@@ -80,6 +80,11 @@ func (l *Link) BytesAtoB() units.Bytes { return units.Bytes(l.bytesAtoB) }
 // BytesBtoA returns cumulative bytes moved B→A.
 func (l *Link) BytesBtoA() units.Bytes { return units.Bytes(l.bytesBtoA) }
 
+// ExactBytes returns the cumulative A→B and B→A counters as the flow
+// engine keeps them, before BytesAtoB and BytesBtoA truncate them to whole
+// bytes. Oracles compare them bit for bit.
+func (l *Link) ExactBytes() (atob, btoa float64) { return l.bytesAtoB, l.bytesBtoA }
+
 // dirLink is one direction of a Link.
 type dirLink struct {
 	link    *Link
@@ -126,6 +131,7 @@ func (n *Network) addGraphStructures(l *Link) {
 	n.degree[l.A]++
 	n.degree[l.B]++
 	n.routes = nil
+	n.graph++
 }
 
 // addAdj appends an out-link to a node. A node's first out-link comes from
@@ -180,6 +186,7 @@ func (n *Network) AddNode(name string, kind NodeKind) NodeID {
 	n.adj = append(n.adj, nil)
 	n.degree = append(n.degree, 0)
 	n.routes = nil
+	n.graph++
 	return id
 }
 

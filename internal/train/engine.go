@@ -78,7 +78,7 @@ func (j *Job) spawn(rankStr []string) {
 	for i := range feeders {
 		f := &feeders[i]
 		f.j, f.rank, f.dev = j, i, j.sys.GPUs[i]
-		f.inflight = sim.NewResource("h2dbuf"+rankStr[i], 2)
+		f.inflight = sim.NewResource("h2dbuf"+rankStr[i], len(f.items))
 		env.Spawn(&f.proc, "feeder"+rankStr[i], f)
 	}
 	ranks := make([]ranker, j.nGPU)
@@ -234,6 +234,12 @@ type feeder struct {
 	inflight *sim.Resource
 	it       int
 	buffered bool // a pinned buffer is being acquired for iteration it
+	// items holds one h2dItem per pinned buffer, handed out in turn. A copy
+	// starts only once it holds a buffer, and the rank frees buffers in
+	// copy order after it is done with the copy's item, so the item a new
+	// copy takes is never still in use.
+	items [2]h2dItem
+	next  int
 }
 
 //perf:hot
@@ -265,7 +271,10 @@ func (f *feeder) Step() {
 		if err != nil {
 			panic(err)
 		}
-		j.h2dReady[f.rank].Put(j.env, &h2dItem{done: fl.Done(), buf: f.inflight})
+		item := &f.items[f.next]
+		f.next = (f.next + 1) % len(f.items)
+		item.flow, item.buf = fl, f.inflight
+		j.h2dReady[f.rank].Put(j.env, item)
 		f.it++
 	}
 }
@@ -353,12 +362,11 @@ func (r *ranker) Step() {
 			}
 			r.item = v.(*h2dItem)
 			r.stage = rkCopied
-			if r.item.done.Arm(sp) {
+			if r.item.flow.Done().Arm(sp) {
 				return
 			}
 		case rkCopied:
-			r.item.buf.Release(env, 1)
-			r.item = nil
+			r.copied()
 			r.stage = rkLaunch
 		case rkLaunch:
 			// Host-side dispatch (kernel launches, optimizer glue): CPU
@@ -502,15 +510,27 @@ func (r *ranker) Step() {
 			}
 			r.item = v.(*h2dItem)
 			r.stage = rkDrainCopied
-			if r.item.done.Arm(sp) {
+			if r.item.flow.Done().Arm(sp) {
 				return
 			}
 		case rkDrainCopied:
-			r.item.buf.Release(env, 1)
-			r.item = nil
+			r.copied()
 			r.stage = rkDrain
 		}
 	}
+}
+
+// copied retires the input copy that has landed: its flow goes back to
+// the fabric's pool and its pinned buffer to the feeder, which may then
+// reuse the item.
+//
+//perf:hot
+func (r *ranker) copied() {
+	it := r.item
+	r.item = nil
+	r.j.sys.Net.ReleaseFlow(it.flow)
+	it.flow = nil
+	it.buf.Release(r.j.env, 1)
 }
 
 // epochEnd records rank 0's epoch boundary.

@@ -261,7 +261,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 				if err != nil {
 					panic(err)
 				}
-				h2dReady[rank].Put(env, &h2dItem{done: f.Done(), buf: inflight})
+				h2dReady[rank].Put(env, &h2dItem{flow: f, buf: inflight})
 			}
 		})
 	}
@@ -300,7 +300,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 					panic("train: feeder closed early")
 				}
 				item := v.(*h2dItem)
-				item.done.Wait(p)
+				item.flow.Done().Wait(p)
 				item.buf.Release(env, 1)
 
 				// Host-side dispatch (kernel launches, optimizer glue):
@@ -391,7 +391,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 						break
 					}
 					item := v.(*h2dItem)
-					item.done.Wait(p)
+					item.flow.Done().Wait(p)
 					item.buf.Release(env, 1)
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"composable/internal/cluster"
 	"composable/internal/collective"
 	"composable/internal/dlmodel"
+	"composable/internal/fabric"
 	"composable/internal/gpu"
 	"composable/internal/obs"
 	"composable/internal/sim"
@@ -452,8 +453,11 @@ func (j *Job) Collect() (*Result, error) {
 	return res, nil
 }
 
+// h2dItem is one started H2D input copy on its way from a feeder to its
+// rank: the copy's flow, which the rank releases once it has landed, and
+// the pinned buffer it occupies.
 type h2dItem struct {
-	done *sim.Signal
+	flow *fabric.Flow
 	buf  *sim.Resource
 }
 
