@@ -63,7 +63,8 @@ func TestFaultScenarioSweep(t *testing.T) {
 			defer wg.Done()
 			for seed := range seeds {
 				sc := FaultsFromSeed(seed)
-				first, err := RunFaultyFleet(sc)
+				env, digest := newSweepEnv()
+				first, err := RunFaultyFleetOn(env, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
@@ -72,7 +73,8 @@ func TestFaultScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
 				}
-				second, err := RunFaultyFleet(sc)
+				env2, digest2 := newSweepEnv()
+				second, err := RunFaultyFleetOn(env2, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
@@ -81,10 +83,12 @@ func TestFaultScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
 				}
-				pins.record(seed, first.Fingerprint)
+				pins.record(seed, first.Fingerprint, digest)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process faulty runs diverged:\n--- first\n%s--- second\n%s",
 						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
+				} else if digest.Sum() != digest2.Sum() {
+					fail("seed %d (%s): two in-process faulty runs dispatched different events", seed, sc.ID())
 				}
 			}
 		}()

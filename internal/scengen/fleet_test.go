@@ -61,7 +61,8 @@ func TestFleetScenarioSweep(t *testing.T) {
 			defer wg.Done()
 			for seed := range seeds {
 				sc := FleetFromSeed(seed)
-				first, err := RunFleet(sc)
+				env, digest := newSweepEnv()
+				first, err := RunFleetOn(env, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
@@ -70,7 +71,8 @@ func TestFleetScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
 				}
-				second, err := RunFleet(sc)
+				env2, digest2 := newSweepEnv()
+				second, err := RunFleetOn(env2, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
@@ -79,10 +81,12 @@ func TestFleetScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
 				}
-				pins.record(seed, first.Fingerprint)
+				pins.record(seed, first.Fingerprint, digest)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process fleet runs diverged:\n--- first\n%s--- second\n%s",
 						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
+				} else if digest.Sum() != digest2.Sum() {
+					fail("seed %d (%s): two in-process fleet runs dispatched different events", seed, sc.ID())
 				}
 			}
 		}()
@@ -143,7 +147,8 @@ func TestPodScenarioSweep(t *testing.T) {
 			defer wg.Done()
 			for seed := range seeds {
 				sc := PodFleetFromSeed(seed)
-				first, err := RunFleet(sc)
+				env, digest := newSweepEnv()
+				first, err := RunFleetOn(env, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
@@ -152,7 +157,8 @@ func TestPodScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
 				}
-				second, err := RunFleet(sc)
+				env2, digest2 := newSweepEnv()
+				second, err := RunFleetOn(env2, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
@@ -161,10 +167,12 @@ func TestPodScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
 				}
-				pins.record(seed, first.Fingerprint)
+				pins.record(seed, first.Fingerprint, digest)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process pod fleet runs diverged:\n--- first\n%s--- second\n%s",
 						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
+				} else if digest.Sum() != digest2.Sum() {
+					fail("seed %d (%s): two in-process pod fleet runs dispatched different events", seed, sc.ID())
 				}
 			}
 		}()

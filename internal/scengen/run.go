@@ -36,17 +36,18 @@ func (o *Outcome) Err() error { return o.Inv.Err() }
 // post-run structural checks. A non-nil error means the scenario failed to
 // compose or train; invariant violations are reported on the Outcome.
 func Run(sc Scenario) (*Outcome, error) {
-	return run(sc, 1)
+	return run(sim.NewEnv(), sc, 1)
 }
 
-// run is Run with the fabric speedup used by the metamorphic checks:
-// before any flow starts, every link capacity is multiplied by linkScale.
-func run(sc Scenario, linkScale float64) (*Outcome, error) {
+// run is Run on a caller-supplied fresh environment (the sweep attaches
+// an event digest first), with the fabric speedup used by the
+// metamorphic checks: before any flow starts, every link capacity is
+// multiplied by linkScale.
+func run(env *sim.Env, sc Scenario, linkScale float64) (*Outcome, error) {
 	opts, err := sc.Options()
 	if err != nil {
 		return nil, err
 	}
-	env := sim.NewEnv()
 	sys, err := cluster.Compose(env, sc.Config())
 	if err != nil {
 		return nil, fmt.Errorf("scengen: compose %s: %w", sc.ID(), err)
@@ -140,7 +141,7 @@ func CheckFasterFabricNotSlower(sc Scenario) error {
 	if berr := base.Err(); berr != nil {
 		return fmt.Errorf("scengen: baseline run of %s: %w", sc.ID(), berr)
 	}
-	fast, err := run(sc, fasterFabricScale)
+	fast, err := run(sim.NewEnv(), sc, fasterFabricScale)
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,8 @@ func TestScenarioSweep(t *testing.T) {
 			defer wg.Done()
 			for j := range jobs {
 				sc := FromSeed(j.seed)
-				first, err := Run(sc)
+				env, digest := newSweepEnv()
+				first, err := run(env, sc, 1)
 				if err != nil {
 					fail("seed %d (%s): %v", j.seed, sc.ID(), err)
 					continue
@@ -76,7 +77,8 @@ func TestScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): %v", j.seed, sc.ID(), err)
 					continue
 				}
-				second, err := Run(sc)
+				env2, digest2 := newSweepEnv()
+				second, err := run(env2, sc, 1)
 				if err != nil {
 					fail("seed %d (%s): repeat: %v", j.seed, sc.ID(), err)
 					continue
@@ -85,10 +87,14 @@ func TestScenarioSweep(t *testing.T) {
 					fail("seed %d (%s): repeat: %v", j.seed, sc.ID(), err)
 					continue
 				}
-				pins.record(j.seed, first.Fingerprint)
+				pins.record(j.seed, first.Fingerprint, digest)
 				if first.Fingerprint != second.Fingerprint {
 					fail("seed %d (%s): two in-process runs diverged:\n--- first\n%s--- second\n%s",
 						j.seed, sc.ID(), first.Fingerprint, second.Fingerprint)
+					continue
+				}
+				if digest.Sum() != digest2.Sum() {
+					fail("seed %d (%s): two in-process runs dispatched different events", j.seed, sc.ID())
 					continue
 				}
 				var merr error
