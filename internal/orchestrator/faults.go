@@ -100,7 +100,6 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 		GPU: func(slot int, up bool) {
 			s.capAccrue(s.now())
 			s.slotFaulty[slot] = !up
-			s.recountLive()
 			s.syncSlot(slot)
 			if up {
 				s.slotRepaired(slot)
@@ -112,14 +111,11 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 		Drawer: func(drawer int, up bool) {
 			s.capAccrue(s.now())
 			s.drawerDown[drawer] = !up
-			s.recountLive()
-			for i := s.view.idx.drawerStart[drawer]; i < s.view.idx.drawerStart[drawer+1]; i++ {
+			lo, hi := s.view.idx.drawerStart[drawer], s.view.idx.drawerStart[drawer+1]
+			for i := lo; i < hi; i++ {
 				s.syncSlot(i)
 			}
-			for i, slot := range f.Slots {
-				if slot.Drawer != drawer {
-					continue
-				}
+			for i := lo; i < hi; i++ {
 				if up {
 					// Probe every returning slot before any scheduling, so
 					// a placement never races its own slots' up events.
@@ -136,7 +132,6 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 			now := s.now()
 			s.capAccrue(now)
 			s.podDown[pod] = !up
-			s.recountLive()
 			for i, slot := range f.Slots {
 				if slot.Pod == pod {
 					s.syncSlot(i)
@@ -204,40 +199,16 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 	})
 	inj.Arm()
 	s.injector = inj
-	s.capTracking = true
-	s.liveSlots = len(f.Slots)
 }
 
 // capAccrue advances the live-capacity integral to now. Exact as long as
 // it runs before every availability flip: liveSlots is piecewise constant
 // between fault events.
 func (s *scheduler) capAccrue(now time.Duration) {
-	if !s.capTracking {
-		return
-	}
 	if now > s.capLastT {
 		s.capGPUSec += float64(s.liveSlots) * (now - s.capLastT).Seconds()
 	}
 	s.capLastT = now
-}
-
-// recountLive rescans slot availability after fault flags changed. A full
-// scan (not a delta) so overlapping faults — a GPU dying inside a downed
-// drawer inside a downed pod — never double-count.
-func (s *scheduler) recountLive() {
-	if !s.capTracking {
-		return
-	}
-	live := 0
-	for i := range s.fleet.Slots {
-		if s.slotAvailable(i) {
-			live++
-		}
-	}
-	s.liveSlots = live
-	if live < len(s.fleet.Slots) {
-		s.capEverDown = true
-	}
 }
 
 // hostAvailable reports whether a host can receive placements: it hasn't
@@ -245,10 +216,7 @@ func (s *scheduler) recountLive() {
 //
 //perf:hot
 func (s *scheduler) hostAvailable(h int) bool {
-	if s.hostDown != nil && s.hostDown[h] {
-		return false
-	}
-	return len(s.podDown) == 0 || !s.podDown[s.fleet.Hosts[h].Pod]
+	return !s.hostDown[h] && !s.podDown[s.fleet.Hosts[h].Pod]
 }
 
 // slotAvailable reports whether a slot is schedulable: its device healthy,
@@ -256,14 +224,8 @@ func (s *scheduler) hostAvailable(h int) bool {
 //
 //perf:hot
 func (s *scheduler) slotAvailable(i int) bool {
-	if s.slotFaulty == nil {
-		return true
-	}
 	slot := s.fleet.Slots[i]
-	if s.slotFaulty[i] || s.drawerDown[slot.Drawer] {
-		return false
-	}
-	return len(s.podDown) == 0 || !s.podDown[slot.Pod]
+	return !s.slotFaulty[i] && !s.drawerDown[slot.Drawer] && !s.podDown[slot.Pod]
 }
 
 // slotLost handles a slot leaving the pool: hot-unplug from the control
@@ -277,13 +239,14 @@ func (s *scheduler) slotLost(i int, cause string) {
 	s.account(now)
 	slot := s.fleet.Slots[i]
 	ref := slot.Ref
-	if s.slotHost[i] != -1 && s.fleet.ChassisFor(slot).Owner(ref) != "" {
+	sv := &s.view.Slots[i]
+	if sv.Host != -1 && s.fleet.ChassisFor(slot).Owner(ref) != "" {
 		if err := s.fleet.DetachSlot(slot); err != nil {
 			s.err = fmt.Errorf("orchestrator: unplugging failed slot %v: %w", ref, err)
 			return
 		}
 	}
-	s.slotHost[i] = -1
+	sv.Host = -1
 	s.syncSlot(i)
 	s.probe(Event{Kind: EventSlotDown, At: now, Job: -1, Host: -1, Slots: []falcon.SlotRef{ref}, Indices: []int{i}})
 	if id := s.slotJob[i]; id != -1 {

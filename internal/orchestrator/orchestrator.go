@@ -288,7 +288,6 @@ type scheduler struct {
 	queue []*jobState // arrived, not yet placed; strict FIFO
 
 	slotJob  []int // per slot: owning job ID, -1 free
-	slotHost []int // per slot: attached host index, -1 detached
 	hostGPUs []int // assigned GPUs per host
 	hostJobs []int // assigned jobs per host
 
@@ -302,18 +301,17 @@ type scheduler struct {
 	drawerDown []bool
 	podDown    []bool
 	hostDown   []bool
-	slotConfig []int // compose-time owner per slot (-1 on a cold fleet)
 	maxRetries int
 	injector   *faults.Injector
 	track      *obs.Track
 	kills      int
 
-	// Live-capacity integral (armed runs only): ∫ live GPUs dt up to
-	// capLastT, advanced by capAccrue before any availability flag flips.
-	// Utilization divides by this instead of fleet GPUs × makespan once
-	// capacity ever dipped, so a permanently failed device stops dragging
-	// the ratio below what the surviving fleet actually delivered.
-	capTracking    bool
+	// Live-capacity integral: ∫ live GPUs dt up to capLastT, advanced by
+	// capAccrue before any availability flag flips. liveSlots counts the
+	// slots not Down, kept by syncSlot. Utilization divides by the
+	// integral instead of fleet GPUs × makespan once capacity ever dipped,
+	// so a permanently failed device stops dragging the ratio below what
+	// the surviving fleet actually delivered.
 	capGPUSec      float64
 	capLastT       time.Duration
 	capIntAtFinish float64 // integral snapshotted at the last job finish
@@ -327,8 +325,9 @@ type scheduler struct {
 
 	// Live placement state: the View handed to every Place call, built once
 	// by buildView and kept current by syncSlot and syncHost wherever a
-	// slot's owner, attachment or health, or a host's availability,
-	// changes, together with its free-slot index. Then come the policy
+	// slot's owner or health, or a host's availability, changes, together
+	// with its free-slot index. It is the scheduler's only record of slot
+	// attachment: place and slotLost write Slots[i].Host in place. Then come the policy
 	// scoring buffers and the epoch-stamped duplicate check in
 	// checkPlacement (seenGen bumps instead of clearing; a slot is "seen"
 	// when its stamp matches the current generation).
@@ -388,7 +387,6 @@ func newScheduler(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*sched
 		fleet:      f,
 		opts:       opts,
 		slotJob:    make([]int, len(f.Slots)),
-		slotHost:   make([]int, len(f.Slots)),
 		hostGPUs:   make([]int, len(f.Hosts)),
 		hostJobs:   make([]int, len(f.Hosts)),
 		slotFaulty: make([]bool, len(f.Slots)),
@@ -397,12 +395,11 @@ func newScheduler(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*sched
 		hostDown:   make([]bool, len(f.Hosts)),
 		maxRetries: maxRetries,
 		track:      obs.NewTrack("faults"),
+		liveSlots:  len(f.Slots),
 	}
 	for i := range f.Slots {
 		s.slotJob[i] = -1
-		s.slotHost[i] = f.OwnerHost(f.Slots[i])
 	}
-	s.slotConfig = append([]int(nil), s.slotHost...)
 	s.buildView()
 	devSpec := f.Slots[0].Dev.Spec
 	for i := range specs {
@@ -456,12 +453,7 @@ func (s *scheduler) obsSetup(c *obs.Collector) {
 	s.obsRetries = reg.Counter("orchestrator.retries")
 	s.obsKills = reg.Counter("orchestrator.kills")
 	reg.Gauge("orchestrator.queue_depth", func() float64 { return float64(len(s.queue)) })
-	reg.Gauge("orchestrator.live_gpus", func() float64 {
-		if s.capTracking {
-			return float64(s.liveSlots)
-		}
-		return float64(len(s.fleet.Slots))
-	})
+	reg.Gauge("orchestrator.live_gpus", func() float64 { return float64(s.liveSlots) })
 	reg.Gauge("orchestrator.stranded_gpus", func() float64 { return float64(s.view.idx.free) })
 	if s.injector != nil {
 		s.injector.SetObs(c)
@@ -590,14 +582,15 @@ func (s *scheduler) place(js *jobState, host int, picks []int) {
 		js.slots = append(js.slots, slot)
 		js.refs = append(js.refs, slot.Ref)
 		js.indices = append(js.indices, i)
-		if s.slotHost[i] != host {
+		sv := &s.view.Slots[i]
+		if sv.Host != host {
 			// Recomposition: advanced mode re-allocates on the fly; a
 			// detached device attaches, an attached one reassigns in a single
 			// step. The fleet routes the op through the slot's own chassis,
 			// over its local host port or the pod fabric port for a
 			// cross-chassis composition.
 			var err error
-			if s.slotHost[i] == -1 {
+			if sv.Host == -1 {
 				err = s.fleet.AttachSlot(slot, h)
 			} else {
 				err = s.fleet.ReassignSlot(slot, h)
@@ -606,7 +599,7 @@ func (s *scheduler) place(js *jobState, host int, picks []int) {
 				s.err = fmt.Errorf("orchestrator: recomposing %v for job %d: %w", slot.Ref, js.spec.ID, err)
 				return
 			}
-			s.slotHost[i] = host
+			sv.Host = host
 			moves++
 			if s.obs != nil {
 				ev := s.obs.Instant(obs.CatOrchestrator, "recompose")
@@ -745,20 +738,20 @@ func (s *scheduler) finish(js *jobState, now time.Duration) {
 		js.runSpan = 0
 	}
 	s.settle()
-	if s.capTracking {
-		// Snapshot the capacity integral at every finish; the last one wins
-		// and is exactly ∫ live GPUs dt over [0, makespan].
-		s.capAccrue(now)
-		s.capIntAtFinish = s.capGPUSec
-	}
+	// Snapshot the capacity integral at every finish; the last one wins and
+	// is exactly ∫ live GPUs dt over [0, makespan].
+	s.capAccrue(now)
+	s.capIntAtFinish = s.capGPUSec
 	s.probe(Event{Kind: EventFinish, At: now, Job: js.spec.ID, Host: js.host, Slots: js.refs, Indices: js.indices})
 	s.trySchedule()
 }
 
 // buildView builds the live View once, before the run: the hierarchy
-// extents, the static per-slot and per-host fields, every slot's and
-// host's initial state, and the free-slot index. From then on syncSlot
-// and syncHost keep it current, so handing it to a policy costs nothing.
+// mapping, the static per-slot and per-host fields, every slot's owner
+// as read from the chassis control plane (also its static Config), every
+// slot's and host's initial state, and the free-slot index. From then on
+// syncSlot and syncHost keep it current, so handing it to a policy costs
+// nothing.
 func (s *scheduler) buildView() {
 	f := s.fleet
 	cpp := f.Opts.ChassisPerPod
@@ -774,8 +767,6 @@ func (s *scheduler) buildView() {
 	s.view = View{
 		Hosts:             len(f.Hosts),
 		Drawers:           f.NumDrawers(),
-		Pods:              f.NumPods(),
-		Chassis:           f.NumChassis(),
 		DrawersPerChassis: falcon.NumDrawers,
 		ChassisPerPod:     cpp,
 		HostActiveGPUs:    s.hostGPUs,
@@ -790,12 +781,14 @@ func (s *scheduler) buildView() {
 		s.syncHost(h)
 	}
 	for i, slot := range f.Slots {
+		owner := f.OwnerHost(slot)
 		s.view.Slots[i] = SlotView{
 			Index:   i,
 			Drawer:  slot.Drawer,
 			Chassis: slot.ChassisIdx,
 			Pod:     slot.Pod,
-			Config:  s.slotConfig[i],
+			Host:    owner,
+			Config:  owner,
 		}
 	}
 	s.view.idx = newSlotIndex(s.view.Slots, s.view.Drawers)
@@ -804,10 +797,10 @@ func (s *scheduler) buildView() {
 	}
 }
 
-// syncSlot refreshes slot i's SlotView and the free-slot index from the
-// scheduler's state. It must run after every change to slotJob[i],
-// slotHost[i] or a fault flag covering the slot, before anything reads
-// the View or the free count.
+// syncSlot refreshes slot i's Free and Down flags, the free-slot index
+// and the live-slot count from the scheduler's state. It must run after
+// every change to slotJob[i] or a fault flag covering the slot, before
+// anything reads the View, the free count or liveSlots.
 //
 //perf:hot
 func (s *scheduler) syncSlot(i int) {
@@ -822,7 +815,15 @@ func (s *scheduler) syncSlot(i int) {
 		s.view.idx.free += delta
 		s.view.idx.drawerFree[sv.Drawer] += delta
 	}
-	sv.Host, sv.Free, sv.Down = s.slotHost[i], free, down
+	if down != sv.Down {
+		if down {
+			s.liveSlots--
+			s.capEverDown = true
+		} else {
+			s.liveSlots++
+		}
+	}
+	sv.Free, sv.Down = free, down
 }
 
 // syncHost refreshes host h's entry in the View after its own or its

@@ -5,21 +5,17 @@ import (
 	"strings"
 )
 
-// View is the scheduler state a Policy decides over. The scheduler's View
-// is live: one View, kept current in place as slots and hosts change, is
-// handed to every Place call, so a policy must neither retain it across
-// calls nor modify it.
+// View is the scheduler state a Policy decides over. Only the scheduler
+// builds one, and it is live: one View, kept current in place as slots
+// and hosts change, is handed to every Place call, so a policy must
+// neither retain it across calls nor modify it.
 type View struct {
 	Hosts int
 	// Drawers is the fleet-global drawer index space (chassis ×
 	// falcon.NumDrawers in a pod fleet).
 	Drawers int
-	// Pods / Chassis are the hierarchy extents (both 1 in the degenerate
-	// single-chassis shape, or on a hand-built View that leaves them 0).
-	Pods    int
-	Chassis int
 	// DrawersPerChassis and ChassisPerPod map a global drawer index back
-	// to its chassis and pod (zero on hand-built flat Views).
+	// to its chassis and pod.
 	DrawersPerChassis int
 	ChassisPerPod     int
 	// Slots in fleet slot order. The order is drawer-contiguous: every
@@ -30,21 +26,17 @@ type View struct {
 	// running) resources per host.
 	HostActiveGPUs []int
 	HostActiveJobs []int
-	// HostChassis / HostPod locate each host in the hierarchy. Nil on
-	// hand-built flat Views (everything co-located).
+	// HostChassis / HostPod locate each host in the hierarchy.
 	HostChassis []int
 	HostPod     []int
-	// HostUp marks hosts that have not crashed. Nil (a fault-free
-	// scheduler build) means every host is up.
+	// HostUp marks hosts that can take placements: neither crashed nor
+	// in a pod that lost power.
 	HostUp []bool
 
-	// scratch, when set by the scheduler, provides the policy helpers
-	// reusable buffers so the hot placement path allocates nothing. A
-	// hand-built View (tests, external callers) leaves it nil and the
-	// helpers fall back to allocating.
+	// scratch provides the policy helpers reusable buffers so the hot
+	// placement path allocates nothing.
 	scratch *policyScratch
-	// idx, when set by the scheduler, is its maintained free-slot index. A
-	// hand-built View leaves it nil and index derives one from Slots.
+	// idx is the scheduler's maintained free-slot index.
 	idx *slotIndex
 }
 
@@ -78,19 +70,6 @@ func newSlotIndex(slots []SlotView, drawers int) *slotIndex {
 	return x
 }
 
-// index returns the scheduler's free-slot index, or derives one from
-// Slots for a hand-built View (which may leave Drawers short or zero).
-func (v View) index() *slotIndex {
-	if v.idx != nil {
-		return v.idx
-	}
-	drawers := v.Drawers
-	if n := len(v.Slots); n > 0 && v.Slots[n-1].Drawer >= drawers {
-		drawers = v.Slots[n-1].Drawer + 1
-	}
-	return newSlotIndex(v.Slots, drawers)
-}
-
 // policyScratch is the scheduler-owned buffer set behind allocation-free
 // policy scoring. Buffers are only valid for the duration of one Place
 // call; the picks returned to the scheduler are consumed before the next
@@ -103,54 +82,22 @@ type policyScratch struct {
 	load  []int      // BandwidthAware: per-drawer active-device counts
 }
 
-// pickBuf returns a zero-length int buffer with at least the given
-// capacity, reusing scratch when available.
+// pickBuf returns the scratch pick buffer, empty, with at least the given
+// capacity.
 func (v View) pickBuf(n int) []int {
-	if sc := v.scratch; sc != nil {
-		if cap(sc.picks) < n {
-			sc.picks = make([]int, 0, n)
-		}
-		sc.picks = sc.picks[:0]
-		return sc.picks
+	sc := v.scratch
+	if cap(sc.picks) < n {
+		sc.picks = make([]int, 0, n)
 	}
-	//lint:allow hotalloc(fallback for hand-built Views without scratch)
-	return make([]int, 0, n)
-}
-
-// hostUp reports whether host h is schedulable.
-func (v View) hostUp(h int) bool { return v.HostUp == nil || v.HostUp[h] }
-
-// hostChassis / hostPod locate a host; hand-built Views without the
-// arrays are flat (everything co-located).
-func (v View) hostChassis(h int) int {
-	if v.HostChassis == nil {
-		return 0
-	}
-	return v.HostChassis[h]
-}
-
-func (v View) hostPod(h int) int {
-	if v.HostPod == nil {
-		return 0
-	}
-	return v.HostPod[h]
+	sc.picks = sc.picks[:0]
+	return sc.picks
 }
 
 // drawerChassis / drawerPod map a global drawer index to its place in the
-// hierarchy (identity-flat when the mapping fields are unset).
-func (v View) drawerChassis(d int) int {
-	if v.DrawersPerChassis <= 0 {
-		return 0
-	}
-	return d / v.DrawersPerChassis
-}
+// hierarchy.
+func (v View) drawerChassis(d int) int { return d / v.DrawersPerChassis }
 
-func (v View) drawerPod(d int) int {
-	if v.ChassisPerPod <= 0 {
-		return 0
-	}
-	return v.drawerChassis(d) / v.ChassisPerPod
-}
+func (v View) drawerPod(d int) int { return v.drawerChassis(d) / v.ChassisPerPod }
 
 // distTier ranks fabric distance from a host's adapter: 0 same chassis
 // (drawer-switch hops only), 1 same pod (through the leaf switch), 2
@@ -171,7 +118,7 @@ type SlotView struct {
 	Index  int
 	Drawer int // fleet-global drawer index
 	// Pod and Chassis locate the slot in the hierarchy (zero in the
-	// degenerate shape and on hand-built flat Views).
+	// degenerate shape).
 	Pod     int
 	Chassis int
 	// Host the slot is currently attached to (-1 detached). A free slot
@@ -278,7 +225,7 @@ func sortInts(xs []int) {
 func leastLoadedHost(v View) int {
 	best := -1
 	for h := 0; h < v.Hosts; h++ {
-		if !v.hostUp(h) {
+		if !v.HostUp[h] {
 			continue
 		}
 		switch {
@@ -321,7 +268,7 @@ func (FirstFit) Name() string { return "firstfit" }
 //
 //perf:hot
 func (FirstFit) Place(v View, r Request) (int, []int, bool) {
-	if v.index().free < r.GPUs {
+	if v.idx.free < r.GPUs {
 		return 0, nil, false
 	}
 	picks := v.pickBuf(r.GPUs)
@@ -335,7 +282,7 @@ func (FirstFit) Place(v View, r Request) (int, []int, bool) {
 	}
 	// Lowest-index host that hasn't crashed (host 1 absent faults).
 	for h := 0; h < v.Hosts; h++ {
-		if v.hostUp(h) {
+		if v.HostUp[h] {
 			return h, picks, true
 		}
 	}
@@ -356,7 +303,7 @@ func (DrawerLocal) Name() string { return "drawer" }
 //
 //perf:hot
 func (DrawerLocal) Place(v View, r Request) (int, []int, bool) {
-	x := v.index()
+	x := v.idx
 	if x.free < r.GPUs {
 		return 0, nil, false
 	}
@@ -364,7 +311,7 @@ func (DrawerLocal) Place(v View, r Request) (int, []int, bool) {
 	if host == -1 {
 		return 0, nil, false
 	}
-	hc, hp := v.hostChassis(host), v.hostPod(host)
+	hc, hp := v.HostChassis[host], v.HostPod[host]
 	// Single-drawer placements first: among drawers that fit the whole
 	// job, take the one whose best slots need the fewest moves (ties:
 	// closer to the host, then lower drawer index; in the degenerate
@@ -393,11 +340,8 @@ func (DrawerLocal) Place(v View, r Request) (int, []int, bool) {
 		}
 	}
 	if win != -1 {
-		var cands []SlotView
-		var best []int
-		if sc := v.scratch; sc != nil {
-			cands, best = sc.cands[:0], sc.best[:0]
-		}
+		sc := v.scratch
+		cands, best := sc.cands[:0], sc.best[:0]
 		for _, s := range v.Slots[x.drawerStart[win]:x.drawerStart[win+1]] {
 			if s.Free {
 				cands = append(cands, s)
@@ -407,9 +351,7 @@ func (DrawerLocal) Place(v View, r Request) (int, []int, bool) {
 		for _, c := range cands[:r.GPUs] {
 			best = append(best, c.Index)
 		}
-		if sc := v.scratch; sc != nil {
-			sc.cands, sc.best = cands, best
-		}
+		sc.cands, sc.best = cands, best
 		return host, best, true
 	}
 	// No drawer fits alone: span drawers, taking free slots in (attach
@@ -454,7 +396,7 @@ func (BandwidthAware) Name() string { return "bandwidth" }
 //
 //perf:hot
 func (BandwidthAware) Place(v View, r Request) (int, []int, bool) {
-	x := v.index()
+	x := v.idx
 	if x.free < r.GPUs {
 		return 0, nil, false
 	}
@@ -466,30 +408,22 @@ func (BandwidthAware) Place(v View, r Request) (int, []int, bool) {
 	// taken marks slots already picked this placement, a bitset standing in
 	// for the old map.
 	drawers := len(x.drawerFree)
-	var load []int
-	var taken []bool
-	if sc := v.scratch; sc != nil {
-		if cap(sc.load) < drawers {
-			sc.load = make([]int, drawers)
-		}
-		load = sc.load[:drawers]
-		if cap(sc.taken) < len(v.Slots) {
-			sc.taken = make([]bool, len(v.Slots))
-		}
-		taken = sc.taken[:len(v.Slots)]
-		for i := range taken {
-			taken[i] = false
-		}
-	} else {
-		//lint:allow hotalloc(fallback for hand-built Views without scratch)
-		load = make([]int, drawers)
-		//lint:allow hotalloc(fallback for hand-built Views without scratch)
-		taken = make([]bool, len(v.Slots))
+	sc := v.scratch
+	if cap(sc.load) < drawers {
+		sc.load = make([]int, drawers)
+	}
+	load := sc.load[:drawers]
+	if cap(sc.taken) < len(v.Slots) {
+		sc.taken = make([]bool, len(v.Slots))
+	}
+	taken := sc.taken[:len(v.Slots)]
+	for i := range taken {
+		taken[i] = false
 	}
 	for d := range load {
 		load[d] = x.drawerStart[d+1] - x.drawerStart[d] - x.drawerFree[d]
 	}
-	hc, hp := v.hostChassis(host), v.hostPod(host)
+	hc, hp := v.HostChassis[host], v.HostPod[host]
 	picks := v.pickBuf(r.GPUs)
 	for len(picks) < r.GPUs {
 		// Closest, then least-loaded drawer that still has a free, untaken
@@ -545,7 +479,7 @@ func (Static) Name() string { return "static" }
 //
 //perf:hot
 func (Static) Place(v View, r Request) (int, []int, bool) {
-	if !v.hostUp(r.Tenant) {
+	if !v.HostUp[r.Tenant] {
 		return 0, nil, false // the tenant waits out its host's crash
 	}
 	picks := v.pickBuf(r.GPUs)

@@ -4,33 +4,33 @@ import (
 	"testing"
 )
 
-// syntheticView builds a View over a hand-made fleet shape: 2 drawers × 4
-// slots, slots 0-2 free on host 0, slots 4-6 free detached, slot 3 held,
-// slot 7 down. No scratch — the policy helpers fall back to allocating.
-func syntheticView() View {
-	v := View{
-		Hosts:          2,
-		Drawers:        2,
-		Slots:          make([]SlotView, 8),
-		HostActiveGPUs: []int{2, 0},
-		HostActiveJobs: []int{1, 0},
-		HostUp:         []bool{true, true},
+// syntheticView sets a scheduler up over a 2-host, 16-GPU fleet (2
+// drawers × 8 slots) and brings its live View to a hand-made state: slots
+// 0-2 free on host 0, slots 8-10 free detached, slots 3 and 12-15 held by
+// one job on host 0, the rest down. Host 1 is the least loaded, so the
+// load-spreading policies place there. The View carries the scheduler's
+// fresh scratch.
+func syntheticView(t *testing.T) View {
+	t.Helper()
+	f := testFleet(t, 2, 16, false)
+	s, err := newScheduler(f, testStream(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		sv := SlotView{Index: i, Drawer: i / 4, Host: -1, Config: -1}
+	for i := range f.Slots {
 		switch {
-		case i < 3:
-			sv.Host, sv.Free = 0, true
-		case i == 3:
-			sv.Host = 0 // held by a job
-		case i < 7:
-			sv.Free = true
-		default:
-			sv.Down = true
+		case i <= 3 || i >= 12:
+			s.view.Slots[i].Host = 0
+			if i == 3 || i >= 12 {
+				s.slotJob[i] = 0
+			}
+		case i <= 7 || i == 11:
+			s.slotFaulty[i] = true
 		}
-		v.Slots[i] = sv
+		s.syncSlot(i)
 	}
-	return v
+	s.hostGPUs[0], s.hostJobs[0] = 5, 1
+	return s.view
 }
 
 // dirtyScratch returns a policyScratch whose every buffer holds stale
@@ -42,15 +42,15 @@ func dirtyScratch() *policyScratch {
 	return &policyScratch{
 		picks: []int{99, 98, 97, 96, 95, 94, 93, 92},
 		best:  []int{88, 87, 86, 85, 84, 83, 82, 81},
-		cands: make([]SlotView, 8),
-		taken: []bool{true, true, true, true, true, true, true, true},
+		cands: make([]SlotView, 16),
+		taken: []bool{true, true, true, true, true, true, true, true, true, true, true, true, true, true, true, true},
 		load:  []int{50, 60},
 	}
 }
 
 // TestPolicyScratchResetEquivalence runs every built-in policy twice on
-// the same View — once with no scratch (the allocating fallback) and once
-// with a deliberately dirty scratch — and requires identical placements.
+// the same View — once with a fresh scratch and once with a deliberately
+// dirty one — and requires identical placements.
 // This is the direct unit-level guard the fingerprint sweeps only cover
 // end-to-end: a missing reset in any scratch buffer fails here.
 func TestPolicyScratchResetEquivalence(t *testing.T) {
@@ -58,12 +58,11 @@ func TestPolicyScratchResetEquivalence(t *testing.T) {
 		for gpus := 2; gpus <= 6; gpus++ {
 			r := Request{Job: 1, Tenant: 0, GPUs: gpus}
 
-			clean := syntheticView()
+			clean := syntheticView(t)
 			hostC, picksC, okC := p.Place(clean, r)
-			// Copy before the dirty run can overwrite the fallback slices.
 			picksCopy := append([]int(nil), picksC...)
 
-			dirty := syntheticView()
+			dirty := syntheticView(t)
 			dirty.scratch = dirtyScratch()
 			hostD, picksD, okD := p.Place(dirty, r)
 
@@ -91,18 +90,18 @@ func TestPolicyScratchResetEquivalence(t *testing.T) {
 
 // TestPolicyScratchReuseAcrossCalls drives repeated Place calls through
 // one shared scratch (the scheduler's usage pattern) and checks each call
-// against a scratchless reference: buffers must carry no state between
+// against a fresh-scratch reference: buffers must carry no state between
 // placements.
 func TestPolicyScratchReuseAcrossCalls(t *testing.T) {
 	sc := &policyScratch{}
 	for _, p := range Policies() {
 		for _, gpus := range []int{4, 2, 6, 3, 2} {
 			r := Request{Job: 0, Tenant: 0, GPUs: gpus}
-			ref := syntheticView()
+			ref := syntheticView(t)
 			refHost, refPicks, refOK := p.Place(ref, r)
 			refCopy := append([]int(nil), refPicks...)
 
-			v := syntheticView()
+			v := syntheticView(t)
 			v.scratch = sc
 			host, picks, ok := p.Place(v, r)
 			if ok != refOK || (ok && host != refHost) {
@@ -125,20 +124,9 @@ func TestPolicyScratchReuseAcrossCalls(t *testing.T) {
 // a valid placement), while a genuine duplicate in one call must still be
 // caught.
 func TestCheckPlacementSeenEpoch(t *testing.T) {
-	fleet := testFleet(t, 2, 8, false)
-	s := &scheduler{
-		fleet:      fleet,
-		opts:       Options{Policy: FirstFit{}},
-		slotJob:    make([]int, len(fleet.Slots)),
-		slotHost:   make([]int, len(fleet.Slots)),
-		hostGPUs:   make([]int, len(fleet.Hosts)),
-		hostJobs:   make([]int, len(fleet.Hosts)),
-		slotFaulty: make([]bool, len(fleet.Slots)),
-		drawerDown: make([]bool, 4),
-		hostDown:   make([]bool, len(fleet.Hosts)),
-	}
-	for i := range s.slotJob {
-		s.slotJob[i] = -1
+	s, err := newScheduler(testFleet(t, 2, 8, false), testStream(), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	js := &jobState{spec: JobSpec{ID: 0, GPUs: 2}}
 

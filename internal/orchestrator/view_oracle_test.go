@@ -16,12 +16,15 @@ import (
 
 // The reference model for the live View: the scheduler keeps one View and
 // its free-slot index current at every change, and the oracle below
-// rebuilds both from scratch from the scheduler's state before every Place
-// call and requires them equal.
+// rebuilds both from scratch before every Place call and requires them
+// equal. Each slot's Host comes from the chassis control plane, not from
+// the scheduler, so the oracle also proves the View's attachment record
+// matches the hardware's.
 
-// referenceView rebuilds the View from the scheduler's state, the full
-// per-call rebuild the live View replaced.
-func referenceView(s *scheduler) View {
+// referenceView rebuilds the View: slot owners from the chassis control
+// plane, the static partition from config (every slot's owner before the
+// run), job ownership, load and health from the scheduler's state.
+func referenceView(s *scheduler, config []int) View {
 	f := s.fleet
 	cpp := f.Opts.ChassisPerPod
 	if cpp < 1 {
@@ -30,8 +33,6 @@ func referenceView(s *scheduler) View {
 	v := View{
 		Hosts:             len(f.Hosts),
 		Drawers:           f.NumDrawers(),
-		Pods:              f.NumPods(),
-		Chassis:           f.NumChassis(),
 		DrawersPerChassis: falcon.NumDrawers,
 		ChassisPerPod:     cpp,
 		HostActiveGPUs:    append([]int(nil), s.hostGPUs...),
@@ -53,10 +54,10 @@ func referenceView(s *scheduler) View {
 			Drawer:  slot.Drawer,
 			Chassis: slot.ChassisIdx,
 			Pod:     slot.Pod,
-			Host:    s.slotHost[i],
+			Host:    f.OwnerHost(slot),
 			Free:    s.slotJob[i] == -1 && !down,
 			Down:    down,
-			Config:  s.slotConfig[i],
+			Config:  config[i],
 		}
 	}
 	return v
@@ -65,7 +66,7 @@ func referenceView(s *scheduler) View {
 // viewState is a deep copy of everything a policy can read from a View,
 // the free-slot index included.
 type viewState struct {
-	Hosts, Drawers, Pods, Chassis                        int
+	Hosts, Drawers                                       int
 	DrawersPerChassis, ChassisPerPod                     int
 	Slots                                                []SlotView
 	HostActiveGPUs, HostActiveJobs, HostChassis, HostPod []int
@@ -76,7 +77,7 @@ type viewState struct {
 
 func captureView(v View, free int, drawerFree, drawerStart []int) viewState {
 	return viewState{
-		Hosts: v.Hosts, Drawers: v.Drawers, Pods: v.Pods, Chassis: v.Chassis,
+		Hosts: v.Hosts, Drawers: v.Drawers,
 		DrawersPerChassis: v.DrawersPerChassis, ChassisPerPod: v.ChassisPerPod,
 		Slots:          append([]SlotView(nil), v.Slots...),
 		HostActiveGPUs: append([]int(nil), v.HostActiveGPUs...),
@@ -93,17 +94,14 @@ func captureView(v View, free int, drawerFree, drawerStart []int) viewState {
 // liveState captures the View a Place call receives, with the index it
 // carries.
 func liveState(v View) viewState {
-	if v.idx == nil {
-		return captureView(v, -1, nil, nil)
-	}
 	return captureView(v, v.idx.free, v.idx.drawerFree, v.idx.drawerStart)
 }
 
 // referenceState rebuilds the View and counts its free pool directly:
 // per-drawer free and slot counts, the offsets as their prefix sums.
-func referenceState(t *testing.T, s *scheduler) viewState {
+func referenceState(t *testing.T, s *scheduler, config []int) viewState {
 	t.Helper()
-	v := referenceView(s)
+	v := referenceView(s, config)
 	free := 0
 	drawerFree := make([]int, v.Drawers)
 	drawerStart := make([]int, v.Drawers+1)
@@ -152,6 +150,7 @@ type viewOracle struct {
 	Policy
 	t      *testing.T
 	s      *scheduler
+	config []int // every slot's owner before the run
 	calls  int
 	failed bool
 }
@@ -166,7 +165,7 @@ func (o *viewOracle) fail(format string, args ...any) {
 func (o *viewOracle) Place(v View, r Request) (int, []int, bool) {
 	o.calls++
 	before := liveState(v)
-	if d := viewDiff(before, referenceState(o.t, o.s)); d != "" {
+	if d := viewDiff(before, referenceState(o.t, o.s, o.config)); d != "" {
 		o.fail("live View differs from the rebuild: %s", d)
 	}
 	host, picks, ok := o.Policy.Place(v, r)
@@ -261,11 +260,15 @@ func TestLiveViewOracle(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					specs := oracleStream(rng, fc.jobs, maxGPUs, len(f.Hosts), fc.gap)
 					plan := oraclePlan(rng, f, time.Duration(fc.jobs)*fc.gap)
+					config := make([]int, len(f.Slots))
+					for i, slot := range f.Slots {
+						config[i] = f.OwnerHost(slot)
+					}
 					s, err := newScheduler(f, specs, Options{Policy: p, Faults: &plan})
 					if err != nil {
 						t.Fatal(err)
 					}
-					o := &viewOracle{Policy: p, t: t, s: s}
+					o := &viewOracle{Policy: p, t: t, s: s, config: config}
 					s.opts.Policy = o
 					res, err := s.run()
 					if err != nil {
@@ -274,7 +277,7 @@ func TestLiveViewOracle(t *testing.T) {
 					if o.calls < fc.jobs {
 						t.Errorf("%d Place calls for %d jobs", o.calls, fc.jobs)
 					}
-					if d := viewDiff(liveState(s.view), referenceState(t, s)); d != "" {
+					if d := viewDiff(liveState(s.view), referenceState(t, s, config)); d != "" {
 						t.Errorf("after the run, live View differs from the rebuild: %s", d)
 					}
 					if res.Faults == 0 {
@@ -297,19 +300,5 @@ func TestLiveViewOracle(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestHandBuiltViewIndex checks the index a View without the scheduler's
-// derives from Slots, including a View that leaves Drawers zero.
-func TestHandBuiltViewIndex(t *testing.T) {
-	v := syntheticView()
-	x := v.index()
-	if x.free != 6 || !reflect.DeepEqual(x.drawerFree, []int{3, 3}) || !reflect.DeepEqual(x.drawerStart, []int{0, 4, 8}) {
-		t.Errorf("index = %+v, want free 6, drawerFree [3 3], drawerStart [0 4 8]", *x)
-	}
-	v.Drawers = 0
-	if y := v.index(); !reflect.DeepEqual(y, x) {
-		t.Errorf("Drawers 0: index = %+v, want %+v", *y, *x)
 	}
 }
