@@ -391,20 +391,20 @@ func (c *Chassis) Attach(ref SlotRef, portID string) error {
 // checkModeConstraint validates an attach against the drawer mode.
 func (c *Chassis) checkModeConstraint(ref SlotRef, portID string) error {
 	d := &c.drawers[ref.Drawer]
+	// The ports and hosts the drawer would serve, collected in one ordered
+	// walk over its slots.
 	portsInUse := map[string]bool{portID: true}
+	hosts := map[string]bool{c.port(portID).Host: true}
 	for i := range d.slots {
 		if p := d.slots[i].port; p != "" {
 			portsInUse[p] = true
+			hosts[c.port(p).Host] = true
 		}
 	}
 	switch d.mode {
 	case ModeStandardOneHost:
 		// All devices go to one host; the host may use two connections,
 		// but each connection serves one fixed half of the drawer.
-		hosts := map[string]bool{}
-		for p := range portsInUse {
-			hosts[c.port(p).Host] = true
-		}
 		if len(hosts) > 1 {
 			return fmt.Errorf("mode %s allows a single host per drawer", d.mode)
 		}
@@ -424,10 +424,6 @@ func (c *Chassis) checkModeConstraint(ref SlotRef, portID string) error {
 			return err
 		}
 	case ModeAdvanced:
-		hosts := map[string]bool{}
-		for p := range portsInUse {
-			hosts[c.port(p).Host] = true
-		}
 		if len(hosts) > MaxHostsAdvanced {
 			return fmt.Errorf("mode %s allows at most %d hosts per drawer", d.mode, MaxHostsAdvanced)
 		}

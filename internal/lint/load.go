@@ -29,18 +29,23 @@ type Package struct {
 
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
-	ImportPath string
-	Dir        string
-	Standard   bool
-	DepOnly    bool
-	Export     string
-	GoFiles    []string
-	Error      *struct{ Err string }
+	ImportPath  string
+	Dir         string
+	Standard    bool
+	DepOnly     bool
+	Export      string
+	ForTest     string
+	GoFiles     []string
+	TestGoFiles []string
+	Error       *struct{ Err string }
 }
 
 // Load type-checks the packages matching patterns (resolved from the
 // module root, so callers work regardless of their working directory) and
-// returns them ready for RunAnalyzers.
+// returns them ready for RunAnalyzers. Each package is checked together
+// with its in-package _test.go files, as vet-tool mode checks the test
+// variant, so a test that reaches package code (a golden test on the
+// rendered-output path, say) counts here too.
 //
 // The heavy lifting is delegated to the toolchain: `go list -export`
 // compiles dependencies into the build cache and reports their export
@@ -52,7 +57,7 @@ func Load(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-test", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = root
 	var stderr bytes.Buffer
@@ -78,7 +83,9 @@ func Load(patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly && !p.Standard {
+		// -test also lists each package's test variants and test main;
+		// the plain package plus its TestGoFiles is the in-package variant.
+		if !p.DepOnly && !p.Standard && p.ForTest == "" && !strings.HasSuffix(p.ImportPath, ".test") {
 			targets = append(targets, p)
 		}
 	}
@@ -91,9 +98,9 @@ func Load(patterns ...string) ([]*Package, error) {
 
 	pkgs := make([]*Package, 0, len(targets))
 	for _, t := range targets {
-		files := make([]string, len(t.GoFiles))
-		for i, f := range t.GoFiles {
-			files[i] = filepath.Join(t.Dir, f)
+		files := make([]string, 0, len(t.GoFiles)+len(t.TestGoFiles))
+		for _, f := range append(t.GoFiles, t.TestGoFiles...) {
+			files = append(files, filepath.Join(t.Dir, f))
 		}
 		pkg, err := checkPackage(fset, t.ImportPath, t.Dir, files, imp)
 		if err != nil {
