@@ -427,50 +427,11 @@ func (c *Communicator) runRingPasses(p *sim.Proc, size units.Bytes, passes int) 
 	c.execWG.Wait(p)
 }
 
-// runBroadcast sends the payload root → every other rank as concurrent
-// flows (PyTorch DP's replicate step).
-func (c *Communicator) runBroadcast(p *sim.Proc, root int, size units.Bytes) {
-	specs := make([]fabric.TransferSpec, 0, len(c.gpus)-1)
-	for i := range c.gpus {
-		if i == root {
-			continue
-		}
-		specs = append(specs, fabric.TransferSpec{
-			Src: c.gpus[root].Node, Dst: c.gpus[i].Node, Size: size,
-		})
-	}
-	if err := c.net.ParallelTransferPadded(p, specs, 1/c.eff-1); err != nil {
-		panic(err)
-	}
-}
-
-// runReduceRoot gathers every rank's payload into root as concurrent flows
-// (PyTorch DP's gradient reduction onto the master GPU).
-func (c *Communicator) runReduceRoot(p *sim.Proc, root int, size units.Bytes) {
-	specs := make([]fabric.TransferSpec, 0, len(c.gpus)-1)
-	for i := range c.gpus {
-		if i == root {
-			continue
-		}
-		specs = append(specs, fabric.TransferSpec{
-			Src: c.gpus[i].Node, Dst: c.gpus[root].Node, Size: size,
-		})
-	}
-	if err := c.net.ParallelTransferPadded(p, specs, 1/c.eff-1); err != nil {
-		panic(err)
-	}
-}
-
 // StartAllReduce joins rank to its next all-reduce of size bytes and
 // returns the completion signal, letting the caller overlap the collective
 // with further compute (DDP bucket overlap).
 func (c *Communicator) StartAllReduce(rank int, size units.Bytes) *sim.Signal {
 	return &c.join("allreduce", size, 0, rank).done
-}
-
-// AllReduce joins rank and blocks until the collective completes.
-func (c *Communicator) AllReduce(p *sim.Proc, rank int, size units.Bytes) {
-	c.join("allreduce", size, 0, rank).done.Wait(p)
 }
 
 // StartReduceScatter joins rank to a reduce-scatter (ZeRO gradient
@@ -511,21 +472,9 @@ func (c *Communicator) ArmReduceToRoot(sp *sim.Proc, rank, root int, size units.
 	return c.join("reduceroot", size, root, rank).done.Arm(sp)
 }
 
-// The Exec variants run a collective immediately on behalf of all ranks
-// from a single driver process — the shape microbenchmarks and examples
-// want, where no per-rank processes exist.
-
-// ExecAllReduce performs one all-reduce, blocking the driver.
+// ExecAllReduce performs one all-reduce immediately on behalf of all
+// ranks, blocking a single driver process — the shape microbenchmarks and
+// examples want, where no per-rank processes exist.
 func (c *Communicator) ExecAllReduce(p *sim.Proc, size units.Bytes) {
 	c.runRingPasses(p, size, 2)
-}
-
-// ExecBroadcast performs one root→all broadcast, blocking the driver.
-func (c *Communicator) ExecBroadcast(p *sim.Proc, root int, size units.Bytes) {
-	c.runBroadcast(p, root, size)
-}
-
-// ExecReduceToRoot performs one all→root reduction, blocking the driver.
-func (c *Communicator) ExecReduceToRoot(p *sim.Proc, root int, size units.Bytes) {
-	c.runReduceRoot(p, root, size)
 }

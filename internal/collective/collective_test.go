@@ -207,20 +207,26 @@ func TestCollectiveStreamOrdering(t *testing.T) {
 }
 
 func TestBroadcastAndReduceToRootSlowerThanRing(t *testing.T) {
-	// DP's master-GPU pattern (reduce-to-root + broadcast) must cost more
-	// than one ring all-reduce of the same payload: the master's links
-	// serialize 7 peer flows.
+	// DP's master-GPU pattern (reduce-to-root + broadcast, every rank
+	// joining as DP training does) must cost more than one ring all-reduce
+	// of the same payload: the master's links serialize 7 peer flows.
 	const size = 256 * units.MB
 	env, _, comm := compose(t, cluster.LocalGPUsConfig())
+	var wg sim.WaitGroup
+	wg.Add(comm.Size())
+	for rank := 0; rank < comm.Size(); rank++ {
+		env.Go("rank", func(p *sim.Proc) {
+			comm.ReduceToRoot(p, rank, 0, size)
+			comm.Broadcast(p, rank, 0, size)
+			wg.Done(env)
+		})
+	}
 	var dpTime, ringTime time.Duration
-	env.Go("dp", func(p *sim.Proc) {
-		start := p.Now()
-		comm.ExecReduceToRoot(p, 0, size)
-		comm.ExecBroadcast(p, 0, size)
-		dpTime = p.Now() - start
-		start = p.Now()
+	env.Go("ring", func(p *sim.Proc) {
+		wg.Wait(p)
+		dpTime = p.Now()
 		comm.ExecAllReduce(p, size)
-		ringTime = p.Now() - start
+		ringTime = p.Now() - dpTime
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)

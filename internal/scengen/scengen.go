@@ -264,7 +264,6 @@ func (sc Scenario) Options() (train.Options, error) {
 		Buckets:       sc.Buckets,
 		Workers:       sc.Workers,
 		Channels:      sc.Channels,
-		Seed:          sc.Seed,
 	}, nil
 }
 

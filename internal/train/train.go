@@ -73,9 +73,6 @@ type Options struct {
 	// the periodic checkpoint writes use. Epochs still counts only the
 	// epochs this run executes.
 	ResumeEpochs int
-	// Seed offsets nothing today but keeps the API honest about
-	// determinism: the simulation is deterministic for a given seed.
-	Seed int64
 	// Probe, when non-nil, observes the run's lifecycle probe points —
 	// ProbeEpoch at every epoch boundary, ProbeCheckpoint after each
 	// checkpoint write, ProbeDone at completion — each with the virtual
@@ -110,10 +107,10 @@ const (
 // which is what makes fingerprints safe as cache/deduplication keys — the
 // experiments session keys its shared-run cache on them.
 func (o Options) Fingerprint() string {
-	return fmt.Sprintf("%s|%v|%s|%t|%d|%d|%d|%d|%d|%d|%v|%d|%d|%d",
+	return fmt.Sprintf("%s|%v|%s|%t|%d|%d|%d|%d|%d|%d|%v|%d|%d",
 		o.Workload.Name, o.Precision, o.Strategy, o.Sharded,
 		o.BatchPerGPU, o.Epochs, o.ItersPerEpoch, o.Buckets, o.Workers,
-		o.Channels, o.SampleInterval, o.Seed, o.CheckpointsPerEpoch, o.ResumeEpochs)
+		o.Channels, o.SampleInterval, o.CheckpointsPerEpoch, o.ResumeEpochs)
 }
 
 // launchBusyFraction is how much of the per-iteration launch overhead a
