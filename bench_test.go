@@ -17,10 +17,11 @@ import (
 	"testing"
 
 	"composable/internal/cluster"
-	"composable/internal/core"
 	"composable/internal/dlmodel"
 	"composable/internal/experiments"
 	"composable/internal/gpu"
+	"composable/internal/microbench"
+	"composable/internal/sim"
 	"composable/internal/train"
 	"composable/internal/units"
 )
@@ -32,7 +33,7 @@ func session() *experiments.Session {
 // BenchmarkTable1_Stack regenerates Table I (software stack manifest).
 func BenchmarkTable1_Stack(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(core.StackManifest()) == 0 {
+		if len(experiments.StackManifest()) == 0 {
 			b.Fatal("empty stack manifest")
 		}
 	}
@@ -56,7 +57,7 @@ func BenchmarkTable2_Models(b *testing.B) {
 func BenchmarkTable3_Configs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cluster.TableIIIConfigs() {
-			sys, err := core.NewSystem(cfg)
+			sys, err := cluster.Compose(sim.NewEnv(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -71,7 +72,7 @@ func BenchmarkTable3_Configs(b *testing.B) {
 func BenchmarkTable4_P2P(b *testing.B) {
 	var rows []float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.P2PBenchmark(units.GB)
+		res, err := microbench.TableIV(units.GB)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,11 +192,11 @@ func BenchmarkFig16_SoftOpt(b *testing.B) {
 // performance benchmark, not a paper artifact).
 func BenchmarkTrainIteration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sys, err := core.NewSystem(core.LocalGPUs())
+		sys, err := cluster.Compose(sim.NewEnv(), cluster.LocalGPUsConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, err = sys.Train(trainOptsQuick())
+		_, err = train.Run(sys, trainOptsQuick())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,11 +27,12 @@ import (
 	"strings"
 	"time"
 
-	"composable/internal/core"
+	"composable/internal/cluster"
 	"composable/internal/dlmodel"
 	"composable/internal/experiments"
 	"composable/internal/gpu"
 	"composable/internal/scengen"
+	"composable/internal/sim"
 	"composable/internal/train"
 )
 
@@ -80,7 +81,7 @@ func run(args []string, clock func() time.Time, stdout, stderr io.Writer) int {
 
 	if *list {
 		fmt.Fprintln(stdout, "configurations (Table III):")
-		for _, c := range core.Configs() {
+		for _, c := range cluster.TableIIIConfigs() {
 			fmt.Fprintf(stdout, "  %-12s %s\n", c.Name, c.Description())
 		}
 		fmt.Fprintln(stdout, "models (Table II):")
@@ -135,8 +136,8 @@ func run(args []string, clock func() time.Time, stdout, stderr io.Writer) int {
 }
 
 // parseGrid expands the comma-separated -config and -model lists.
-func parseGrid(cfgNames, modelNames string) ([]core.Config, []dlmodel.Workload, error) {
-	var cfgs []core.Config
+func parseGrid(cfgNames, modelNames string) ([]cluster.Config, []dlmodel.Workload, error) {
+	var cfgs []cluster.Config
 	for _, name := range strings.Split(cfgNames, ",") {
 		cfg, err := configByName(strings.TrimSpace(name))
 		if err != nil {
@@ -194,14 +195,14 @@ func runRandom(seed int64, n int, clock func() time.Time, stdout, stderr io.Writ
 
 // runSingle is the classic one-cell path, with the system-level inspection
 // surfaces (topology, Graphviz) only a directly composed system offers.
-func runSingle(cfg core.Config, w dlmodel.Workload, opts train.Options, topo, dot bool, csvSeries string, stdout, stderr io.Writer) int {
-	sys, err := core.NewSystem(cfg)
+func runSingle(cfg cluster.Config, w dlmodel.Workload, opts train.Options, topo, dot bool, csvSeries string, stdout, stderr io.Writer) int {
+	sys, err := cluster.Compose(sim.NewEnv(), cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "composer:", err)
 		return 1
 	}
 	if topo {
-		fmt.Fprint(stdout, sys.ChassisTopology())
+		fmt.Fprint(stdout, sys.Chassis.Topology())
 	}
 	if dot {
 		fmt.Fprint(stdout, sys.Net.Dot(cfg.Name))
@@ -209,7 +210,7 @@ func runSingle(cfg core.Config, w dlmodel.Workload, opts train.Options, topo, do
 	}
 
 	opts.Workload = w
-	res, err := sys.Train(opts)
+	res, err := train.Run(sys, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "composer:", err)
 		return 1
@@ -244,7 +245,7 @@ func runSingle(cfg core.Config, w dlmodel.Workload, opts train.Options, topo, do
 // runGrid runs the config × model cross product as ad-hoc experiments on
 // the parallel runner: cells sharing a training run deduplicate through
 // the session, and the report order matches the requested grid order.
-func runGrid(cfgs []core.Config, models []dlmodel.Workload, opts train.Options, parallelism int, clock func() time.Time, stdout, stderr io.Writer) int {
+func runGrid(cfgs []cluster.Config, models []dlmodel.Workload, opts train.Options, parallelism int, clock func() time.Time, stdout, stderr io.Writer) int {
 	scale := experiments.Scale{
 		Name:           "cli",
 		ItersPerEpoch:  opts.ItersPerEpoch,
@@ -307,13 +308,13 @@ func summarize(res *train.Result) string {
 	return b.String()
 }
 
-func configByName(name string) (core.Config, error) {
-	for _, c := range core.Configs() {
+func configByName(name string) (cluster.Config, error) {
+	for _, c := range cluster.TableIIIConfigs() {
 		if c.Name == name {
 			return c, nil
 		}
 	}
-	return core.Config{}, fmt.Errorf("unknown configuration %q (see -list)", name)
+	return cluster.Config{}, fmt.Errorf("unknown configuration %q (see -list)", name)
 }
 
 func shardedTag(s bool) string {

@@ -5,8 +5,8 @@
 // software stack and benchmark suite needed to regenerate every table and
 // figure of the paper's evaluation.
 //
-// The public entry points live in internal/core (composition + training),
-// internal/experiments (the paper's tables and figures, plus the S1–S4
+// The public entry points live in internal/cluster (composition),
+// internal/train (training), internal/experiments (the paper's tables and figures, plus the S1–S4
 // fleet-scheduling and R1–R3 fault-recovery studies), internal/orchestrator
 // (the multi-job fleet scheduler with dynamic GPU recomposition and
 // fault recovery, from one chassis up to multi-pod spine/leaf fleets of

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"composable/internal/cluster"
-	"composable/internal/core"
 	"composable/internal/dlmodel"
 	"composable/internal/experiments"
 	"composable/internal/falcon"
@@ -27,7 +26,7 @@ import (
 // back — one integration test across control plane, data plane and the DL
 // software stack.
 func TestEndToEndPlatform(t *testing.T) {
-	sys, err := core.NewSystem(core.FalconGPUs())
+	sys, err := cluster.Compose(sim.NewEnv(), cluster.FalconGPUsConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestEndToEndPlatform(t *testing.T) {
 	}
 
 	// Train BERT-large: the headline workload.
-	res, err := sys.Train(train.Options{
+	res, err := train.Run(sys, train.Options{
 		Workload:      dlmodel.BERTLargeWorkload(),
 		Precision:     gpu.FP16,
 		Epochs:        1,

@@ -13,9 +13,10 @@ import (
 	"os"
 	"strconv"
 
-	"composable/internal/core"
+	"composable/internal/cluster"
 	"composable/internal/dlmodel"
 	"composable/internal/gpu"
+	"composable/internal/sim"
 	"composable/internal/train"
 )
 
@@ -49,11 +50,11 @@ func main() {
 		{"DDP + FP16 + sharded", train.Options{Strategy: train.DDP, Precision: gpu.FP16, Sharded: true, BatchPerGPU: shardedBatch}},
 	}
 
-	for _, cfg := range []core.Config{core.LocalGPUs(), core.FalconGPUs()} {
+	for _, cfg := range []cluster.Config{cluster.LocalGPUsConfig(), cluster.FalconGPUsConfig()} {
 		fmt.Printf("=== %s\n", cfg.Name)
 		fmt.Printf("%-22s %8s %14s %14s\n", "variant", "batch", "total", "ms/sample")
 		for _, v := range variants {
-			sys, err := core.NewSystem(cfg)
+			sys, err := cluster.Compose(sim.NewEnv(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -61,7 +62,7 @@ func main() {
 			opts.Workload = w
 			opts.Epochs = 2
 			opts.ItersPerEpoch = exampleIters(12)
-			res, err := sys.Train(opts)
+			res, err := train.Run(sys, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,11 +75,11 @@ func main() {
 
 	// Demonstrate the OOM boundary the paper reports: batch 7 without
 	// sharding does not fit.
-	sys, err := core.NewSystem(core.LocalGPUs())
+	sys, err := cluster.Compose(sim.NewEnv(), cluster.LocalGPUsConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, err = sys.Train(train.Options{
+	_, err = train.Run(sys, train.Options{
 		Workload: w, Precision: gpu.FP16, BatchPerGPU: 7, Epochs: 1, ItersPerEpoch: exampleIters(1),
 	})
 	fmt.Println("batch 7 without sharding:", err)

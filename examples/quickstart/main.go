@@ -10,9 +10,10 @@ import (
 	"os"
 	"strconv"
 
-	"composable/internal/core"
+	"composable/internal/cluster"
 	"composable/internal/dlmodel"
 	"composable/internal/gpu"
+	"composable/internal/sim"
 	"composable/internal/train"
 )
 
@@ -31,7 +32,7 @@ func exampleIters(def int) int {
 func main() {
 	// Compose the paper's localGPUs configuration: eight NVLink-attached
 	// V100s with baseline local storage (Table III row 1).
-	sys, err := core.NewSystem(core.LocalGPUs())
+	sys, err := cluster.Compose(sim.NewEnv(), cluster.LocalGPUsConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func main() {
 
 	// Train ResNet-50 with the paper's hyperparameters (batch 128/GPU,
 	// FP16 mixed precision, DistributedDataParallel) on a scaled epoch.
-	res, err := sys.Train(train.Options{
+	res, err := train.Run(sys, train.Options{
 		Workload:      dlmodel.ResNet50Workload(),
 		Precision:     gpu.FP16,
 		Strategy:      train.DDP,

@@ -12,9 +12,10 @@ import (
 	"os"
 	"strconv"
 
-	"composable/internal/core"
+	"composable/internal/cluster"
 	"composable/internal/dlmodel"
 	"composable/internal/gpu"
+	"composable/internal/sim"
 	"composable/internal/train"
 )
 
@@ -31,16 +32,16 @@ func exampleIters(def int) int {
 }
 
 func main() {
-	configs := []core.Config{core.LocalGPUs(), core.LocalNVMe(), core.FalconNVMe()}
+	configs := []cluster.Config{cluster.LocalGPUsConfig(), cluster.LocalNVMeConfig(), cluster.FalconNVMeConfig()}
 	fmt.Printf("%-12s %-12s %14s %16s\n", "Model", "Storage", "total", "vs local store")
 	for _, w := range dlmodel.Benchmarks() {
 		var base float64
 		for _, cfg := range configs {
-			sys, err := core.NewSystem(cfg)
+			sys, err := cluster.Compose(sim.NewEnv(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := sys.Train(train.Options{
+			res, err := train.Run(sys, train.Options{
 				Workload:      w,
 				Precision:     gpu.FP16,
 				Epochs:        2,

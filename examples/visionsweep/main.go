@@ -12,9 +12,10 @@ import (
 	"os"
 	"strconv"
 
-	"composable/internal/core"
+	"composable/internal/cluster"
 	"composable/internal/dlmodel"
 	"composable/internal/gpu"
+	"composable/internal/sim"
 	"composable/internal/train"
 )
 
@@ -31,7 +32,7 @@ func exampleIters(def int) int {
 }
 
 func main() {
-	configs := []core.Config{core.LocalGPUs(), core.HybridGPUs(), core.FalconGPUs()}
+	configs := []cluster.Config{cluster.LocalGPUsConfig(), cluster.HybridGPUsConfig(), cluster.FalconGPUsConfig()}
 	models := []dlmodel.Workload{
 		dlmodel.MobileNetV2Workload(),
 		dlmodel.ResNet50Workload(),
@@ -42,11 +43,11 @@ func main() {
 	for _, w := range models {
 		var base float64
 		for _, cfg := range configs {
-			sys, err := core.NewSystem(cfg)
+			sys, err := cluster.Compose(sim.NewEnv(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := sys.Train(train.Options{
+			res, err := train.Run(sys, train.Options{
 				Workload:      w,
 				Precision:     gpu.FP16,
 				Epochs:        2,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"composable/internal/fabric"
@@ -33,6 +34,9 @@ func TestTableIIIComposition(t *testing.T) {
 		{FalconNVMeConfig(), 8, 0, true, 0, 1, 0},
 	} {
 		sys := compose(t, tc.cfg)
+		if got := len(sys.GPUs); got != tc.local+tc.falcon {
+			t.Errorf("%s: %d GPUs, want %d", tc.cfg.Name, got, tc.local+tc.falcon)
+		}
 		if got := len(sys.LocalGPUList()); got != tc.local {
 			t.Errorf("%s: local GPUs = %d, want %d", tc.cfg.Name, got, tc.local)
 		}
@@ -143,6 +147,17 @@ func TestChassisStateMatchesFigure6(t *testing.T) {
 	dev := sysN.Chassis.Device(falcon.SlotRef{Drawer: 1, Slot: 7})
 	if dev == nil || dev.Type != falcon.DeviceNVMe {
 		t.Errorf("drawer 2 slot 7 = %+v, want NVMe (Figure 6)", dev)
+	}
+}
+
+func TestChassisViews(t *testing.T) {
+	sys := compose(t, FalconGPUsConfig())
+	topo := sys.Chassis.Topology()
+	if !strings.Contains(topo, "drawer 0") || !strings.Contains(topo, "V100") {
+		t.Fatalf("topology view incomplete:\n%s", topo)
+	}
+	if len(sys.Chassis.Events()) == 0 {
+		t.Fatal("composition should have produced chassis events")
 	}
 }
 

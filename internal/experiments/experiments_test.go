@@ -19,6 +19,25 @@ import (
 
 func quickSession() *Session { return NewSession(Quick) }
 
+func TestStackManifestCoversTableI(t *testing.T) {
+	m := StackManifest()
+	if len(m) != 9 {
+		t.Fatalf("manifest rows = %d, want 9 (Table I)", len(m))
+	}
+	wantLayers := []string{"Operating system", "DL Framework", "CUDA", "NCCL"}
+	for _, w := range wantLayers {
+		found := false
+		for _, c := range m {
+			if c.Layer == w {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("manifest missing layer %q", w)
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite the experiment goldens in testdata/")
 
 // TestAllExperimentsRender renders every registry experiment at quick

@@ -5,18 +5,42 @@ import (
 	"strings"
 
 	"composable/internal/cluster"
-	"composable/internal/core"
 	"composable/internal/dlmodel"
 	"composable/internal/microbench"
 	"composable/internal/units"
 )
+
+// StackComponent is one row of the platform's software-stack manifest —
+// the simulator analog of the paper's Table I, mapping every layer of the
+// paper's stack to the module that substitutes for it here.
+type StackComponent struct {
+	Layer      string // the paper's component
+	PaperValue string // the version in Table I
+	Substitute string // this repository's implementation
+}
+
+// StackManifest reproduces Table I, annotated with the simulator module
+// standing in for each component.
+func StackManifest() []StackComponent {
+	return []StackComponent{
+		{"Operating system", "Ubuntu 18.04", "composable simulation runtime (internal/sim)"},
+		{"DL Framework", "PyTorch 1.7.1", "internal/train (DDP/DP/AMP/sharded engine)"},
+		{"CUDA", "10.2.89", "internal/gpu kernel-timing model"},
+		{"CUDA Driver", "450.102.04", "internal/gpu device model"},
+		{"CUDNN", "cudnn7.6.5", "internal/dlmodel layer cost model"},
+		{"NCCL", "NCCL 2.8.4", "internal/collective ring collectives"},
+		{"Profiler (wandb)", "wandb 0.10.14", "internal/obs sampler"},
+		{"Profiler (Nsight Systems)", "2020.4.3.7", "internal/obs series export"},
+		{"Profiler (Nsight Compute)", "2020.3.0.0", "internal/gpu utilization accounting"},
+	}
+}
 
 // TableI renders the software-stack manifest: the paper's stack and the
 // simulator module that substitutes for each layer.
 func TableI() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %-16s %s\n", "Component", "Paper (Table I)", "This reproduction")
-	for _, c := range core.StackManifest() {
+	for _, c := range StackManifest() {
 		fmt.Fprintf(&b, "%-28s %-16s %s\n", c.Layer, c.PaperValue, c.Substitute)
 	}
 	return b.String()

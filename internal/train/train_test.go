@@ -36,6 +36,38 @@ func quickOpts(w dlmodel.Workload) Options {
 	}
 }
 
+func TestSequentialJobsOnOneSystem(t *testing.T) {
+	// The same composed system runs several jobs back to back; the
+	// virtual clock keeps advancing and results stay self-consistent.
+	sys, err := cluster.Compose(sim.NewEnv(), cluster.LocalGPUsConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Workload:      dlmodel.MobileNetV2Workload(),
+		Precision:     gpu.FP16,
+		Epochs:        1,
+		ItersPerEpoch: 5,
+	}
+	first, err := Run(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.TotalTime <= 0 || second.TotalTime <= 0 {
+		t.Fatal("job times not recorded")
+	}
+	// The second run is warmer (page cache holds the dataset) but the
+	// same order of magnitude.
+	ratio := second.TotalTime.Seconds() / first.TotalTime.Seconds()
+	if ratio < 0.5 || ratio > 1.1 {
+		t.Fatalf("second run ratio = %.2f, want warm-cache ≤ first", ratio)
+	}
+}
+
 func TestResNetTrainsOnLocalGPUs(t *testing.T) {
 	res := runOn(t, cluster.LocalGPUsConfig(), quickOpts(dlmodel.ResNet50Workload()))
 	if res.Iters != 24 {
