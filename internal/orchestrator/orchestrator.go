@@ -327,10 +327,10 @@ type scheduler struct {
 	// by buildView and kept current by syncSlot and syncHost wherever a
 	// slot's owner or health, or a host's availability, changes, together
 	// with its free-slot index. It is the scheduler's only record of slot
-	// attachment: place and slotLost write Slots[i].Host in place. Then come the policy
-	// scoring buffers and the epoch-stamped duplicate check in
-	// checkPlacement (seenGen bumps instead of clearing; a slot is "seen"
-	// when its stamp matches the current generation).
+	// attachment: place and slotLost write Slots[i].Host in place. Then
+	// come the policy scoring buffers and the epoch-stamped duplicate
+	// check in checkPlacement (seenGen bumps instead of clearing; a slot is
+	// "seen" when its stamp matches the current generation).
 	view     View
 	pscratch policyScratch
 	seenSlot []uint64
