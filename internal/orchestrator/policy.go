@@ -95,9 +95,13 @@ func (v View) pickBuf(n int) []int {
 
 // drawerChassis / drawerPod map a global drawer index to its place in the
 // hierarchy.
-func (v View) drawerChassis(d int) int { return d / v.DrawersPerChassis }
+func (v View) drawerChassis(d int) int {
+	return d / v.DrawersPerChassis
+}
 
-func (v View) drawerPod(d int) int { return v.drawerChassis(d) / v.ChassisPerPod }
+func (v View) drawerPod(d int) int {
+	return v.drawerChassis(d) / v.ChassisPerPod
+}
 
 // distTier ranks fabric distance from a host's adapter: 0 same chassis
 // (drawer-switch hops only), 1 same pod (through the leaf switch), 2
