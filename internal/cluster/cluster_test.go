@@ -34,9 +34,6 @@ func TestTableIIIComposition(t *testing.T) {
 		{FalconNVMeConfig(), 8, 0, true, 0, 1, 0},
 	} {
 		sys := compose(t, tc.cfg)
-		if got := len(sys.GPUs); got != tc.local+tc.falcon {
-			t.Errorf("%s: %d GPUs, want %d", tc.cfg.Name, got, tc.local+tc.falcon)
-		}
 		if got := len(sys.LocalGPUList()); got != tc.local {
 			t.Errorf("%s: local GPUs = %d, want %d", tc.cfg.Name, got, tc.local)
 		}
@@ -147,6 +144,21 @@ func TestChassisStateMatchesFigure6(t *testing.T) {
 	dev := sysN.Chassis.Device(falcon.SlotRef{Drawer: 1, Slot: 7})
 	if dev == nil || dev.Type != falcon.DeviceNVMe {
 		t.Errorf("drawer 2 slot 7 = %+v, want NVMe (Figure 6)", dev)
+	}
+}
+
+// TestComposeAllConfigs composes every configuration TableIIIConfigs
+// returns; each gives the job eight GPUs, wherever they sit.
+func TestComposeAllConfigs(t *testing.T) {
+	cfgs := TableIIIConfigs()
+	if len(cfgs) != 5 {
+		t.Fatalf("%d configurations, want 5 (Table III)", len(cfgs))
+	}
+	for _, cfg := range cfgs {
+		sys := compose(t, cfg)
+		if got := len(sys.GPUs); got != 8 {
+			t.Errorf("%s: %d GPUs, want 8", cfg.Name, got)
+		}
 	}
 }
 

@@ -8,6 +8,21 @@ import (
 	"composable/internal/units"
 )
 
+// TestTableIVAt256MB runs the P2P benchmark with a smaller message than
+// TestTableIVReproduction; the three rows and the NVLink bandwidth hold.
+func TestTableIVAt256MB(t *testing.T) {
+	rows, err := TableIV(256 * units.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	if rows[0].Pair != "L-L" || rows[0].BidirBandwidth.GB() < 70 {
+		t.Fatalf("L-L row = %+v", rows[0])
+	}
+}
+
 // TestTableIVReproduction pins the simulated microbenchmark to the paper's
 // Table IV within 2%:
 //
