@@ -1,37 +1,12 @@
 package scengen
 
 import (
-	"os"
 	"reflect"
-	"runtime"
-	"strconv"
-	"sync"
 	"testing"
 
 	"composable/internal/faults"
 	"composable/internal/orchestrator"
 )
-
-// faultSweepParams reads the fault sweep shape from the environment so CI
-// can pin the seed and scale the scenario count without code changes.
-func faultSweepParams(t *testing.T) (base int64, n int) {
-	base, n = 1, 100
-	if s := os.Getenv("FAULT_SWEEP_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("FAULT_SWEEP_SEED: %v", err)
-		}
-		base = v
-	}
-	if s := os.Getenv("FAULT_SWEEP_N"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("FAULT_SWEEP_N: bad value %q", s)
-		}
-		n = v
-	}
-	return base, n
-}
 
 // TestFaultScenarioSweep is the fault analog of TestFleetScenarioSweep: N
 // seeded fault scenarios (default 100, override via FAULT_SWEEP_N /
@@ -42,63 +17,8 @@ func faultSweepParams(t *testing.T) (base int64, n int) {
 // ledger. The two executions must produce byte-identical telemetry
 // fingerprints, applied-fault ledger included.
 func TestFaultScenarioSweep(t *testing.T) {
-	base, n := faultSweepParams(t)
-	pins := newFingerprintPins("fault")
-
-	seeds := make(chan int64)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var mu sync.Mutex
-	fail := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		t.Errorf(format, args...)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seeds {
-				sc := FaultsFromSeed(seed)
-				env, digest := newSweepEnv()
-				first, err := RunFaultyFleetOn(env, sc, nil)
-				if err != nil {
-					fail("seed %d (%s): %v", seed, sc.ID(), err)
-					continue
-				}
-				if err := first.Err(); err != nil {
-					fail("seed %d (%s): %v", seed, sc.ID(), err)
-					continue
-				}
-				env2, digest2 := newSweepEnv()
-				second, err := RunFaultyFleetOn(env2, sc, nil)
-				if err != nil {
-					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
-					continue
-				}
-				if err := second.Err(); err != nil {
-					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
-					continue
-				}
-				pins.record(seed, first.Fingerprint, digest)
-				if first.Fingerprint != second.Fingerprint {
-					fail("seed %d (%s): two in-process faulty runs diverged:\n--- first\n%s--- second\n%s",
-						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
-				} else if digest.Sum() != digest2.Sum() {
-					fail("seed %d (%s): two in-process faulty runs dispatched different events", seed, sc.ID())
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		seeds <- base + int64(i)
-	}
-	close(seeds)
-	wg.Wait()
-	pins.check(t)
+	base, n := sweepParams(t, "FAULT_SWEEP")
+	fleetSweep(t, "fault", base, n, FaultsFromSeed)
 }
 
 func TestFaultsFromSeedDeterministic(t *testing.T) {

@@ -1,35 +1,78 @@
 package scengen
 
 import (
-	"os"
 	"reflect"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
+	"composable/internal/faults"
 	"composable/internal/orchestrator"
 )
 
-// fleetSweepParams reads the fleet sweep shape from the environment so CI
-// can pin the seed and scale the scenario count without code changes.
-func fleetSweepParams(t *testing.T) (base int64, n int) {
-	base, n = 1, 100
-	if s := os.Getenv("FLEET_SWEEP_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("FLEET_SWEEP_SEED: %v", err)
-		}
-		base = v
+// fleetSweep runs the scenarios of seeds [base, base+n) on GOMAXPROCS
+// workers, each twice end to end with the full invariant probe set. Both
+// runs must hold every invariant and produce byte-identical fingerprints
+// and event digests; the first run's pair is checked against the sweep's
+// pins in testdata/<sweep>_fingerprints.txt. A fault-free scenario is a
+// FaultScenario with an empty plan.
+func fleetSweep(t *testing.T, sweep string, base int64, n int, scenario func(seed int64) FaultScenario) {
+	t.Helper()
+	pins := newFingerprintPins(sweep)
+	seeds := make(chan int64)
+	var wg sync.WaitGroup
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
 	}
-	if s := os.Getenv("FLEET_SWEEP_N"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("FLEET_SWEEP_N: bad value %q", s)
-		}
-		n = v
+	var mu sync.Mutex
+	fail := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		t.Errorf(format, args...)
 	}
-	return base, n
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := range seeds {
+				sc := scenario(seed)
+				env, digest := newSweepEnv()
+				first, err := RunFaultyFleetOn(env, sc, nil)
+				if err != nil {
+					fail("seed %d (%s): %v", seed, sc.ID(), err)
+					continue
+				}
+				if err := first.Err(); err != nil {
+					fail("seed %d (%s): %v", seed, sc.ID(), err)
+					continue
+				}
+				env2, digest2 := newSweepEnv()
+				second, err := RunFaultyFleetOn(env2, sc, nil)
+				if err != nil {
+					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
+					continue
+				}
+				if err := second.Err(); err != nil {
+					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
+					continue
+				}
+				pins.record(seed, first.Fingerprint, digest)
+				if first.Fingerprint != second.Fingerprint {
+					fail("seed %d (%s): two in-process %s runs diverged:\n--- first\n%s--- second\n%s",
+						seed, sc.ID(), sweep, first.Fingerprint, second.Fingerprint)
+				} else if digest.Sum() != digest2.Sum() {
+					fail("seed %d (%s): two in-process %s runs dispatched different events", seed, sc.ID(), sweep)
+				}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		seeds <- base + int64(i)
+	}
+	close(seeds)
+	wg.Wait()
+	pins.check(t)
 }
 
 // TestFleetScenarioSweep is the fleet analog of TestScenarioSweep: N
@@ -40,149 +83,52 @@ func fleetSweepParams(t *testing.T) (base int64, n int) {
 // monotonicity). The two executions must produce byte-identical telemetry
 // fingerprints.
 func TestFleetScenarioSweep(t *testing.T) {
-	base, n := fleetSweepParams(t)
-	pins := newFingerprintPins("fleet")
-
-	seeds := make(chan int64)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var mu sync.Mutex
-	fail := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		t.Errorf(format, args...)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seeds {
-				sc := FleetFromSeed(seed)
-				env, digest := newSweepEnv()
-				first, err := RunFleetOn(env, sc, nil)
-				if err != nil {
-					fail("seed %d (%s): %v", seed, sc.ID(), err)
-					continue
-				}
-				if err := first.Err(); err != nil {
-					fail("seed %d (%s): %v", seed, sc.ID(), err)
-					continue
-				}
-				env2, digest2 := newSweepEnv()
-				second, err := RunFleetOn(env2, sc, nil)
-				if err != nil {
-					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
-					continue
-				}
-				if err := second.Err(); err != nil {
-					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
-					continue
-				}
-				pins.record(seed, first.Fingerprint, digest)
-				if first.Fingerprint != second.Fingerprint {
-					fail("seed %d (%s): two in-process fleet runs diverged:\n--- first\n%s--- second\n%s",
-						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
-				} else if digest.Sum() != digest2.Sum() {
-					fail("seed %d (%s): two in-process fleet runs dispatched different events", seed, sc.ID())
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		seeds <- base + int64(i)
-	}
-	close(seeds)
-	wg.Wait()
-	pins.check(t)
-}
-
-// podSweepParams reads the pod sweep shape from the environment (CI pins
-// the seed and bounds the count via POD_SWEEP_SEED / POD_SWEEP_N).
-func podSweepParams(t *testing.T) (base int64, n int) {
-	base, n = 1, 100
-	if s := os.Getenv("POD_SWEEP_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("POD_SWEEP_SEED: %v", err)
-		}
-		base = v
-	}
-	if s := os.Getenv("POD_SWEEP_N"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("POD_SWEEP_N: bad value %q", s)
-		}
-		n = v
-	}
-	return base, n
+	base, n := sweepParams(t, "FLEET_SWEEP")
+	fleetSweep(t, "fleet", base, n, func(seed int64) FaultScenario {
+		return FaultScenario{Fleet: FleetFromSeed(seed)}
+	})
 }
 
 // TestPodScenarioSweep extends the run-twice determinism tier to
 // hierarchical fleets: N seeded pod-shaped scenarios (multi-chassis,
 // spine/leaf, oversubscribed uplinks, cross-chassis recomposition), each
 // run twice with the full invariant probe set; the fingerprints must be
-// byte-identical.
+// byte-identical. POD_SWEEP_SEED / POD_SWEEP_N override the shape.
 func TestPodScenarioSweep(t *testing.T) {
-	base, n := podSweepParams(t)
-	pins := newFingerprintPins("pod")
+	base, n := sweepParams(t, "POD_SWEEP")
+	fleetSweep(t, "pod", base, n, func(seed int64) FaultScenario {
+		return FaultScenario{Fleet: PodFleetFromSeed(seed)}
+	})
+}
 
-	seeds := make(chan int64)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var mu sync.Mutex
-	fail := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		t.Errorf(format, args...)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seeds {
-				sc := PodFleetFromSeed(seed)
-				env, digest := newSweepEnv()
-				first, err := RunFleetOn(env, sc, nil)
-				if err != nil {
-					fail("seed %d (%s): %v", seed, sc.ID(), err)
-					continue
-				}
-				if err := first.Err(); err != nil {
-					fail("seed %d (%s): %v", seed, sc.ID(), err)
-					continue
-				}
-				env2, digest2 := newSweepEnv()
-				second, err := RunFleetOn(env2, sc, nil)
-				if err != nil {
-					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
-					continue
-				}
-				if err := second.Err(); err != nil {
-					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
-					continue
-				}
-				pins.record(seed, first.Fingerprint, digest)
-				if first.Fingerprint != second.Fingerprint {
-					fail("seed %d (%s): two in-process pod fleet runs diverged:\n--- first\n%s--- second\n%s",
-						seed, sc.ID(), first.Fingerprint, second.Fingerprint)
-				} else if digest.Sum() != digest2.Sum() {
-					fail("seed %d (%s): two in-process pod fleet runs dispatched different events", seed, sc.ID())
-				}
-			}
-		}()
-	}
+// podFaultsFromSeed is the pod fleet of PodFleetFromSeed with a fault
+// plan drawn from a decoupled stream of the same seed, so the plan holds
+// the pod-scoped kinds (pod power loss, spine-link degradation) next to
+// the device and link faults.
+func podFaultsFromSeed(seed int64) FaultScenario {
+	fleet := PodFleetFromSeed(seed)
+	return SanitizeFaults(FaultScenario{Fleet: fleet, Plan: PlanForFleet(seed^0x5eedFa017, fleet)})
+}
+
+// TestPodFaultScenarioSweep is the fault sweep on pod fleets (default
+// 100 seeds, override via POD_FAULT_SWEEP_N / POD_FAULT_SWEEP_SEED): the
+// only sweep whose plans fail whole pods and degrade spine uplinks, so
+// its pins cover the scheduler's pod-scoped recovery byte for byte.
+func TestPodFaultScenarioSweep(t *testing.T) {
+	base, n := sweepParams(t, "POD_FAULT_SWEEP")
+	kinds := make(map[faults.Kind]int)
 	for i := 0; i < n; i++ {
-		seeds <- base + int64(i)
+		for _, e := range podFaultsFromSeed(base + int64(i)).Plan.Events {
+			kinds[e.Kind]++
+		}
 	}
-	close(seeds)
-	wg.Wait()
-	pins.check(t)
+	if n >= 20 && (kinds[faults.KindPod] == 0 || kinds[faults.KindSpineLink] == 0) {
+		t.Fatalf("%d seeds drew %d pod and %d spine-link faults; the sweep must exercise both",
+			n, kinds[faults.KindPod], kinds[faults.KindSpineLink])
+	}
+	t.Logf("%d seeds: %d pod, %d spine-link, %d drawer, %d host, %d gpu faults", n,
+		kinds[faults.KindPod], kinds[faults.KindSpineLink], kinds[faults.KindDrawer], kinds[faults.KindHost], kinds[faults.KindGPU])
+	fleetSweep(t, "pod_fault", base, n, podFaultsFromSeed)
 }
 
 func TestPodFleetFromSeedDeterministic(t *testing.T) {

@@ -13,21 +13,23 @@ import (
 	"composable/internal/train"
 )
 
-// sweepParams reads the sweep shape from the environment so CI can pin the
-// seed and scale the scenario count without code changes.
-func sweepParams(t *testing.T) (base int64, n int) {
+// sweepParams reads a sweep's shape from the environment so CI can pin
+// the seed and scale the scenario count without code changes:
+// <prefix>_SEED is the first seed (default 1), <prefix>_N the scenario
+// count (default 100).
+func sweepParams(t *testing.T, prefix string) (base int64, n int) {
 	base, n = 1, 100
-	if s := os.Getenv("SCENGEN_SWEEP_SEED"); s != "" {
+	if s := os.Getenv(prefix + "_SEED"); s != "" {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			t.Fatalf("SCENGEN_SWEEP_SEED: %v", err)
+			t.Fatalf("%s_SEED: %v", prefix, err)
 		}
 		base = v
 	}
-	if s := os.Getenv("SCENGEN_SWEEP_N"); s != "" {
+	if s := os.Getenv(prefix + "_N"); s != "" {
 		v, err := strconv.Atoi(s)
 		if err != nil || v < 1 {
-			t.Fatalf("SCENGEN_SWEEP_N: bad value %q", s)
+			t.Fatalf("%s_N: bad value %q", prefix, s)
 		}
 		n = v
 	}
@@ -42,7 +44,7 @@ func sweepParams(t *testing.T) (base int64, n int) {
 // never slower, more iterations never faster, sharding never grows the
 // memory peak).
 func TestScenarioSweep(t *testing.T) {
-	base, n := sweepParams(t)
+	base, n := sweepParams(t, "SCENGEN_SWEEP")
 	pins := newFingerprintPins("scenario")
 
 	type job struct {
