@@ -33,11 +33,11 @@ func TestUsageErrors(t *testing.T) {
 	state := statePath(t)
 	mustRun(t, "-f", state, "init")
 	for _, args := range [][]string{
-		nil,                              // no args
-		{"-f", "x.json"},                 // no command
-		{"x.json", "init", "extra"},      // missing -f
-		{"-f", state, "frobnicate"},      // unknown command
-		{"-f", state, "cable", "only"},   // wrong arity
+		nil,                               // no args
+		{"-f", "x.json"},                  // no command
+		{"x.json", "init", "extra"},       // missing -f
+		{"-f", state, "frobnicate"},       // unknown command
+		{"-f", state, "cable", "only"},    // wrong arity
 		{"-f", state, "attach", "0", "3"}, // wrong arity
 	} {
 		code, _, stderr := capture(t, args...)
