@@ -231,11 +231,8 @@ func MeasureDegradedLink(s *Session, factors []float64) ([]time.Duration, error)
 			capAB, capBA := healthy.CapAtoB, healthy.CapBtoA
 			inj := faults.NewInjector(env, faults.Plan{Events: []faults.Event{
 				{At: time.Millisecond, Kind: faults.KindSlotLink, Target: 0, Factor: factor},
-			}}, faults.Hooks{
-				SlotLink: func(slot int, f float64) {
-					sys.Net.SetLinkCapacity(link,
-						units.BytesPerSec(float64(capAB)*f), units.BytesPerSec(float64(capBA)*f))
-				},
+			}}, func(r faults.Record) {
+				sys.Net.SetLinkCapacity(link, units.BytesPerSec(float64(capAB)*r.Factor), units.BytesPerSec(float64(capBA)*r.Factor))
 			})
 			inj.Arm()
 		}

@@ -14,9 +14,10 @@
 //   - KindHost: a host machine crashes, taking its running jobs with it.
 //
 // The package only describes and schedules faults; what a fault *does* is
-// supplied by the layer that owns the hardware (Hooks). The fleet
-// orchestrator wires hooks that kill and reschedule jobs; single-system
-// experiments wire hooks that scale a training run's links. Plans are
+// supplied by the layer that owns the hardware, as the one handler an
+// Injector hands every applied Record to. The fleet orchestrator's
+// handler kills and reschedules jobs; single-system experiments pass one
+// that scales a training run's link. Plans are
 // plain data derived from a seed, so a faulty run is exactly as
 // reproducible as a fault-free one — the property the fault scenario
 // sweep pins byte for byte.
@@ -470,13 +471,6 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Record is one applied fault or repair observation, in application order.
 type Record struct {
 	At     time.Duration
@@ -504,28 +498,13 @@ func (r Record) String() string {
 	return string(b)
 }
 
-// Hooks are the control points an injector drives. Nil hooks are skipped,
-// so a caller wires only the surfaces its system has. Link hooks receive
-// the capacity fraction now in effect (1 = healthy, OutageFloor = outage);
-// device hooks receive up=false on failure and up=true on repair.
-type Hooks struct {
-	SlotLink  func(slot int, factor float64)
-	HostLink  func(host int, factor float64)
-	GPU       func(slot int, up bool)
-	Drawer    func(drawer int, up bool)
-	Host      func(host int, up bool)
-	SpineLink func(pod int, factor float64)
-	Pod       func(pod int, up bool)
-}
-
-// Injector schedules a plan's events into a simulation and dispatches
-// them through the hooks, keeping the applied-record log the fingerprint
-// and the fleet fault track (obs.Track) read from.
+// Injector schedules a plan's events into a simulation and hands each
+// applied fault and repair to its handler, keeping the applied-record log
+// the fingerprint reads from.
 type Injector struct {
 	env     *sim.Env
 	plan    Plan
-	hooks   Hooks
-	probe   func(Record)
+	handle  func(Record)
 	records []Record
 	armed   bool
 	// obs, when set, renders each fault as one faults-track span from
@@ -543,18 +522,17 @@ type obsSpanKey struct {
 	target int
 }
 
-// NewInjector binds a (sanitized) plan to an environment and hook set.
-// The record log is sized up front: every event applies at most twice
-// (fault + repair), so the recovery path never grows it.
-func NewInjector(env *sim.Env, plan Plan, hooks Hooks) *Injector {
-	return &Injector{env: env, plan: plan, hooks: hooks,
+// NewInjector binds a (sanitized) plan to an environment and the handler
+// that owns the hardware. The handler receives every fault (Up false) and
+// every repair (Up true), in application order. A link record's Factor
+// is the capacity fraction now in effect: the event's factor clamped to
+// at least OutageFloor on failure, 1 on repair. The record log is sized
+// up front: every event applies at most twice (fault + repair), so the
+// recovery path never grows it.
+func NewInjector(env *sim.Env, plan Plan, handle func(Record)) *Injector {
+	return &Injector{env: env, plan: plan, handle: handle,
 		records: make([]Record, 0, 2*len(plan.Events))}
 }
-
-// SetProbe installs fn to observe every applied record, in application
-// order. The probe must not mutate simulation state; the invariant set
-// and telemetry tracks attach here.
-func (in *Injector) SetProbe(fn func(Record)) { in.probe = fn }
 
 // SetObs installs an observability collector: every applied fault becomes
 // a span on the faults track, opened when the fault strikes and closed by
@@ -605,51 +583,15 @@ func (in *Injector) Arm() {
 
 //perf:hot
 func (in *Injector) apply(e Event, up bool) {
-	factor := e.Factor
-	if factor < OutageFloor {
-		factor = OutageFloor
-	}
-	if up {
-		factor = 1
-	}
 	rec := Record{At: in.env.Now(), Kind: e.Kind, Target: e.Target, Up: up}
-	switch e.Kind {
-	case KindSlotLink:
-		rec.Factor = factor
-		if in.hooks.SlotLink != nil {
-			in.hooks.SlotLink(e.Target, factor)
-		}
-	case KindHostLink:
-		rec.Factor = factor
-		if in.hooks.HostLink != nil {
-			in.hooks.HostLink(e.Target, factor)
-		}
-	case KindGPU:
-		if in.hooks.GPU != nil {
-			in.hooks.GPU(e.Target, up)
-		}
-	case KindDrawer:
-		if in.hooks.Drawer != nil {
-			in.hooks.Drawer(e.Target, up)
-		}
-	case KindHost:
-		if in.hooks.Host != nil {
-			in.hooks.Host(e.Target, up)
-		}
-	case KindSpineLink:
-		rec.Factor = factor
-		if in.hooks.SpineLink != nil {
-			in.hooks.SpineLink(e.Target, factor)
-		}
-	case KindPod:
-		if in.hooks.Pod != nil {
-			in.hooks.Pod(e.Target, up)
+	if e.Kind.linkKind() {
+		rec.Factor = max(e.Factor, OutageFloor)
+		if up {
+			rec.Factor = 1
 		}
 	}
+	in.handle(rec)
 	in.records = append(in.records, rec)
-	if in.probe != nil {
-		in.probe(rec)
-	}
 	if in.obs != nil {
 		in.obsRecord(rec)
 	}

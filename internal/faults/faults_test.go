@@ -103,29 +103,27 @@ func TestInjectorDispatchAndLedger(t *testing.T) {
 		{At: 4 * time.Second, Kind: KindHost, Target: 1, Repair: time.Second},
 	}}, bounds())
 
-	var got []string
-	inj := NewInjector(env, plan, Hooks{
-		SlotLink: func(slot int, factor float64) {
-			if factor != OutageFloor && factor != 1 {
-				t.Errorf("outage factor %v, want floor %v or 1", factor, OutageFloor)
-			}
-			got = append(got, "slotlink")
-		},
-		GPU:  func(slot int, up bool) { got = append(got, "gpu") },
-		Host: func(host int, up bool) { got = append(got, "host") },
+	var got []Record
+	inj := NewInjector(env, plan, func(r Record) {
+		if r.Kind == KindSlotLink && r.Factor != OutageFloor && r.Factor != 1 {
+			t.Errorf("outage factor %v, want floor %v or 1", r.Factor, OutageFloor)
+		}
+		got = append(got, r)
 	})
-	var probed int
-	inj.SetProbe(func(r Record) { probed++ })
 	inj.Arm()
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"slotlink", "slotlink", "gpu", "host", "gpu", "host"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("dispatch order %v, want %v", got, want)
+	var order []string
+	for _, r := range got {
+		order = append(order, string(r.Kind))
 	}
-	if probed != len(inj.Records()) || probed != 6 {
-		t.Fatalf("probe saw %d records, injector logged %d, want 6", probed, len(inj.Records()))
+	want := []string{"slot-link", "slot-link", "gpu", "host", "gpu", "host"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
+	}
+	if !reflect.DeepEqual(got, inj.Records()) {
+		t.Fatalf("handler saw %v, injector logged %v", got, inj.Records())
 	}
 	if inj.AppliedLedger() == "" {
 		t.Fatal("empty applied ledger")

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"composable/internal/fabric"
 	"composable/internal/falcon"
 	"composable/internal/faults"
 	"composable/internal/obs"
@@ -14,14 +15,15 @@ import (
 // Fault recovery. The scheduler arms a faults.Plan against the fleet and
 // reacts to every event the injector dispatches:
 //
-//   - link degradation/outage rescales the slot or host-adapter link in
-//     the live fabric (in-flight flows slow down or freeze, and thaw on
-//     repair);
-//   - a GPU failure or drawer unplug blacklists the slot(s) — detached
-//     from the control plane, excluded from placement — and kills any job
-//     holding them;
-//   - a host crash kills every job placed or running there and takes the
-//     host out of the placement pool until it recovers.
+//   - link degradation/outage rescales the slot, host-adapter or pod
+//     spine link in the live fabric (in-flight flows slow down or freeze,
+//     and thaw on repair);
+//   - a GPU failure, drawer unplug or pod power loss blacklists the
+//     slot(s) — detached from the control plane, excluded from placement —
+//     and kills any job holding them;
+//   - a host crash, or its pod's power loss, kills every job placed or
+//     running there and takes the host out of the placement pool until it
+//     recovers.
 //
 // A killed job winds down cooperatively (the training engine stops every
 // rank at a consistent iteration boundary, the simulated NCCL teardown),
@@ -31,8 +33,8 @@ import (
 // the last checkpoint is lost — the ledger the lost-work invariant
 // balances. A job that exhausts its retry budget is marked Failed.
 
-// armFaults sanitizes the plan against the fleet's real shape and wires
-// the injector into the scheduler's recovery handlers.
+// armFaults sanitizes the plan against the fleet's real shape and arms an
+// injector that hands every fault and repair to applyFault.
 func (s *scheduler) armFaults(plan faults.Plan) {
 	f := s.fleet
 	bounds := faults.Bounds{
@@ -62,143 +64,122 @@ func (s *scheduler) armFaults(plan faults.Plan) {
 	plan = faults.Sanitize(plan, bounds)
 
 	// Healthy link capacities, for degrade/repair rescaling.
-	slotCaps := make([][2]units.BytesPerSec, len(f.Slots))
-	for i, slot := range f.Slots {
-		l := f.Net.Link(slot.Link)
-		slotCaps[i] = [2]units.BytesPerSec{l.CapAtoB, l.CapBtoA}
+	s.healthyCaps = make([][2]units.BytesPerSec, len(f.Net.Links()))
+	for id, l := range f.Net.Links() {
+		s.healthyCaps[id] = [2]units.BytesPerSec{l.CapAtoB, l.CapBtoA}
 	}
-	hostCaps := make([][2]units.BytesPerSec, len(f.Hosts))
-	for h, host := range f.Hosts {
-		l := f.Net.Link(host.AdapterLink)
-		hostCaps[h] = [2]units.BytesPerSec{l.CapAtoB, l.CapBtoA}
-	}
-	spineCaps := make([][2]units.BytesPerSec, len(f.PodUplinks))
-	for p, id := range f.PodUplinks {
-		l := f.Net.Link(id)
-		spineCaps[p] = [2]units.BytesPerSec{l.CapAtoB, l.CapBtoA}
-	}
+	s.injector = faults.NewInjector(f.Env, plan, s.applyFault)
+	s.injector.Arm()
+}
 
-	inj := faults.NewInjector(f.Env, plan, faults.Hooks{
-		SlotLink: func(slot int, factor float64) {
-			c := slotCaps[slot]
-			f.Net.SetLinkCapacity(f.Slots[slot].Link,
-				units.BytesPerSec(float64(c[0])*factor), units.BytesPerSec(float64(c[1])*factor))
-		},
-		HostLink: func(host int, factor float64) {
-			c := hostCaps[host]
-			f.Net.SetLinkCapacity(f.Hosts[host].AdapterLink,
-				units.BytesPerSec(float64(c[0])*factor), units.BytesPerSec(float64(c[1])*factor))
-		},
-		SpineLink: func(pod int, factor float64) {
-			if pod >= len(spineCaps) {
-				return // degenerate fleet: no uplinks (Sanitize remaps these away)
-			}
-			c := spineCaps[pod]
-			f.Net.SetLinkCapacity(f.PodUplinks[pod],
-				units.BytesPerSec(float64(c[0])*factor), units.BytesPerSec(float64(c[1])*factor))
-		},
-		GPU: func(slot int, up bool) {
-			s.capAccrue(s.now())
-			s.slotFaulty[slot] = !up
-			s.syncSlot(slot)
-			if up {
-				s.slotRepaired(slot)
-				s.trySchedule()
-			} else {
-				s.slotLost(slot, "gpu failure in "+f.Slots[slot].Ref.String())
-			}
-		},
-		Drawer: func(drawer int, up bool) {
-			s.capAccrue(s.now())
-			s.drawerDown[drawer] = !up
-			lo, hi := s.view.idx.drawerStart[drawer], s.view.idx.drawerStart[drawer+1]
-			for i := lo; i < hi; i++ {
-				s.syncSlot(i)
-			}
-			for i := lo; i < hi; i++ {
-				if up {
-					// Probe every returning slot before any scheduling, so
-					// a placement never races its own slots' up events.
-					s.slotRepaired(i)
-				} else {
-					s.slotLost(i, "drawer "+strconv.Itoa(drawer)+" hot-unplugged")
-				}
-			}
-			if up {
-				s.trySchedule()
-			}
-		},
-		Pod: func(pod int, up bool) {
-			now := s.now()
-			s.capAccrue(now)
-			s.podDown[pod] = !up
-			for i, slot := range f.Slots {
-				if slot.Pod == pod {
-					s.syncSlot(i)
-				}
-			}
-			for h, host := range f.Hosts {
-				if host.Pod == pod {
-					s.syncHost(h)
-				}
-			}
-			if up {
-				s.probe(Event{Kind: EventPodUp, At: now, Job: -1, Host: -1, Pod: pod})
-				// Probe every returning slot before any scheduling resumes;
-				// hosts come back implicitly (unless individually crashed).
-				for i, slot := range f.Slots {
-					if slot.Pod == pod {
-						s.slotRepaired(i)
-					}
-				}
-				s.trySchedule()
-				return
-			}
-			s.probe(Event{Kind: EventPodDown, At: now, Job: -1, Host: -1, Pod: pod})
-			for i, slot := range f.Slots {
-				if slot.Pod == pod {
-					s.slotLost(i, "pod "+strconv.Itoa(pod)+" lost power")
-				}
-			}
-			// The pod's hosts lost power with it: jobs placed there die even
-			// when their GPUs sat in another pod.
-			for h, host := range f.Hosts {
-				if host.Pod != pod {
-					continue
-				}
-				for _, js := range s.jobs {
-					if !js.done && !js.failed && js.host == h {
-						s.kill(js, "pod "+strconv.Itoa(pod)+" lost power under host"+strconv.Itoa(h+1))
-					}
-				}
-			}
-		},
-		Host: func(host int, up bool) {
-			s.hostDown[host] = !up
-			s.syncHost(host)
-			now := s.now()
-			if up {
-				s.probe(Event{Kind: EventHostUp, At: now, Job: -1, Host: host})
-				s.trySchedule()
-				return
-			}
-			s.probe(Event{Kind: EventHostDown, At: now, Job: -1, Host: host})
-			for _, js := range s.jobs {
-				if !js.done && !js.failed && js.host == host {
-					s.kill(js, "host"+strconv.Itoa(host+1)+" crashed")
-				}
-			}
-		},
-	})
-	inj.SetProbe(func(r faults.Record) {
-		kind := "fault"
+// applyFault is the injector's handler: it applies one fault or repair to
+// the fleet, then marks it on the fault track.
+func (s *scheduler) applyFault(r faults.Record) {
+	f := s.fleet
+	switch r.Kind {
+	case faults.KindSlotLink:
+		s.scaleLink(f.Slots[r.Target].Link, r.Factor)
+	case faults.KindHostLink:
+		s.scaleLink(f.Hosts[r.Target].AdapterLink, r.Factor)
+	case faults.KindSpineLink:
+		s.scaleLink(f.PodUplinks[r.Target], r.Factor)
+	case faults.KindHost:
+		h := r.Target
+		s.hostDown[h] = !r.Up
+		s.syncHost(h)
 		if r.Up {
-			kind = "repair"
+			s.probe(Event{Kind: EventHostUp, At: r.At, Job: -1, Host: h})
+			s.trySchedule()
+		} else {
+			s.probe(Event{Kind: EventHostDown, At: r.At, Job: -1, Host: h})
+			s.killHost(h, "host"+strconv.Itoa(h+1)+" crashed")
 		}
-		s.track.Record(r.At, kind, string(r.Kind)+"["+strconv.Itoa(r.Target)+"]")
-	})
-	inj.Arm()
-	s.injector = inj
+	default: // KindGPU, KindDrawer, KindPod
+		s.slotRangeFault(r)
+	}
+	kind := "fault"
+	if r.Up {
+		kind = "repair"
+	}
+	s.track.Record(r.At, kind, string(r.Kind)+"["+strconv.Itoa(r.Target)+"]")
+}
+
+// scaleLink sets a link to factor × its healthy capacity.
+func (s *scheduler) scaleLink(id fabric.LinkID, factor float64) {
+	c := s.healthyCaps[id]
+	s.fleet.Net.SetLinkCapacity(id, units.BytesPerSec(float64(c[0])*factor), units.BytesPerSec(float64(c[1])*factor))
+}
+
+// slotRangeFault applies a GPU, drawer or pod fault or repair to the
+// slots it covers, the range [lo, hi) of the drawer-contiguous slot order.
+// Every slot is synced before any is probed, and every returning slot is
+// probed before scheduling resumes, so a placement never races its own
+// slots' up events. A pod fault also flips its hosts: they come back
+// implicitly (unless individually crashed), and on failure the jobs
+// placed on them die even when their GPUs sat in another pod.
+func (s *scheduler) slotRangeFault(r faults.Record) {
+	s.capAccrue(r.At)
+	x := s.view.idx.drawerStart
+	var lo, hi int
+	switch r.Kind {
+	case faults.KindGPU:
+		s.slotFaulty[r.Target] = !r.Up
+		lo, hi = r.Target, r.Target+1
+	case faults.KindDrawer:
+		s.drawerDown[r.Target] = !r.Up
+		lo, hi = x[r.Target], x[r.Target+1]
+	case faults.KindPod:
+		s.podDown[r.Target] = !r.Up
+		perPod := s.view.ChassisPerPod * s.view.DrawersPerChassis
+		lo, hi = x[r.Target*perPod], x[(r.Target+1)*perPod]
+	}
+	for i := lo; i < hi; i++ {
+		s.syncSlot(i)
+	}
+	var hlo, hhi int // a pod's hosts: hosts are pod-major, like slots
+	if r.Kind == faults.KindPod {
+		n := len(s.fleet.Hosts) / len(s.podDown)
+		hlo, hhi = r.Target*n, (r.Target+1)*n
+		for h := hlo; h < hhi; h++ {
+			s.syncHost(h)
+		}
+		kind := EventPodDown
+		if r.Up {
+			kind = EventPodUp
+		}
+		s.probe(Event{Kind: kind, At: r.At, Job: -1, Host: -1, Pod: r.Target})
+	}
+	if r.Up {
+		for i := lo; i < hi; i++ {
+			s.slotRepaired(i)
+		}
+		s.trySchedule()
+		return
+	}
+	var cause string
+	switch r.Kind {
+	case faults.KindGPU:
+		cause = "gpu failure in " + s.fleet.Slots[r.Target].Ref.String()
+	case faults.KindDrawer:
+		cause = "drawer " + strconv.Itoa(r.Target) + " hot-unplugged"
+	case faults.KindPod:
+		cause = "pod " + strconv.Itoa(r.Target) + " lost power"
+	}
+	for i := lo; i < hi; i++ {
+		s.slotLost(i, cause)
+	}
+	for h := hlo; h < hhi; h++ {
+		s.killHost(h, cause+" under host"+strconv.Itoa(h+1))
+	}
+}
+
+// killHost kills every live job placed on host h, in submission order.
+func (s *scheduler) killHost(h int, cause string) {
+	for _, js := range s.jobs {
+		if !js.done && !js.failed && js.host == h {
+			s.kill(js, cause)
+		}
+	}
 }
 
 // capAccrue advances the live-capacity integral to now. Exact as long as

@@ -1,12 +1,15 @@
 package orchestrator
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"composable/internal/cluster"
 	"composable/internal/faults"
 	"composable/internal/gpu"
+	"composable/internal/sim"
 )
 
 // longJob is a single 4-GPU job long enough for mid-run faults to land.
@@ -247,5 +250,65 @@ func TestFaultTrackRecordsTimeline(t *testing.T) {
 	}
 	if res.FaultLedger == "" || !strings.Contains(res.Fingerprint(), res.FaultLedger) {
 		t.Error("fault ledger missing from the fingerprint")
+	}
+}
+
+// TestPodFaultCoversExactlyItsPod fails pod 1 of a 3-pod fleet while jobs
+// run on every pod: the slot down and up events name exactly pod 1's
+// slots, in slot order and after the pod event, and only jobs placed on
+// pod 1's hosts or holding its slots are killed.
+func TestPodFaultCoversExactlyItsPod(t *testing.T) {
+	f, err := cluster.ComposeFleet(sim.NewEnv(), cluster.FleetOptions{Hosts: 2, GPUs: 8, Pods: 3, ChassisPerPod: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i, slot := range f.Slots {
+		if slot.Pod == 1 {
+			want = append(want, i)
+		}
+	}
+	var specs []JobSpec
+	for tenant := 0; tenant < len(f.Hosts); tenant++ {
+		specs = append(specs, JobSpec{Tenant: tenant, GPUs: 4, Workload: "ResNet-50", Precision: gpu.FP16, Epochs: 4, ItersPerEpoch: 8})
+	}
+	plan := faults.Plan{Events: []faults.Event{{At: time.Second, Kind: faults.KindPod, Target: 1, Repair: 2 * time.Second}}}
+	var down, up []int
+	var pod []EventKind
+	res, err := Run(f, specs, Options{Policy: FirstFit{}, Faults: &plan, Probe: func(ev Event) {
+		switch ev.Kind {
+		case EventPodDown, EventPodUp:
+			pod = append(pod, ev.Kind)
+		case EventSlotDown:
+			if len(pod) != 1 {
+				t.Errorf("slot %v down outside the pod-down window (pod events %v)", ev.Indices, pod)
+			}
+			down = append(down, ev.Indices...)
+		case EventSlotUp:
+			if len(pod) != 2 {
+				t.Errorf("slot %v up before the pod-up event (pod events %v)", ev.Indices, pod)
+			}
+			up = append(up, ev.Indices...)
+		case EventKill:
+			hit := f.Hosts[ev.Host].Pod == 1
+			for _, i := range ev.Indices {
+				hit = hit || f.Slots[i].Pod == 1
+			}
+			if !hit {
+				t.Errorf("job %d on host %d killed without touching pod 1", ev.Job, ev.Host)
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pod, []EventKind{EventPodDown, EventPodUp}) {
+		t.Fatalf("pod events %v", pod)
+	}
+	if !reflect.DeepEqual(down, want) || !reflect.DeepEqual(up, want) {
+		t.Fatalf("pod 1 slots %v; went down %v, came up %v", want, down, up)
+	}
+	if res.Kills == 0 {
+		t.Fatal("the pod fault killed no job")
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"composable/internal/obs"
 	"composable/internal/sim"
 	"composable/internal/train"
+	"composable/internal/units"
 )
 
 // JobSpec is one training job in the arrival stream.
@@ -304,7 +305,9 @@ type scheduler struct {
 	maxRetries int
 	injector   *faults.Injector
 	track      *obs.Track
-	kills      int
+	// healthyCaps holds every link's capacity before any fault, by LinkID.
+	healthyCaps [][2]units.BytesPerSec
+	kills       int
 
 	// Live-capacity integral: ∫ live GPUs dt up to capLastT, advanced by
 	// capAccrue before any availability flag flips. liveSlots counts the
