@@ -163,9 +163,6 @@ func RecommendPolicy(mix FleetMix) (*PolicyRecommendation, error) {
 			return nil, err
 		}
 		col := obs.NewCollector()
-		// Spans only: an armed metrics sampler would keep the event queue
-		// alive forever on policies that strand jobs (the skip path).
-		col.DisableSampling()
 		col.Attach(env)
 		res, err := orchestrator.Run(fleet, stream, orchestrator.Options{Policy: pol, Faults: plan, Obs: col})
 		if err != nil {

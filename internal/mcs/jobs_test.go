@@ -232,3 +232,17 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Errorf("audit log changed:\nbefore %+v\nafter  %+v", audit, got)
 	}
 }
+
+// TestStrandedDrainConflicts drains a queue the static policy cannot
+// place (an 8-GPU job against 4-GPU shares): the traced drain must
+// return a 409 instead of running forever.
+func TestStrandedDrainConflicts(t *testing.T) {
+	ts := jobsTestServer(t)
+	if resp := doJSON(t, ts, "POST", "/api/jobs", "tok-alice", map[string]any{"gpus": 8, "iters": 2}, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %d", resp.StatusCode)
+	}
+	if resp := doJSON(t, ts, "POST", "/api/jobs/run", "tok-root",
+		map[string]any{"policy": "static", "hosts": 3, "gpus": 12}, nil); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("stranded drain: %d, want 409", resp.StatusCode)
+	}
+}

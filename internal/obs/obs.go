@@ -82,8 +82,6 @@ type Collector struct {
 
 	spans   []span
 	maxTime sim.Time // latest span time seen; see MaxTime
-
-	sampleOff bool
 }
 
 // NewCollector returns an empty collector sampling every DefaultInterval
@@ -229,27 +227,20 @@ func (s *span) attrInt(key string) (int64, bool) {
 	return 0, false
 }
 
-// DisableSampling makes StartSampling a no-op: the collector captures
-// spans but never spawns the periodic metrics stepper. Consumers that
-// replay policies which may legitimately strand jobs (the advisor's
-// feasibility probing) need this — an armed sampler would keep the
-// otherwise-drained event queue alive forever.
-func (c *Collector) DisableSampling() { c.sampleOff = true }
-
 // StartSampling spawns the sampling stepper: every Interval of sim time
 // it snapshots every registered metric into one columnar row. Metrics
 // registered after the first tick are ignored for the rest of the run, so
 // wire all layers before the environment runs. Requires Attach.
 func (c *Collector) StartSampling() {
-	if c.sampleOff || c.env == nil || c.smp.sp != nil {
+	if c.env == nil || c.smp.sp != nil {
 		return
 	}
 	c.smp.Start(c.env)
 }
 
 // StopSampling ends sampling after the currently armed tick fires; the
-// orchestrator calls it when the last job settles so the event queue can
-// drain.
+// orchestrator calls it when the last job settles, so the samples end
+// with the jobs even while fault repairs keep the event queue busy.
 func (c *Collector) StopSampling() { c.smp.Stop() }
 
 // SpanCount returns the number of recorded spans and instants.

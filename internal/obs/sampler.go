@@ -17,7 +17,9 @@ import (
 //
 // The sampler is a stepper, not a goroutine-backed process: each tick is
 // one inline step (sample every metric, re-arm). Its first step only
-// arms the first tick, so samples land one interval after Start.
+// arms the first tick, so samples land one interval after Start. A tick
+// that finds nothing else pending does not re-arm: the simulation is
+// over, and re-arming would keep its event queue alive forever.
 type Sampler struct {
 	reg      *Registry
 	interval time.Duration
@@ -40,7 +42,7 @@ func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 
 // Start spawns the sampling stepper on env. Metrics registered after
 // Start are not sampled, so register every metric first. It runs until
-// Stop.
+// Stop, or until a tick finds nothing else pending on env.
 func (s *Sampler) Start(env *sim.Env) {
 	s.env = env
 	s.cols = make([][]float64, s.reg.Len())
@@ -63,6 +65,9 @@ func (s *Sampler) step() {
 	s.times = append(s.times, s.env.Now())
 	for i := range s.cols {
 		s.cols[i] = append(s.cols[i], s.reg.value(i))
+	}
+	if s.env.Idle() {
+		return
 	}
 	s.env.ReadyAfter(s.sp, s.interval)
 }

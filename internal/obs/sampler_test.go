@@ -40,6 +40,23 @@ func TestSamplerSamplesAtInterval(t *testing.T) {
 	}
 }
 
+// TestSamplerStopsWhenNothingElseIsPending runs a sampler alone for an
+// hour of sim time: its first tick finds nothing else pending and does
+// not re-arm, so it samples once instead of 36,000 times.
+func TestSamplerStopsWhenNothingElseIsPending(t *testing.T) {
+	env := sim.NewEnv()
+	var reg Registry
+	reg.Gauge("x", func() float64 { return 1 })
+	smp := NewSampler(&reg, 100*time.Millisecond)
+	smp.Start(env)
+	if err := env.RunUntil(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if smp.Len() != 1 {
+		t.Fatalf("%d ticks, want 1", smp.Len())
+	}
+}
+
 func TestSamplerNames(t *testing.T) {
 	env := sim.NewEnv()
 	var reg Registry

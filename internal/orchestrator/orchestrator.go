@@ -465,7 +465,7 @@ func (s *scheduler) obsSetup(c *obs.Collector) {
 }
 
 // settle records one job reaching a terminal state (done or failed); the
-// last one stops the metric sampler so the event queue can drain.
+// last one stops the metric sampler, so the samples end with the jobs.
 func (s *scheduler) settle() {
 	s.settled++
 	if s.obs != nil && s.settled == len(s.jobs) {

@@ -7,6 +7,7 @@ import (
 
 	"composable/internal/cluster"
 	"composable/internal/gpu"
+	"composable/internal/obs"
 	"composable/internal/sim"
 	"composable/internal/train"
 )
@@ -100,6 +101,25 @@ func TestStaticPolicyOnDetachedFleetIsUnplaceable(t *testing.T) {
 	_, err := Run(f, testStream(), Options{Policy: Static{}})
 	if err == nil || !strings.Contains(err.Error(), "unplaceable") {
 		t.Fatalf("err = %v, want unplaceable", err)
+	}
+}
+
+// TestObservedStrandedRunReturns traces a run whose policy strands a
+// job: an 8-GPU job cannot fit any 4-GPU static share of a preattached
+// 3-host fleet. The run must end with the same unplaceable error as an
+// untraced one; the metric sampler must not keep the drained queue alive.
+func TestObservedStrandedRunReturns(t *testing.T) {
+	env := sim.NewEnv()
+	col := obs.NewCollector()
+	col.Attach(env)
+	f, err := cluster.ComposeFleet(env, cluster.FleetOptions{Hosts: 3, GPUs: 12, Preattach: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(f, []JobSpec{{GPUs: 8, Workload: "ResNet-50", Precision: gpu.FP16, Epochs: 1, ItersPerEpoch: 2}},
+		Options{Policy: Static{}, Obs: col})
+	if err == nil || !strings.Contains(err.Error(), "left job(s) 0 unplaceable") {
+		t.Fatalf("err = %v, want job 0 unplaceable", err)
 	}
 }
 

@@ -175,6 +175,13 @@ func (e *Env) SetProcProbe(start func(name string, at Time) uint64, end func(tok
 // environment's lifetime.
 func (e *Env) EventCount() uint64 { return e.nEvents }
 
+// Idle reports whether nothing is pending: no queued event and no armed
+// alarm. Called from inside an event, it asks whether anything besides
+// what that event schedules itself will ever run.
+func (e *Env) Idle() bool {
+	return e.alarm == nil && e.fifoHead == len(e.fifo) && len(e.heap) == 0
+}
+
 // LiveProcs returns the number of currently live processes: those started
 // by Go plus the tracked steppers started by Spawn that have not exited.
 // Untracked steppers (NewStepper, InitStepperFor) are not counted.

@@ -87,6 +87,30 @@ func TestNestedSpawn(t *testing.T) {
 	}
 }
 
+func TestIdle(t *testing.T) {
+	env := NewEnv()
+	if !env.Idle() {
+		t.Fatal("fresh env not idle")
+	}
+	alarm := env.NewAlarm(func() {})
+	alarm.Set(time.Second)
+	if env.Idle() {
+		t.Fatal("env with an armed alarm reported idle")
+	}
+	var seen []bool
+	env.Schedule(time.Millisecond, func() { seen = append(seen, env.Idle()) })
+	env.Schedule(2*time.Second, func() { seen = append(seen, env.Idle()) })
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 || seen[0] || !seen[1] {
+		t.Fatalf("Idle inside events = %v, want [false true]", seen)
+	}
+	if !env.Idle() {
+		t.Fatal("drained env not idle")
+	}
+}
+
 func TestRunUntilStopsEarly(t *testing.T) {
 	e := NewEnv()
 	ticks := 0
