@@ -290,7 +290,9 @@ func (s *Server) handleJobRun(w http.ResponseWriter, r *http.Request, u *User) {
 
 // runFleetQueue composes a fresh fleet and drains the snapshot through
 // the orchestrator with a span collector attached (every drain is traced;
-// the per-job slices are what GET /api/jobs/{id}/trace serves). It holds
+// the per-job slices are what GET /api/jobs/{id}/trace serves). The
+// fabric is not traced: flow spans carry no job attribute, so no served
+// slice would hold one, and /api/health's analysis reads none. It holds
 // no server state and takes no lock. On failure the returned status
 // distinguishes a bad fleet description (400) from a scheduling failure
 // (409).
@@ -304,7 +306,6 @@ func runFleetQueue(req jobRunRequest, pol orchestrator.Policy, specs []orchestra
 	if err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
-	fleet.AttachObs(col)
 	latency := time.Duration(req.AttachMS) * time.Millisecond
 	if req.AttachMS == 0 {
 		latency = orchestrator.DefaultAttachLatency
