@@ -121,17 +121,21 @@ func (s *scheduler) slotRangeFault(r faults.Record) {
 	s.capAccrue(r.At)
 	x := s.view.idx.drawerStart
 	var lo, hi int
+	var cause string // read only on failure
 	switch r.Kind {
 	case faults.KindGPU:
 		s.slotFaulty[r.Target] = !r.Up
 		lo, hi = r.Target, r.Target+1
+		cause = "gpu failure in " + s.fleet.Slots[r.Target].Ref.String()
 	case faults.KindDrawer:
 		s.drawerDown[r.Target] = !r.Up
 		lo, hi = x[r.Target], x[r.Target+1]
+		cause = "drawer " + strconv.Itoa(r.Target) + " hot-unplugged"
 	case faults.KindPod:
 		s.podDown[r.Target] = !r.Up
 		perPod := s.view.ChassisPerPod * s.view.DrawersPerChassis
 		lo, hi = x[r.Target*perPod], x[(r.Target+1)*perPod]
+		cause = "pod " + strconv.Itoa(r.Target) + " lost power"
 	}
 	for i := lo; i < hi; i++ {
 		s.syncSlot(i)
@@ -155,15 +159,6 @@ func (s *scheduler) slotRangeFault(r faults.Record) {
 		}
 		s.trySchedule()
 		return
-	}
-	var cause string
-	switch r.Kind {
-	case faults.KindGPU:
-		cause = "gpu failure in " + s.fleet.Slots[r.Target].Ref.String()
-	case faults.KindDrawer:
-		cause = "drawer " + strconv.Itoa(r.Target) + " hot-unplugged"
-	case faults.KindPod:
-		cause = "pod " + strconv.Itoa(r.Target) + " lost power"
 	}
 	for i := lo; i < hi; i++ {
 		s.slotLost(i, cause)

@@ -110,19 +110,19 @@ func podFaultsFromSeed(seed int64) FaultScenario {
 	return SanitizeFaults(FaultScenario{Fleet: fleet, Plan: PlanForFleet(seed^0x5eedFa017, fleet)})
 }
 
-// TestPodFaultScenarioSweep is the fault sweep on pod fleets (default
-// 100 seeds, override via POD_FAULT_SWEEP_N / POD_FAULT_SWEEP_SEED): the
-// only sweep whose plans fail whole pods and degrade spine uplinks, so
-// its pins cover the scheduler's pod-scoped recovery byte for byte.
+// TestPodFaultScenarioSweep is the fault sweep on pod fleets, seeds
+// 1–100: the only sweep whose plans fail whole pods and degrade spine
+// uplinks, so its pins cover the scheduler's pod-scoped recovery byte for
+// byte.
 func TestPodFaultScenarioSweep(t *testing.T) {
-	base, n := sweepParams(t, "POD_FAULT_SWEEP")
+	const base, n = 1, 100
 	kinds := make(map[faults.Kind]int)
 	for i := 0; i < n; i++ {
 		for _, e := range podFaultsFromSeed(base + int64(i)).Plan.Events {
 			kinds[e.Kind]++
 		}
 	}
-	if n >= 20 && (kinds[faults.KindPod] == 0 || kinds[faults.KindSpineLink] == 0) {
+	if kinds[faults.KindPod] == 0 || kinds[faults.KindSpineLink] == 0 {
 		t.Fatalf("%d seeds drew %d pod and %d spine-link faults; the sweep must exercise both",
 			n, kinds[faults.KindPod], kinds[faults.KindSpineLink])
 	}
