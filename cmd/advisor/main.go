@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "advisor:", err)
 		return 2
 	}
-	rec, err := advisor.Recommend(w, nil, advisor.Options{ItersPerEpoch: *iters, Epochs: *epochs})
+	rec, err := advisor.Recommend(w, advisor.Options{ItersPerEpoch: *iters, Epochs: *epochs})
 	if err != nil {
 		fmt.Fprintln(stderr, "advisor:", err)
 		return 1

@@ -247,10 +247,9 @@ func runSingle(cfg cluster.Config, w dlmodel.Workload, opts train.Options, topo,
 // the session, and the report order matches the requested grid order.
 func runGrid(cfgs []cluster.Config, models []dlmodel.Workload, opts train.Options, parallelism int, clock func() time.Time, stdout, stderr io.Writer) int {
 	scale := experiments.Scale{
-		Name:           "cli",
-		ItersPerEpoch:  opts.ItersPerEpoch,
-		MaxEpochs:      1 << 30, // grid cells keep the workloads' paper epochs
-		SampleInterval: 100 * time.Millisecond,
+		Name:          "cli",
+		ItersPerEpoch: opts.ItersPerEpoch,
+		MaxEpochs:     1 << 30, // grid cells keep the workloads' paper epochs
 	}
 	session := experiments.NewSession(scale)
 

@@ -29,6 +29,7 @@ import (
 	"composable/internal/obs/analyze"
 	"composable/internal/orchestrator"
 	"composable/internal/scengen"
+	"composable/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -100,10 +101,10 @@ func parse(args []string, stderr io.Writer) (cfg config, code int) {
 	return cfg, 0
 }
 
-// scenario builds the fault scenario every mode runs: the seed's fleet
+// scenario builds the fleet scenario every mode runs: the seed's fleet
 // with the overrides applied, and the plan -fault-seed names (in chaos
 // mode without one, the seed's own plan).
-func scenario(cfg config) scengen.FaultScenario {
+func scenario(cfg config) scengen.FleetScenario {
 	sc := scengen.FleetFromSeed(cfg.seed)
 	if cfg.pod {
 		sc = scengen.PodFleetFromSeed(cfg.seed)
@@ -138,21 +139,21 @@ func scenario(cfg config) scengen.FaultScenario {
 	if cfg.warm {
 		sc.Preattach = true
 	}
+	// The plan is drawn against the sanitized fleet's bounds.
 	sc = scengen.SanitizeFleet(sc)
-
-	fc := scengen.FaultScenario{Fleet: sc, MaxRetries: cfg.retries}
+	sc.MaxRetries = cfg.retries
 	switch {
 	case cfg.faultSeed != 0:
-		fc.Plan = scengen.PlanForFleet(cfg.faultSeed, sc)
+		sc.Plan = scengen.PlanForFleet(cfg.faultSeed, sc)
 	case cfg.mode != "chaos": // run and analyze default to fault-free
 	case sc.Pods != 0 || sc.ChassisPerPod != 0:
 		// The seed's own plan knows no pods or spine links: draw against
 		// the pod-shaped bounds so the pod-scoped fault kinds are in play.
-		fc.Plan = scengen.PlanForFleet(cfg.seed, sc)
+		sc.Plan = scengen.PlanForFleet(cfg.seed, sc)
 	default:
-		fc.Plan = scengen.FaultsFromSeed(cfg.seed).Plan
+		sc.Plan = scengen.FaultsFromSeed(cfg.seed).Plan
 	}
-	return scengen.SanitizeFaults(fc)
+	return scengen.SanitizeFleet(sc)
 }
 
 // run is the testable main; it returns the process exit code.
@@ -184,13 +185,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return analysis(cfg, tr, nil, stdout, stderr)
 	}
 
-	fc := scenario(cfg)
+	sc := scenario(cfg)
 	if cfg.mode == "chaos" {
-		fmt.Fprintf(stdout, "chaossim scenario %s (seed %d)\n\nfault plan:\n", fc.ID(), cfg.seed)
-		if len(fc.Plan.Events) == 0 {
+		fmt.Fprintf(stdout, "chaossim scenario %s-f%d (seed %d)\n\nfault plan:\n", sc.ID(), len(sc.Plan.Events), cfg.seed)
+		if len(sc.Plan.Events) == 0 {
 			fmt.Fprintf(stdout, "  (empty — fault-free run)\n")
 		}
-		for _, e := range fc.Plan.Events {
+		for _, e := range sc.Plan.Events {
 			fmt.Fprintf(stdout, "  %v\n", e)
 		}
 	}
@@ -199,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		col = obs.NewCollector()
 		col.SetInterval(time.Duration(cfg.metricsIvMS) * time.Millisecond)
 	}
-	out, err := scengen.RunFaultyFleetObserved(fc, col)
+	out, err := scengen.RunFleet(sim.NewEnv(), sc, col)
 	if err != nil {
 		return fail(err)
 	}
@@ -216,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var held string
 	switch cfg.mode {
 	case "run":
-		held = printRun(stdout, fc.Fleet, out.Result)
+		held = printRun(stdout, sc, out.Result)
 	case "chaos":
 		held = printChaos(stdout, out.Result)
 	}

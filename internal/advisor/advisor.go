@@ -55,13 +55,11 @@ type Options struct {
 	Epochs        int // default 2
 }
 
-// Recommend evaluates the candidates (default: the three GPU compositions
-// of Table III) for the workload and returns a ranked recommendation.
-func Recommend(w dlmodel.Workload, candidates []cluster.Config, opts Options) (*Recommendation, error) {
-	if len(candidates) == 0 {
-		candidates = []cluster.Config{
-			cluster.LocalGPUsConfig(), cluster.HybridGPUsConfig(), cluster.FalconGPUsConfig(),
-		}
+// Recommend evaluates the three GPU compositions of Table III for the
+// workload and returns a ranked recommendation.
+func Recommend(w dlmodel.Workload, opts Options) (*Recommendation, error) {
+	candidates := []cluster.Config{
+		cluster.LocalGPUsConfig(), cluster.HybridGPUsConfig(), cluster.FalconGPUsConfig(),
 	}
 	if opts.ItersPerEpoch <= 0 {
 		opts.ItersPerEpoch = 12

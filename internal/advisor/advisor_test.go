@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecommendsLocalForBERTLarge(t *testing.T) {
-	rec, err := Recommend(dlmodel.BERTLargeWorkload(), nil, Options{})
+	rec, err := Recommend(dlmodel.BERTLargeWorkload(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRecommendsLocalForBERTLarge(t *testing.T) {
 }
 
 func TestFlexibilityAdviceForSmallModels(t *testing.T) {
-	rec, err := Recommend(dlmodel.MobileNetV2Workload(), nil, Options{})
+	rec, err := Recommend(dlmodel.MobileNetV2Workload(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPredictionMatchesMeasurementDirection(t *testing.T) {
 }
 
 func TestRankedOrderIsByThroughput(t *testing.T) {
-	rec, err := Recommend(dlmodel.BERTBaseWorkload(), nil, Options{ItersPerEpoch: 8, Epochs: 1})
+	rec, err := Recommend(dlmodel.BERTBaseWorkload(), Options{ItersPerEpoch: 8, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

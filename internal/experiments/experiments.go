@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"composable/internal/cluster"
 	"composable/internal/dlmodel"
@@ -30,14 +29,13 @@ type Scale struct {
 	ItersPerEpoch int
 	// MaxEpochs caps the paper's epoch counts (20-epoch ImageNet runs
 	// add nothing to the measured ratios).
-	MaxEpochs      int
-	SampleInterval time.Duration
+	MaxEpochs int
 }
 
 // Predefined scales.
 var (
-	Quick    = Scale{Name: "quick", ItersPerEpoch: 10, MaxEpochs: 2, SampleInterval: 100 * time.Millisecond}
-	Standard = Scale{Name: "standard", ItersPerEpoch: 30, MaxEpochs: 3, SampleInterval: 100 * time.Millisecond}
+	Quick    = Scale{Name: "quick", ItersPerEpoch: 10, MaxEpochs: 2}
+	Standard = Scale{Name: "standard", ItersPerEpoch: 30, MaxEpochs: 3}
 )
 
 func (s Scale) epochs(paper int) int {
@@ -113,7 +111,7 @@ func (s *Session) Run(cfg cluster.Config, w dlmodel.Workload) (*train.Result, er
 }
 
 // RunOpts is Run with strategy/precision overrides. opts.Workload,
-// ItersPerEpoch, Epochs and SampleInterval are filled from the session.
+// ItersPerEpoch and Epochs are filled from the session.
 func (s *Session) RunOpts(cfg cluster.Config, w dlmodel.Workload, opts train.Options) (*train.Result, error) {
 	opts.Workload = w
 	if opts.ItersPerEpoch == 0 {
@@ -121,9 +119,6 @@ func (s *Session) RunOpts(cfg cluster.Config, w dlmodel.Workload, opts train.Opt
 	}
 	if opts.Epochs == 0 {
 		opts.Epochs = s.Scale.epochs(w.Epochs)
-	}
-	if opts.SampleInterval == 0 {
-		opts.SampleInterval = s.Scale.SampleInterval
 	}
 	// The key covers the full configuration struct and every
 	// outcome-relevant option.

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"composable/internal/obs"
 	"composable/internal/obs/analyze"
 	"composable/internal/orchestrator"
 	"composable/internal/scengen"
+	"composable/internal/sim"
 )
 
 // FleetExperiments is the orchestrator experiment family (S1–S4): fleet
@@ -25,10 +27,11 @@ func FleetExperiments() []Experiment {
 	}
 }
 
-// fleetRun executes a scenario and fails on any invariant violation, so
-// the S experiments cannot silently publish numbers from a broken run.
+// fleetRun executes a scenario, its fault plan armed, and fails on any
+// invariant violation, so the S and R experiments cannot publish numbers
+// from a broken run.
 func fleetRun(sc scengen.FleetScenario) (*orchestrator.FleetResult, error) {
-	out, err := scengen.RunFleet(sc)
+	out, err := scengen.RunFleet(sim.NewEnv(), sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -303,13 +306,15 @@ func FleetAttributionSLO(s *Session) (string, error) {
 			Hosts: 3, GPUs: 12, Preattach: true, Policy: policy,
 			AttachLatency: orchestrator.DefaultAttachLatency, Jobs: stream,
 		}
-		out, a, err := scengen.AnalyzeFleet(sc)
+		c := obs.NewCollector()
+		out, err := scengen.RunFleet(sim.NewEnv(), sc, c)
 		if err != nil {
 			return "", err
 		}
 		if err := out.Err(); err != nil {
 			return "", err
 		}
+		a := analyze.FromCollector(c).Analyze()
 		if err := scengen.CheckSLO("max-failed<=0", a, out.Stats()); err != nil {
 			return "", fmt.Errorf("S5 %s run is broken: %w", policy, err)
 		}

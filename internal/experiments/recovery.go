@@ -31,20 +31,6 @@ func RecoveryExperiments() []Experiment {
 	}
 }
 
-// faultyFleetRun executes a fault scenario and fails on any invariant
-// violation, so the R experiments cannot publish numbers from a broken
-// run.
-func faultyFleetRun(sc scengen.FaultScenario) (*orchestrator.FleetResult, error) {
-	out, err := scengen.RunFaultyFleet(sc)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.Err(); err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
 // RecoveryCheckpointInterval (R1) trains the same fixed work budget (24
 // iterations of ResNet-50 on 4 chassis GPUs) split into 1, 2, 4 and 8
 // epochs — the checkpoint cadence, since every epoch boundary writes a
@@ -68,14 +54,11 @@ func RecoveryCheckpointInterval(s *Session) (string, error) {
 	// Fault-free baselines; the 1-epoch split also anchors the fault time.
 	clean := make([]time.Duration, len(splits))
 	for i, sp := range splits {
-		out, err := scengen.RunFleet(fleet(sp.epochs, sp.iters))
+		res, err := fleetRun(fleet(sp.epochs, sp.iters))
 		if err != nil {
 			return "", err
 		}
-		if err := out.Err(); err != nil {
-			return "", err
-		}
-		clean[i] = out.Result.Makespan
+		clean[i] = res.Makespan
 	}
 	faultAt := clean[0] * 3 / 5
 
@@ -86,13 +69,11 @@ func RecoveryCheckpointInterval(s *Session) (string, error) {
 	fmt.Fprintf(&b, "%8s %14s %14s %12s %12s\n", "epochs", "fault-free", "faulty", "lost GPU-s", "ckpt carry")
 	faulty := make([]time.Duration, len(splits))
 	for i, sp := range splits {
-		sc := scengen.FaultScenario{
-			Fleet: fleet(sp.epochs, sp.iters),
-			Plan: faults.Plan{Events: []faults.Event{
-				{At: faultAt, Kind: faults.KindGPU, Target: 0, Repair: 500 * time.Millisecond},
-			}},
-		}
-		res, err := faultyFleetRun(sc)
+		sc := fleet(sp.epochs, sp.iters)
+		sc.Plan = faults.Plan{Events: []faults.Event{
+			{At: faultAt, Kind: faults.KindGPU, Target: 0, Repair: 500 * time.Millisecond},
+		}}
+		res, err := fleetRun(sc)
 		if err != nil {
 			return "", err
 		}
@@ -140,22 +121,20 @@ func flappyPlan() faults.Plan {
 // utilization also counts work that a kill then throws away.
 func RecoveryChassisFlaps(s *Session) (string, error) {
 	stream := burstyStream(s.Scale.ItersPerEpoch)
-	static := scengen.FaultScenario{
-		Fleet: scengen.FleetScenario{
-			Hosts: 3, GPUs: 12, Preattach: true, Policy: "static",
-			AttachLatency: orchestrator.DefaultAttachLatency, Jobs: stream,
-		},
+	static := scengen.FleetScenario{
+		Hosts: 3, GPUs: 12, Preattach: true, Policy: "static",
+		AttachLatency: orchestrator.DefaultAttachLatency, Jobs: stream,
 		Plan: flappyPlan(),
 	}
 	dynamic := static
-	dynamic.Fleet.Policy = "drawer"
+	dynamic.Policy = "drawer"
 	dynamic.Plan = flappyPlan()
 
-	sres, err := faultyFleetRun(static)
+	sres, err := fleetRun(static)
 	if err != nil {
 		return "", err
 	}
-	dres, err := faultyFleetRun(dynamic)
+	dres, err := fleetRun(dynamic)
 	if err != nil {
 		return "", err
 	}
@@ -239,8 +218,7 @@ func MeasureDegradedLink(s *Session, factors []float64) ([]time.Duration, error)
 		opts := train.Options{
 			Workload: dlmodel.BERTLargeWorkload(), Precision: gpu.FP16,
 			Epochs: 1, ItersPerEpoch: s.Scale.ItersPerEpoch,
-			SampleInterval: s.Scale.SampleInterval,
-			Probe:          inv.TrainProbe(),
+			Probe: inv.TrainProbe(),
 		}
 		res, err := train.Run(sys, opts)
 		if err != nil {

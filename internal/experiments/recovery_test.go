@@ -41,37 +41,25 @@ func TestR1CheckpointIntervalTradeoff(t *testing.T) {
 			}},
 		}
 	}
-	cleanRun := func(epochs, iters int) time.Duration {
-		out, err := scengen.RunFleet(fleet(epochs, iters))
+	run := func(sc scengen.FleetScenario) *orchestrator.FleetResult {
+		res, err := fleetRun(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := out.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return out.Result.Makespan
+		return res
 	}
-	clean1, clean8 := cleanRun(1, 24), cleanRun(8, 3)
+	clean1, clean8 := run(fleet(1, 24)).Makespan, run(fleet(8, 3)).Makespan
 	if clean1 > clean8 {
 		t.Errorf("fault-free: 1×24 (%v) should not be slower than 8×3 (%v): checkpoints are overhead", clean1, clean8)
 	}
 
 	faultAt := clean1 * 3 / 5
 	faultyRun := func(epochs, iters int) *orchestrator.FleetResult {
-		sc := scengen.FaultScenario{
-			Fleet: fleet(epochs, iters),
-			Plan: faults.Plan{Events: []faults.Event{
-				{At: faultAt, Kind: faults.KindGPU, Target: 0, Repair: 500 * time.Millisecond},
-			}},
-		}
-		out, err := scengen.RunFaultyFleet(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := out.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return out.Result
+		sc := fleet(epochs, iters)
+		sc.Plan = faults.Plan{Events: []faults.Event{
+			{At: faultAt, Kind: faults.KindGPU, Target: 0, Repair: 500 * time.Millisecond},
+		}}
+		return run(sc)
 	}
 	coarse, fine := faultyRun(1, 24), faultyRun(8, 3)
 	if coarse.Kills != 1 || fine.Kills != 1 {
@@ -106,16 +94,14 @@ func TestR2DynamicBeatsStaticUnderFlaps(t *testing.T) {
 	// Re-derive the numbers instead of parsing the report.
 	stream := burstyStream(Quick.ItersPerEpoch)
 	run := func(policy string) *orchestrator.FleetResult {
-		sc := scengen.FaultScenario{
-			Fleet: scengen.FleetScenario{
-				Hosts: 3, GPUs: 12, Preattach: true, Policy: policy,
-				AttachLatency: orchestrator.DefaultAttachLatency, Jobs: stream,
-			},
+		sc := scengen.FleetScenario{
+			Hosts: 3, GPUs: 12, Preattach: true, Policy: policy,
+			AttachLatency: orchestrator.DefaultAttachLatency, Jobs: stream,
 			Plan: faults.Plan{Events: []faults.Event{
 				{At: 2 * time.Second, Kind: faults.KindDrawer, Target: 0, Repair: 6 * time.Second},
 			}},
 		}
-		res, err := faultyFleetRun(sc)
+		res, err := fleetRun(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,8 +176,6 @@ type Bounds struct {
 	Pods int
 	// Horizon bounds fault times; repairs may land past it.
 	Horizon time.Duration
-	// MaxEvents caps the schedule length (0 = DefaultMaxEvents).
-	MaxEvents int
 	// MaxPermanentGPUs caps how many GPUs may fail without repair, so a
 	// stream's largest job always has surviving capacity (0 = none
 	// permanent: every device fault must heal).
@@ -221,7 +219,7 @@ const minFaultTime = time.Millisecond
 func FromSeed(seed int64, b Bounds) Plan {
 	rng := rand.New(rand.NewSource(seed))
 	p := Plan{Seed: seed}
-	n := 1 + rng.Intn(maxEvents(b))
+	n := 1 + rng.Intn(DefaultMaxEvents)
 	for i := 0; i < n; i++ {
 		ev := Event{
 			At: minFaultTime + time.Duration(rng.Int63n(int64(horizon(b)))),
@@ -291,7 +289,7 @@ func PlanMTBF(seed int64, mtbf time.Duration, b Bounds) Plan {
 			gap = minFaultTime
 		}
 		at += gap
-		if at > horizon(b) || len(p.Events) >= 4*maxEvents(b) {
+		if at > horizon(b) || len(p.Events) >= 4*DefaultMaxEvents {
 			break
 		}
 		ev := Event{At: at, Repair: time.Duration(500+rng.Intn(4000)) * time.Millisecond}
@@ -317,13 +315,6 @@ func horizon(b Bounds) time.Duration {
 		return b.Horizon
 	}
 	return 60 * time.Second
-}
-
-func maxEvents(b Bounds) int {
-	if b.MaxEvents > 0 {
-		return b.MaxEvents
-	}
-	return DefaultMaxEvents
 }
 
 // Sanitize maps an arbitrary plan onto the nearest valid one for the
@@ -398,7 +389,7 @@ func Sanitize(p Plan, b Bounds) Plan {
 	busyUntil := make([]time.Duration, len(kindOrder)*span)
 	permanentGPUs := 0
 	for _, e := range evs {
-		if len(out.Events) >= maxEvents(b)*4 {
+		if len(out.Events) >= DefaultMaxEvents*4 {
 			break
 		}
 		k := kindIndex(e.Kind)*span + e.Target

@@ -12,24 +12,23 @@ import (
 	"composable/internal/obs/analyze"
 	"composable/internal/orchestrator"
 	"composable/internal/scengen"
+	"composable/internal/sim"
 )
 
 // faultyScenario is a fixed faulty fleet run exercising every span the
 // analyzer attributes: waits, composes, runs, checkpoints, restores,
 // kills, and requeues (same shape as the obs golden-trace scenario).
-func faultyScenario() scengen.FaultScenario {
-	fleet := scengen.FleetFromSeed(1)
-	fleet.Jobs = fleet.Jobs[:3]
-	return scengen.SanitizeFaults(scengen.FaultScenario{
-		Fleet: fleet,
-		Plan:  scengen.PlanForFleet(3, fleet),
-	})
+func faultyScenario() scengen.FleetScenario {
+	sc := scengen.FleetFromSeed(1)
+	sc.Jobs = sc.Jobs[:3]
+	sc.Plan = scengen.PlanForFleet(3, sc)
+	return scengen.SanitizeFleet(sc)
 }
 
 func runFaulty(t *testing.T) (*obs.Collector, *scengen.FleetOutcome) {
 	t.Helper()
 	c := obs.NewCollector()
-	out, err := scengen.RunFaultyFleetObserved(faultyScenario(), c)
+	out, err := scengen.RunFleet(sim.NewEnv(), faultyScenario(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

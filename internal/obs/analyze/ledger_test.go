@@ -2,43 +2,21 @@ package analyze_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
 	"composable/internal/obs"
 	"composable/internal/obs/analyze"
-	"composable/internal/orchestrator"
 	"composable/internal/scengen"
+	"composable/internal/sim"
 )
 
-// sweepParams reads a sweep shape from the same environment variables
-// the scengen sweeps use, so CI drives both from one knob.
-func sweepParams(t *testing.T, seedVar, nVar string) (base int64, n int) {
-	base, n = 1, 100
-	if s := os.Getenv(seedVar); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("%s: %v", seedVar, err)
-		}
-		base = v
-	}
-	if s := os.Getenv(nVar); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("%s: bad value %q", nVar, s)
-		}
-		n = v
-	}
-	return base, n
-}
-
-// sweepLedger fans seeds over workers, running one observed scenario
-// per seed and checking the full attribution ledger on each.
-func sweepLedger(t *testing.T, base int64, n int, run func(seed int64) (*obs.Collector, *orchestrator.FleetResult, error)) {
+// sweepLedger fans seeds 1–100 over workers, running each seed's
+// scenario observed and checking the full attribution ledger on each.
+func sweepLedger(t *testing.T, scenario func(seed int64) scengen.FleetScenario) {
 	t.Helper()
+	const n = 100
 	seeds := make(chan int64)
 	var wg sync.WaitGroup
 	workers := runtime.GOMAXPROCS(0)
@@ -51,7 +29,11 @@ func sweepLedger(t *testing.T, base int64, n int, run func(seed int64) (*obs.Col
 		go func() {
 			defer wg.Done()
 			for seed := range seeds {
-				c, res, err := run(seed)
+				c := obs.NewCollector()
+				out, err := scengen.RunFleet(sim.NewEnv(), scenario(seed), c)
+				if err == nil {
+					err = out.Err()
+				}
 				if err != nil {
 					mu.Lock()
 					t.Errorf("seed %d: %v", seed, err)
@@ -61,7 +43,7 @@ func sweepLedger(t *testing.T, base int64, n int, run func(seed int64) (*obs.Col
 				tr := analyze.FromCollector(c)
 				a := tr.Analyze()
 				sub := &recordingT{}
-				checkLedger(sub, tr, a, res)
+				checkLedger(sub, tr, a, out.Result)
 				if len(sub.errs) > 0 {
 					mu.Lock()
 					for _, e := range sub.errs {
@@ -73,7 +55,7 @@ func sweepLedger(t *testing.T, base int64, n int, run func(seed int64) (*obs.Col
 		}()
 	}
 	for i := 0; i < n; i++ {
-		seeds <- base + int64(i)
+		seeds <- int64(i + 1)
 	}
 	close(seeds)
 	wg.Wait()
@@ -92,39 +74,17 @@ func (r *recordingT) Errorf(format string, args ...any) {
 }
 
 // TestLedgerBalanceFleetSweep is the satellite property test: across
-// the 100-seed fleet sweep (FLEET_SWEEP_SEED / FLEET_SWEEP_N), every
+// the 100-seed fleet sweep, every
 // job's attribution buckets sum to its wall span exactly, the critical
 // path tiles it gaplessly, and the fleet totals reconcile with
 // FleetResult's wait/runtime/GPU-second/goodput accounting.
 func TestLedgerBalanceFleetSweep(t *testing.T) {
-	base, n := sweepParams(t, "FLEET_SWEEP_SEED", "FLEET_SWEEP_N")
-	sweepLedger(t, base, n, func(seed int64) (*obs.Collector, *orchestrator.FleetResult, error) {
-		c := obs.NewCollector()
-		out, err := scengen.RunFleetObserved(scengen.FleetFromSeed(seed), c)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := out.Err(); err != nil {
-			return nil, nil, err
-		}
-		return c, out.Result, nil
-	})
+	sweepLedger(t, scengen.FleetFromSeed)
 }
 
 // TestLedgerBalanceFaultSweep runs the same ledger property across the
-// 100-seed fault sweep (FAULT_SWEEP_SEED / FAULT_SWEEP_N): kills,
+// 100-seed fault sweep: kills,
 // requeues and abandonments must still balance to the nanosecond.
 func TestLedgerBalanceFaultSweep(t *testing.T) {
-	base, n := sweepParams(t, "FAULT_SWEEP_SEED", "FAULT_SWEEP_N")
-	sweepLedger(t, base, n, func(seed int64) (*obs.Collector, *orchestrator.FleetResult, error) {
-		c := obs.NewCollector()
-		out, err := scengen.RunFaultyFleetObserved(scengen.FaultsFromSeed(seed), c)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := out.Err(); err != nil {
-			return nil, nil, err
-		}
-		return c, out.Result, nil
-	})
+	sweepLedger(t, scengen.FaultsFromSeed)
 }

@@ -10,6 +10,7 @@ import (
 
 	"composable/internal/obs"
 	"composable/internal/scengen"
+	"composable/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden trace file")
@@ -17,19 +18,17 @@ var update = flag.Bool("update", false, "rewrite the golden trace file")
 // goldenScenario is a small fixed faulty fleet run that exercises every
 // instrumented layer: jobs schedule (orchestrator/train/fabric/sim) and a
 // repairable GPU fault fires mid-run (faults).
-func goldenScenario() scengen.FaultScenario {
-	fleet := scengen.FleetFromSeed(1)
-	fleet.Jobs = fleet.Jobs[:3]
-	return scengen.SanitizeFaults(scengen.FaultScenario{
-		Fleet: fleet,
-		Plan:  scengen.PlanForFleet(3, fleet),
-	})
+func goldenScenario() scengen.FleetScenario {
+	sc := scengen.FleetFromSeed(1)
+	sc.Jobs = sc.Jobs[:3]
+	sc.Plan = scengen.PlanForFleet(3, sc)
+	return scengen.SanitizeFleet(sc)
 }
 
 func runGolden(t *testing.T) *obs.Collector {
 	t.Helper()
 	c := obs.NewCollector()
-	out, err := scengen.RunFaultyFleetObserved(goldenScenario(), c)
+	out, err := scengen.RunFleet(sim.NewEnv(), goldenScenario(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

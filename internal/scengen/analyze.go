@@ -4,26 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"composable/internal/obs"
 	"composable/internal/obs/analyze"
 )
-
-// AnalyzeFleet runs the scenario observed and hands back both the
-// outcome and its post-hoc trace analysis — the one-call path sweeps
-// and experiments use to assert on attribution or SLOs.
-func AnalyzeFleet(sc FleetScenario) (*FleetOutcome, *analyze.Analysis, error) {
-	return AnalyzeFaultyFleet(FaultScenario{Fleet: sc})
-}
-
-// AnalyzeFaultyFleet is AnalyzeFleet for a faulty scenario.
-func AnalyzeFaultyFleet(sc FaultScenario) (*FleetOutcome, *analyze.Analysis, error) {
-	c := obs.NewCollector()
-	out, err := RunFaultyFleetObserved(sc, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, analyze.FromCollector(c).Analyze(), nil
-}
 
 // Stats converts the outcome's FleetResult into the analyzer's
 // run-level stats, unlocking goodput/utilization SLO clauses.

@@ -6,19 +6,18 @@ import (
 
 	"composable/internal/faults"
 	"composable/internal/orchestrator"
+	"composable/internal/sim"
 )
 
-// TestFaultScenarioSweep is the fault analog of TestFleetScenarioSweep: N
-// seeded fault scenarios (default 100, override via FAULT_SWEEP_N /
-// FAULT_SWEEP_SEED), each run twice end to end with the full invariant
-// probe set — sim/fabric conservation under mid-run capacity changes,
-// chassis attach/detach conservation across hot-unplugs, kill/requeue
-// lifecycle legality, no placement on down hardware, and the lost-work
-// ledger. The two executions must produce byte-identical telemetry
-// fingerprints, applied-fault ledger included.
+// TestFaultScenarioSweep is the fault analog of TestFleetScenarioSweep:
+// the fault scenarios of seeds 1–100, each run twice end to end with the
+// full invariant probe set — sim/fabric conservation under mid-run
+// capacity changes, chassis attach/detach conservation across
+// hot-unplugs, kill/requeue lifecycle legality, no placement on down
+// hardware, and the lost-work ledger. The two executions must produce
+// byte-identical telemetry fingerprints, applied-fault ledger included.
 func TestFaultScenarioSweep(t *testing.T) {
-	base, n := sweepParams(t, "FAULT_SWEEP")
-	fleetSweep(t, "fault", base, n, FaultsFromSeed)
+	fleetSweep(t, "fault", 1, 100, FaultsFromSeed)
 }
 
 func TestFaultsFromSeedDeterministic(t *testing.T) {
@@ -40,7 +39,7 @@ func TestFaultsFromSeedActuallyInjects(t *testing.T) {
 		if len(sc.Plan.Events) == 0 {
 			continue
 		}
-		out, err := RunFaultyFleet(sc)
+		out, err := RunFleet(sim.NewEnv(), sc, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -59,36 +58,14 @@ func TestFaultsFromSeedActuallyInjects(t *testing.T) {
 	}
 }
 
-func TestSanitizeFaultsIdempotentAndValid(t *testing.T) {
-	raw := FaultScenario{
-		Fleet: FleetScenario{
-			Hosts: 99, GPUs: -3, Policy: "nope",
-			Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
-		},
-		Plan: faults.Plan{Events: []faults.Event{
-			{At: -1, Kind: faults.KindGPU, Target: 400},
-			{At: 1, Kind: "gibberish", Target: -2},
-		}},
-		MaxRetries: -5,
-	}
-	once := SanitizeFaults(raw)
-	twice := SanitizeFaults(once)
-	if !reflect.DeepEqual(once, twice) {
-		t.Fatalf("SanitizeFaults not idempotent:\n%+v\n%+v", once, twice)
-	}
-	if _, err := RunFaultyFleet(once); err != nil {
-		t.Errorf("sanitized fault scenario failed to run: %v", err)
-	}
-}
-
 // TestNegativeMaxRetriesMeansNoRetries checks that a negative retry
-// budget survives SanitizeFaults as "no retries": a host crash under the
+// budget survives SanitizeFleet as "no retries": a host crash under the
 // only job abandons it at the first kill, where the default budget lets
 // it recover.
 func TestNegativeMaxRetriesMeansNoRetries(t *testing.T) {
 	fleet := FleetScenario{Hosts: 1, GPUs: 8, Policy: "drawer", AttachLatency: -1,
 		Jobs: []orchestrator.JobSpec{{GPUs: 4, Workload: "ResNet-50", Epochs: 2, ItersPerEpoch: 8}}}
-	base, err := RunFaultyFleet(SanitizeFaults(FaultScenario{Fleet: fleet}))
+	base, err := RunFleet(sim.NewEnv(), SanitizeFleet(fleet), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +79,13 @@ func TestNegativeMaxRetriesMeansNoRetries(t *testing.T) {
 		{-5, -1, true},
 		{0, 0, false},
 	} {
-		sc := SanitizeFaults(FaultScenario{Fleet: fleet, Plan: plan, MaxRetries: tc.retries})
+		sc := fleet
+		sc.Plan, sc.MaxRetries = plan, tc.retries
+		sc = SanitizeFleet(sc)
 		if sc.MaxRetries != tc.sanitized {
 			t.Errorf("MaxRetries %d sanitized to %d, want %d", tc.retries, sc.MaxRetries, tc.sanitized)
 		}
-		out, err := RunFaultyFleet(sc)
+		out, err := RunFleet(sim.NewEnv(), sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,9 +100,8 @@ func TestNegativeMaxRetriesMeansNoRetries(t *testing.T) {
 }
 
 func TestStaticFaultScenariosAlwaysHeal(t *testing.T) {
-	sc := SanitizeFaults(FaultScenario{
-		Fleet: FleetScenario{Hosts: 3, GPUs: 12, Policy: "static",
-			Jobs: []orchestrator.JobSpec{{GPUs: 2, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2}}},
+	sc := SanitizeFleet(FleetScenario{Hosts: 3, GPUs: 12, Policy: "static",
+		Jobs: []orchestrator.JobSpec{{GPUs: 2, Workload: "ResNet-50", Epochs: 1, ItersPerEpoch: 2}},
 		Plan: faults.Plan{Events: []faults.Event{
 			{At: 1, Kind: faults.KindGPU, Target: 0}, // permanent in the raw plan
 		}},
@@ -133,7 +111,7 @@ func TestStaticFaultScenariosAlwaysHeal(t *testing.T) {
 			t.Fatalf("static scenario kept a permanent device fault: %+v", e)
 		}
 	}
-	out, err := RunFaultyFleet(sc)
+	out, err := RunFleet(sim.NewEnv(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"composable/internal/cluster"
 	"composable/internal/dlmodel"
+	"composable/internal/faults"
 	"composable/internal/gpu"
 	"composable/internal/invariant"
 	"composable/internal/obs"
@@ -17,10 +18,17 @@ import (
 )
 
 // FleetScenario is one fully specified fleet run: a multi-host testbed, a
-// placement policy, and a seeded arrival stream of training jobs. A
-// scenario produced by FleetFromSeed or SanitizeFleet is valid by
-// construction: it composes, every job is placeable under the policy, and
-// every batch fits device memory.
+// placement policy, a seeded arrival stream of training jobs and,
+// optionally, a fault schedule played into it — the sweep axis the
+// paper's test bed cannot cover: every result under link flaps, dying
+// GPUs, drawer hot-unplugs and host crashes, with checkpoint/restart
+// recovery. A scenario produced by FleetFromSeed, FaultsFromSeed or
+// SanitizeFleet is valid by construction: it composes, every job is
+// placeable under the policy, every batch fits device memory, the plan
+// targets real hardware, every non-repairable failure leaves the largest
+// job enough survivors, and a static-partition scenario only sees
+// failures that heal (a permanently dead device would wedge a fixed
+// share).
 type FleetScenario struct {
 	// Seed records provenance; it does not affect execution.
 	Seed int64
@@ -46,6 +54,13 @@ type FleetScenario struct {
 	AttachLatency time.Duration
 
 	Jobs []orchestrator.JobSpec
+
+	// Plan is the fault schedule; the empty plan is a fault-free run.
+	Plan faults.Plan
+	// MaxRetries is the per-job reschedule budget, with the convention of
+	// orchestrator.Options: 0 picks the orchestrator default, negative
+	// means no retries (SanitizeFleet normalises it to -1).
+	MaxRetries int
 }
 
 // podShaped reports whether the scenario selects the hierarchical fleet.
@@ -130,8 +145,9 @@ func FleetFromSeed(seed int64) FleetScenario {
 // SanitizeFleet maps an arbitrary fleet scenario onto the nearest valid
 // one: counts clamped into composable ranges, the policy resolved to a
 // known one, the static policy forced onto a preattached partition with
-// per-tenant demands that fit its share, and every job spec sanitized.
-// It is idempotent.
+// per-tenant demands that fit its share, every job spec sanitized, and
+// the fault plan sanitized against the bounds the fleet implies. It is
+// idempotent.
 func SanitizeFleet(sc FleetScenario) FleetScenario {
 	if sc.podShaped() {
 		// Sweep-sized pod fleets: big enough for cross-pod placement to
@@ -185,6 +201,10 @@ func SanitizeFleet(sc FleetScenario) FleetScenario {
 			}
 		}
 		sc.Jobs[i] = j
+	}
+	sc.Plan = faults.Sanitize(sc.Plan, faultBounds(sc))
+	if sc.MaxRetries < 0 {
+		sc.MaxRetries = -1
 	}
 	return sc
 }
@@ -277,29 +297,49 @@ func (o *FleetOutcome) Violations() []invariant.Violation { return o.Inv.Violati
 // Err returns nil when every invariant held.
 func (o *FleetOutcome) Err() error { return o.Inv.Err() }
 
-// RunFleet executes the scenario end to end on a fresh simulation with
-// the full fleet invariant probe set attached: sim event-time
-// monotonicity, fabric capacity/byte conservation, chassis attach/detach
-// conservation, orchestrator lifecycle and assignment exclusivity, and
-// the post-run structural checks. A non-nil error means the scenario
-// failed to compose or schedule; invariant violations are reported on the
-// FleetOutcome.
-func RunFleet(sc FleetScenario) (*FleetOutcome, error) {
-	return RunFleetObserved(sc, nil)
-}
-
-// RunFleetObserved is RunFleet with an observability collector attached
-// to every layer of the run: sim proc lifetimes, fabric flow spans and
-// per-tier utilization gauges, train epoch/checkpoint spans, and the
-// orchestrator's queue/placement metrics. A nil collector degrades to
-// the plain, probe-free RunFleet. The fingerprint is unaffected either
-// way — observation never perturbs the simulation.
-func RunFleetObserved(sc FleetScenario, c *obs.Collector) (*FleetOutcome, error) {
-	return RunFleetOn(sim.NewEnv(), sc, c)
-}
-
-// RunFleetOn is RunFleetObserved on a caller-supplied fresh environment,
-// for callers that attach their own engine probes (event digests) first.
-func RunFleetOn(env *sim.Env, sc FleetScenario, c *obs.Collector) (*FleetOutcome, error) {
-	return RunFaultyFleetOn(env, FaultScenario{Fleet: sc}, c)
+// RunFleet executes the scenario end to end on env, a fresh simulation,
+// with its fault plan armed (an empty plan arms nothing) and the full
+// fleet invariant probe set attached: sim event-time monotonicity,
+// fabric capacity and byte conservation under mid-run capacity changes,
+// chassis attach/detach conservation across hot-unplugs, orchestrator
+// lifecycle and assignment exclusivity, no placement on a down slot or
+// crashed host, the lost-work ledger, and the post-run structural checks.
+// Callers that want event digests attach them to env first. A non-nil
+// collector is attached to every layer of the run, and fault injections
+// open blast-radius spans that close on repair; observation never moves
+// the fingerprint, which covers the applied-fault ledger. A non-nil error
+// means the scenario failed to compose or schedule; invariant violations
+// are reported on the FleetOutcome.
+func RunFleet(env *sim.Env, sc FleetScenario, c *obs.Collector) (*FleetOutcome, error) {
+	if c != nil {
+		c.Attach(env)
+	}
+	f, err := cluster.ComposeFleet(env, sc.fleetOptions())
+	if err != nil {
+		return nil, fmt.Errorf("scengen: compose %s: %w", sc.ID(), err)
+	}
+	if c != nil {
+		f.AttachObs(c)
+	}
+	pol, err := orchestrator.PolicyByName(sc.Policy)
+	if err != nil {
+		return nil, fmt.Errorf("scengen: %s: %w", sc.ID(), err)
+	}
+	inv := invariant.New()
+	inv.WatchEnv(env)
+	inv.WatchNetwork(f.Net)
+	inv.WatchFleet(f)
+	res, err := orchestrator.Run(f, sc.Jobs, orchestrator.Options{
+		Policy:        pol,
+		AttachLatency: sc.AttachLatency,
+		Probe:         inv.OrchestratorProbe(),
+		Faults:        &sc.Plan,
+		MaxRetries:    sc.MaxRetries,
+		Obs:           c,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scengen: fleet %s: %w", sc.ID(), err)
+	}
+	inv.CheckFleetResult(f, res)
+	return &FleetOutcome{Scenario: sc, Result: res, Inv: inv, Fingerprint: res.Fingerprint()}, nil
 }

@@ -8,15 +8,15 @@ import (
 
 	"composable/internal/faults"
 	"composable/internal/orchestrator"
+	"composable/internal/sim"
 )
 
 // fleetSweep runs the scenarios of seeds [base, base+n) on GOMAXPROCS
 // workers, each twice end to end with the full invariant probe set. Both
 // runs must hold every invariant and produce byte-identical fingerprints
 // and event digests; the first run's pair is checked against the sweep's
-// pins in testdata/<sweep>_fingerprints.txt. A fault-free scenario is a
-// FaultScenario with an empty plan.
-func fleetSweep(t *testing.T, sweep string, base int64, n int, scenario func(seed int64) FaultScenario) {
+// pins in testdata/<sweep>_fingerprints.txt.
+func fleetSweep(t *testing.T, sweep string, base int64, n int, scenario func(seed int64) FleetScenario) {
 	t.Helper()
 	pins := newFingerprintPins(sweep)
 	seeds := make(chan int64)
@@ -38,7 +38,7 @@ func fleetSweep(t *testing.T, sweep string, base int64, n int, scenario func(see
 			for seed := range seeds {
 				sc := scenario(seed)
 				env, digest := newSweepEnv()
-				first, err := RunFaultyFleetOn(env, sc, nil)
+				first, err := RunFleet(env, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): %v", seed, sc.ID(), err)
 					continue
@@ -48,7 +48,7 @@ func fleetSweep(t *testing.T, sweep string, base int64, n int, scenario func(see
 					continue
 				}
 				env2, digest2 := newSweepEnv()
-				second, err := RunFaultyFleetOn(env2, sc, nil)
+				second, err := RunFleet(env2, sc, nil)
 				if err != nil {
 					fail("seed %d (%s): repeat: %v", seed, sc.ID(), err)
 					continue
@@ -75,39 +75,33 @@ func fleetSweep(t *testing.T, sweep string, base int64, n int, scenario func(see
 	pins.check(t)
 }
 
-// TestFleetScenarioSweep is the fleet analog of TestScenarioSweep: N
-// seeded fleet scenarios (default 100, override via FLEET_SWEEP_N /
-// FLEET_SWEEP_SEED), each run twice end to end with the full invariant
-// probe set — sim/fabric conservation plus the orchestrator invariants
-// (no double-assignment, attach/detach conservation, queue-lifecycle
-// monotonicity). The two executions must produce byte-identical telemetry
-// fingerprints.
+// TestFleetScenarioSweep is the fleet analog of TestScenarioSweep: the
+// fleet scenarios of seeds 1–100, each run twice end to end with the
+// full invariant probe set — sim/fabric conservation plus the
+// orchestrator invariants (no double-assignment, attach/detach
+// conservation, queue-lifecycle monotonicity). The two executions must
+// produce byte-identical telemetry fingerprints.
 func TestFleetScenarioSweep(t *testing.T) {
-	base, n := sweepParams(t, "FLEET_SWEEP")
-	fleetSweep(t, "fleet", base, n, func(seed int64) FaultScenario {
-		return FaultScenario{Fleet: FleetFromSeed(seed)}
-	})
+	fleetSweep(t, "fleet", 1, 100, FleetFromSeed)
 }
 
 // TestPodScenarioSweep extends the run-twice determinism tier to
-// hierarchical fleets: N seeded pod-shaped scenarios (multi-chassis,
-// spine/leaf, oversubscribed uplinks, cross-chassis recomposition), each
-// run twice with the full invariant probe set; the fingerprints must be
-// byte-identical. POD_SWEEP_SEED / POD_SWEEP_N override the shape.
+// hierarchical fleets: the pod-shaped scenarios of seeds 1–100
+// (multi-chassis, spine/leaf, oversubscribed uplinks, cross-chassis
+// recomposition), each run twice with the full invariant probe set; the
+// fingerprints must be byte-identical.
 func TestPodScenarioSweep(t *testing.T) {
-	base, n := sweepParams(t, "POD_SWEEP")
-	fleetSweep(t, "pod", base, n, func(seed int64) FaultScenario {
-		return FaultScenario{Fleet: PodFleetFromSeed(seed)}
-	})
+	fleetSweep(t, "pod", 1, 100, PodFleetFromSeed)
 }
 
 // podFaultsFromSeed is the pod fleet of PodFleetFromSeed with a fault
 // plan drawn from a decoupled stream of the same seed, so the plan holds
 // the pod-scoped kinds (pod power loss, spine-link degradation) next to
 // the device and link faults.
-func podFaultsFromSeed(seed int64) FaultScenario {
-	fleet := PodFleetFromSeed(seed)
-	return SanitizeFaults(FaultScenario{Fleet: fleet, Plan: PlanForFleet(seed^0x5eedFa017, fleet)})
+func podFaultsFromSeed(seed int64) FleetScenario {
+	sc := PodFleetFromSeed(seed)
+	sc.Plan = PlanForFleet(seed^0x5eedFa017, sc)
+	return SanitizeFleet(sc)
 }
 
 // TestPodFaultScenarioSweep is the fault sweep on pod fleets, seeds
@@ -161,21 +155,40 @@ func TestFleetFromSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestSanitizeFleetIdempotentAndValid maps raw scenarios, fault-free and
+// faulty, onto valid ones: sanitizing twice changes nothing, and the
+// result runs clean.
 func TestSanitizeFleetIdempotentAndValid(t *testing.T) {
-	raw := FleetScenario{
-		Hosts: 99, GPUs: -3, Policy: "nope", AttachLatency: -5,
-		Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
-	}
-	once := SanitizeFleet(raw)
-	twice := SanitizeFleet(once)
-	if !reflect.DeepEqual(once, twice) {
-		t.Fatalf("SanitizeFleet not idempotent:\n%+v\n%+v", once, twice)
-	}
-	if once.Hosts != 3 || once.GPUs < 2 || once.Policy != "drawer" {
-		t.Errorf("bad clamps: %+v", once)
-	}
-	if _, err := RunFleet(once); err != nil {
-		t.Errorf("sanitized scenario failed to run: %v", err)
+	for _, raw := range []FleetScenario{
+		{
+			Hosts: 99, GPUs: -3, Policy: "nope", AttachLatency: -5,
+			Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
+		},
+		{
+			Hosts: 99, GPUs: -3, Policy: "nope",
+			Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
+			Plan: faults.Plan{Events: []faults.Event{
+				{At: -1, Kind: faults.KindGPU, Target: 400},
+				{At: 1, Kind: "gibberish", Target: -2},
+			}},
+			MaxRetries: -5,
+		},
+	} {
+		once := SanitizeFleet(raw)
+		twice := SanitizeFleet(once)
+		if !reflect.DeepEqual(once, twice) {
+			t.Fatalf("SanitizeFleet not idempotent:\n%+v\n%+v", once, twice)
+		}
+		if once.Hosts != 3 || once.GPUs < 2 || once.Policy != "drawer" {
+			t.Errorf("bad clamps: %+v", once)
+		}
+		out, err := RunFleet(sim.NewEnv(), once, nil)
+		if err != nil {
+			t.Fatalf("sanitized scenario %s failed to run: %v", once.ID(), err)
+		}
+		if err := out.Err(); err != nil {
+			t.Errorf("sanitized scenario %s: %v", once.ID(), err)
+		}
 	}
 }
 
@@ -196,7 +209,7 @@ func TestSanitizeFleetStaticFitsShares(t *testing.T) {
 			t.Errorf("tenant %d demand %d over share %d", j.Tenant, j.GPUs, share)
 		}
 	}
-	out, err := RunFleet(sc)
+	out, err := RunFleet(sim.NewEnv(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,9 @@ func (p *fingerprintPins) record(seed int64, fingerprint string, d *sim.Digest) 
 	p.mu.Unlock()
 }
 
-// check compares every recorded seed that the file pins, or rewrites the
-// file from the recorded seeds under -update. Seeds the file does not
-// list (a sweep widened through its environment variables) are skipped.
+// check compares every recorded seed with its pin, or rewrites the file
+// from the recorded seeds under -update. A recorded seed the file does
+// not list fails, so a deleted pin line cannot pass unnoticed.
 func (p *fingerprintPins) check(t *testing.T) {
 	t.Helper()
 	seeds := make([]int64, 0, len(p.got))
@@ -104,6 +104,7 @@ func (p *fingerprintPins) check(t *testing.T) {
 	for _, s := range seeds {
 		w, ok := want[s]
 		if !ok {
+			t.Errorf("seed %d: not pinned in %s", s, p.path)
 			continue
 		}
 		checked++

@@ -1,10 +1,8 @@
 package scengen
 
 import (
-	"os"
 	"reflect"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -13,38 +11,14 @@ import (
 	"composable/internal/train"
 )
 
-// sweepParams reads a sweep's shape from the environment so CI can pin
-// the seed and scale the scenario count without code changes:
-// <prefix>_SEED is the first seed (default 1), <prefix>_N the scenario
-// count (default 100).
-func sweepParams(t *testing.T, prefix string) (base int64, n int) {
-	base, n = 1, 100
-	if s := os.Getenv(prefix + "_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("%s_SEED: %v", prefix, err)
-		}
-		base = v
-	}
-	if s := os.Getenv(prefix + "_N"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("%s_N: bad value %q", prefix, s)
-		}
-		n = v
-	}
-	return base, n
-}
-
-// TestScenarioSweep is the randomized scenario tier: N seeded scenarios
-// (default 100, override via SCENGEN_SWEEP_N / SCENGEN_SWEEP_SEED), each
+// TestScenarioSweep is the randomized scenario tier: seeds 1–100, each
 // run twice end to end. Every invariant must hold on every run, the two
 // executions must produce byte-identical fingerprints, and a rotating
 // subset additionally checks the metamorphic relations (faster fabric
 // never slower, more iterations never faster, sharding never grows the
 // memory peak).
 func TestScenarioSweep(t *testing.T) {
-	base, n := sweepParams(t, "SCENGEN_SWEEP")
+	const base, n = 1, 100
 	pins := newFingerprintPins("scenario")
 
 	type job struct {

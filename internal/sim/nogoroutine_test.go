@@ -42,7 +42,7 @@ func TestTrainingAndFleetWakeNoGoroutine(t *testing.T) {
 
 	for seed := int64(1); seed <= 50; seed++ {
 		env := sim.NewEnv()
-		out, err := scengen.RunFaultyFleetOn(env, scengen.FaultsFromSeed(seed), nil)
+		out, err := scengen.RunFleet(env, scengen.FaultsFromSeed(seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,18 +16,12 @@ import (
 // checkpoint restarts under fleet scheduling.
 func TestEngineOracleFleetSweeps(t *testing.T) {
 	sweeps := []struct {
-		name string
-		run  func(env *sim.Env, seed int64) (*scengen.FleetOutcome, error)
+		name     string
+		scenario func(seed int64) scengen.FleetScenario
 	}{
-		{"fleet", func(env *sim.Env, seed int64) (*scengen.FleetOutcome, error) {
-			return scengen.RunFleetOn(env, scengen.FleetFromSeed(seed), nil)
-		}},
-		{"pod", func(env *sim.Env, seed int64) (*scengen.FleetOutcome, error) {
-			return scengen.RunFleetOn(env, scengen.PodFleetFromSeed(seed), nil)
-		}},
-		{"fault", func(env *sim.Env, seed int64) (*scengen.FleetOutcome, error) {
-			return scengen.RunFaultyFleetOn(env, scengen.FaultsFromSeed(seed), nil)
-		}},
+		{"fleet", scengen.FleetFromSeed},
+		{"pod", scengen.PodFleetFromSeed},
+		{"fault", scengen.FaultsFromSeed},
 	}
 	for _, sw := range sweeps {
 		kills := 0
@@ -37,12 +31,12 @@ func TestEngineOracleFleetSweeps(t *testing.T) {
 			goroutine := func(env *sim.Env) (err error) {
 				restore := train.UseGoroutineEngine()
 				defer restore()
-				gor, err = sw.run(env, seed)
+				gor, err = scengen.RunFleet(env, sw.scenario(seed), nil)
 				gorEvents = env.EventCount()
 				return err
 			}
 			stepper := func(env *sim.Env) (err error) {
-				stp, err = sw.run(env, seed)
+				stp, err = scengen.RunFleet(env, sw.scenario(seed), nil)
 				stpEvents = env.EventCount()
 				return err
 			}

@@ -120,7 +120,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
 
-	smp := newSampler(sys, opts.SampleInterval)
+	smp := newSampler(sys)
 
 	// Checkpoint schedule: CheckpointsPerEpoch marks per epoch (workload
 	// default, overridable), the last at the epoch boundary. Because the

@@ -1,8 +1,6 @@
 package train
 
 import (
-	"time"
-
 	"composable/internal/cluster"
 	"composable/internal/obs"
 	"composable/internal/sim"
@@ -22,7 +20,7 @@ const (
 // windowed GPU utilization (nvidia-smi), GPU memory, host CPU and memory
 // (wandb system metrics) and Falcon port traffic (chassis GUI) — on a
 // per-run registry and starts sampling them.
-func newSampler(sys *cluster.System, interval time.Duration) *obs.Sampler {
+func newSampler(sys *cluster.System) *obs.Sampler {
 	reg := &obs.Registry{}
 
 	// GPU utilization: windowed busy fraction averaged across devices.
@@ -73,7 +71,7 @@ func newSampler(sys *cluster.System, interval time.Duration) *obs.Sampler {
 			return float64(delta) * pcieWireOverhead / dt / 1e9
 		})
 	}
-	smp := obs.NewSampler(reg, interval)
+	smp := obs.NewSampler(reg, obs.DefaultInterval)
 	smp.Start(sys.Env)
 	return smp
 }

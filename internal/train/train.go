@@ -56,8 +56,6 @@ type Options struct {
 	Buckets int
 	// Workers is the data-loader worker pool size (0 → 24).
 	Workers int
-	// SampleInterval is the telemetry period (0 → 100 ms).
-	SampleInterval time.Duration
 	// Channels overrides the collective's counter-rotating ring count
 	// (0 → library default; ablation knob).
 	Channels int
@@ -107,10 +105,10 @@ const (
 // which is what makes fingerprints safe as cache/deduplication keys — the
 // experiments session keys its shared-run cache on them.
 func (o Options) Fingerprint() string {
-	return fmt.Sprintf("%s|%v|%s|%t|%d|%d|%d|%d|%d|%d|%v|%d|%d",
+	return fmt.Sprintf("%s|%v|%s|%t|%d|%d|%d|%d|%d|%d|%d|%d",
 		o.Workload.Name, o.Precision, o.Strategy, o.Sharded,
 		o.BatchPerGPU, o.Epochs, o.ItersPerEpoch, o.Buckets, o.Workers,
-		o.Channels, o.SampleInterval, o.CheckpointsPerEpoch, o.ResumeEpochs)
+		o.Channels, o.CheckpointsPerEpoch, o.ResumeEpochs)
 }
 
 // launchBusyFraction is how much of the per-iteration launch overhead a
@@ -335,7 +333,7 @@ func start(sys *cluster.System, opts Options) (*Job, error) {
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
 
-	smp := newSampler(sys, opts.SampleInterval)
+	smp := newSampler(sys)
 
 	// Checkpoint schedule: CheckpointsPerEpoch marks per epoch (workload
 	// default, overridable), the last at the epoch boundary. Because the

@@ -271,7 +271,6 @@ func TestShardedCommunicatesLessPerGPU(t *testing.T) {
 func TestCheckpointDipsVisibleInSeries(t *testing.T) {
 	opts := quickOpts(dlmodel.BERTLargeWorkload())
 	opts.ItersPerEpoch = 15
-	opts.SampleInterval = 50 * time.Millisecond
 	res := runOn(t, cluster.LocalGPUsConfig(), opts)
 	s := res.Samples.Series(SeriesGPUUtil)
 	if s.Min() >= s.Mean()*0.8 {
