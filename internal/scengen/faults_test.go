@@ -58,6 +58,33 @@ func TestFaultsFromSeedActuallyInjects(t *testing.T) {
 	}
 }
 
+// TestSanitizeFaultsIdempotentAndValid maps a raw faulty scenario, with
+// out-of-range fault events and a negative retry budget, onto a valid
+// one: sanitizing twice changes nothing, and the result runs clean.
+func TestSanitizeFaultsIdempotentAndValid(t *testing.T) {
+	raw := FleetScenario{
+		Hosts: 99, GPUs: -3, Policy: "nope",
+		Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
+		Plan: faults.Plan{Events: []faults.Event{
+			{At: -1, Kind: faults.KindGPU, Target: 400},
+			{At: 1, Kind: "gibberish", Target: -2},
+		}},
+		MaxRetries: -5,
+	}
+	once := SanitizeFleet(raw)
+	twice := SanitizeFleet(once)
+	if !reflect.DeepEqual(once, twice) {
+		t.Fatalf("SanitizeFleet not idempotent:\n%+v\n%+v", once, twice)
+	}
+	out, err := RunFleet(sim.NewEnv(), once, nil)
+	if err != nil {
+		t.Fatalf("sanitized fault scenario %s failed to run: %v", once.ID(), err)
+	}
+	if err := out.Err(); err != nil {
+		t.Errorf("sanitized fault scenario %s: %v", once.ID(), err)
+	}
+}
+
 // TestNegativeMaxRetriesMeansNoRetries checks that a negative retry
 // budget survives SanitizeFleet as "no retries": a host crash under the
 // only job abandons it at the first kill, where the default budget lets

@@ -155,40 +155,28 @@ func TestFleetFromSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestSanitizeFleetIdempotentAndValid maps raw scenarios, fault-free and
-// faulty, onto valid ones: sanitizing twice changes nothing, and the
-// result runs clean.
+// TestSanitizeFleetIdempotentAndValid maps a raw fault-free scenario onto
+// a valid one: sanitizing twice changes nothing, and the result runs
+// clean.
 func TestSanitizeFleetIdempotentAndValid(t *testing.T) {
-	for _, raw := range []FleetScenario{
-		{
-			Hosts: 99, GPUs: -3, Policy: "nope", AttachLatency: -5,
-			Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
-		},
-		{
-			Hosts: 99, GPUs: -3, Policy: "nope",
-			Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
-			Plan: faults.Plan{Events: []faults.Event{
-				{At: -1, Kind: faults.KindGPU, Target: 400},
-				{At: 1, Kind: "gibberish", Target: -2},
-			}},
-			MaxRetries: -5,
-		},
-	} {
-		once := SanitizeFleet(raw)
-		twice := SanitizeFleet(once)
-		if !reflect.DeepEqual(once, twice) {
-			t.Fatalf("SanitizeFleet not idempotent:\n%+v\n%+v", once, twice)
-		}
-		if once.Hosts != 3 || once.GPUs < 2 || once.Policy != "drawer" {
-			t.Errorf("bad clamps: %+v", once)
-		}
-		out, err := RunFleet(sim.NewEnv(), once, nil)
-		if err != nil {
-			t.Fatalf("sanitized scenario %s failed to run: %v", once.ID(), err)
-		}
-		if err := out.Err(); err != nil {
-			t.Errorf("sanitized scenario %s: %v", once.ID(), err)
-		}
+	raw := FleetScenario{
+		Hosts: 99, GPUs: -3, Policy: "nope", AttachLatency: -5,
+		Jobs: []orchestrator.JobSpec{{GPUs: 40, Workload: "bogus", Tenant: 7}},
+	}
+	once := SanitizeFleet(raw)
+	twice := SanitizeFleet(once)
+	if !reflect.DeepEqual(once, twice) {
+		t.Fatalf("SanitizeFleet not idempotent:\n%+v\n%+v", once, twice)
+	}
+	if once.Hosts != 3 || once.GPUs < 2 || once.Policy != "drawer" {
+		t.Errorf("bad clamps: %+v", once)
+	}
+	out, err := RunFleet(sim.NewEnv(), once, nil)
+	if err != nil {
+		t.Fatalf("sanitized scenario %s failed to run: %v", once.ID(), err)
+	}
+	if err := out.Err(); err != nil {
+		t.Errorf("sanitized scenario %s: %v", once.ID(), err)
 	}
 }
 
