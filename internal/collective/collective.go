@@ -50,6 +50,11 @@ type Communicator struct {
 	eff      float64
 	channels int
 	queue    []*op // FIFO of operations being assembled/executed
+	// free holds completed ops that gc dropped from the queue, taken by
+	// join before it allocates. A recycled op keeps its embedded stepper,
+	// its flows buffer and the waiter backing arrays of done and wg, so
+	// a warm communicator's async collectives allocate nothing.
+	free []*op
 	// fanSpecs is scratch for armFanTransfer (ops execute serially, so
 	// one buffer per communicator suffices).
 	fanSpecs []fabric.TransferSpec
@@ -175,22 +180,65 @@ func opProcName(kind string) string {
 // op is one in-flight collective, driven as a stepper state machine: wait
 // for the predecessor, run the data movement, fire done. The stages sit at
 // the exact event positions the process-per-op formulation used, minus its
-// context switches.
+// context switches. Completed ops are recycled through Communicator.free.
 type op struct {
 	kind    string
 	bytes   units.Bytes
 	root    int
-	ranks   uint64 // bitmask of joined ranks (groups are ≤ 64 ranks)
+	ranks   uint64 // bitmask of joined ranks (groups are ≤ maxRanks)
 	joined  int
 	started bool
 	done    sim.Signal
 	prev    *op
+	// gen counts the op's recycles; a Handle taken before the last one
+	// names a use that has completed.
+	gen uint64
 
 	c      *Communicator
 	proc   sim.Proc // embedded stepper driven via Step (no extra allocs)
 	moving bool     // data movement started; next step completes the op
 	wg     sim.WaitGroup
 	flows  []*fabric.Flow
+}
+
+// maxRanks bounds a communicator's group: join marks each rank's arrival
+// in a uint64 bitmask.
+const maxRanks = 64
+
+// Handle names one use of a collective op, as returned by the async Start
+// forms. Ops are recycled once they complete and their successor no longer
+// needs them, so a handle also carries the op's generation: a handle whose
+// op has since been reused names a use that completed, and reports fired.
+// The zero Handle names no op and is fired too.
+type Handle struct {
+	o   *op
+	gen uint64
+}
+
+// live reports whether h's op still serves the use h was taken on.
+//
+//perf:hot
+func (h Handle) live() bool { return h.o != nil && h.o.gen == h.gen }
+
+// Fired reports whether the collective has completed.
+//
+//perf:hot
+func (h Handle) Fired() bool { return !h.live() || h.o.done.Fired() }
+
+// Arm registers stepper sp to step when the collective completes and
+// returns true; if it already completed it registers nothing and returns
+// false — the handle form of sim.Signal.Arm.
+//
+//perf:hot
+func (h Handle) Arm(sp *sim.Proc) bool { return h.live() && h.o.done.Arm(sp) }
+
+// Wait blocks the process until the collective completes.
+//
+//perf:hot
+func (h Handle) Wait(p *sim.Proc) {
+	if h.Arm(p) {
+		p.Park()
+	}
 }
 
 // New builds a communicator with a topology-aware ring: host-local GPUs
@@ -221,6 +269,9 @@ func New(net *fabric.Network, gpus []*gpu.Device) (*Communicator, error) {
 // into gpus, each exactly once). Used by the ring-topology ablation; New
 // is the production constructor.
 func NewWithRing(net *fabric.Network, gpus []*gpu.Device, ring []int) (*Communicator, error) {
+	if len(gpus) > maxRanks {
+		return nil, fmt.Errorf("collective: %d GPUs exceed the %d-rank group limit", len(gpus), maxRanks)
+	}
 	if len(ring) != len(gpus) {
 		return nil, fmt.Errorf("collective: ring has %d entries for %d GPUs", len(ring), len(gpus))
 	}
@@ -263,8 +314,11 @@ func (c *Communicator) RingEfficiency() float64 { return c.eff }
 // execution starts (chained after the previous op, preserving NCCL's
 // stream-order semantics). Each rank must issue collectives in the same
 // order — the standard NCCL contract.
+//
+//perf:hot
 func (c *Communicator) join(kind string, bytes units.Bytes, root, rank int) *op {
 	if rank < 0 || rank >= len(c.gpus) {
+		//lint:allow hotalloc(panic path only: formats a caller-error report)
 		panic(fmt.Sprintf("collective: rank %d out of range", rank))
 	}
 	// Find the oldest op of this kind this rank has not joined yet.
@@ -281,7 +335,8 @@ func (c *Communicator) join(kind string, bytes units.Bytes, root, rank int) *op 
 		if len(c.queue) > 0 {
 			prev = c.queue[len(c.queue)-1]
 		}
-		cur = &op{kind: kind, bytes: bytes, root: root, prev: prev}
+		cur = c.takeOp()
+		cur.kind, cur.bytes, cur.root, cur.prev = kind, bytes, root, prev
 		c.queue = append(c.queue, cur)
 	}
 	cur.ranks |= bit
@@ -293,8 +348,24 @@ func (c *Communicator) join(kind string, bytes units.Bytes, root, rank int) *op 
 	return cur
 }
 
+// takeOp returns a recycled op from the free list, or a new one when the
+// list is empty.
+//
+//perf:hot
+func (c *Communicator) takeOp() *op {
+	if last := len(c.free) - 1; last >= 0 {
+		o := c.free[last]
+		c.free[last] = nil
+		c.free = c.free[:last]
+		return o
+	}
+	return &op{}
+}
+
 // launch schedules the op's stepper, which runs its data movement after
 // the predecessor completes.
+//
+//perf:hot
 func (c *Communicator) launch(o *op) {
 	o.c = c
 	c.env.InitStepperFor(&o.proc, opProcName(o.kind), o)
@@ -391,10 +462,22 @@ func (o *op) armFanTransfer(fromRoot bool) bool {
 }
 
 // gc drops completed ops from the head of the queue, copying the tail
-// down so the queue's backing array keeps its capacity.
+// down so the queue's backing array keeps its capacity, and recycles them.
+// A dropped op has started and fired done, and its successor — the only op
+// that points at it — has passed its prev wait, since ops run one at a
+// time in queue order and gc runs as a later op completes. Recycling bumps
+// the op's generation, so every Handle on the finished use reports fired
+// from then on.
+//
+//perf:hot
 func (c *Communicator) gc() {
 	drop := 0
 	for drop < len(c.queue) && c.queue[drop].started && c.queue[drop].done.Fired() {
+		o := c.queue[drop]
+		o.gen++
+		o.ranks, o.joined, o.started, o.moving = 0, 0, false, false
+		o.done.Reset()
+		c.free = append(c.free, o)
 		drop++
 	}
 	if drop == 0 {
@@ -428,22 +511,25 @@ func (c *Communicator) runRingPasses(p *sim.Proc, size units.Bytes, passes int) 
 }
 
 // StartAllReduce joins rank to its next all-reduce of size bytes and
-// returns the completion signal, letting the caller overlap the collective
-// with further compute (DDP bucket overlap).
-func (c *Communicator) StartAllReduce(rank int, size units.Bytes) *sim.Signal {
-	return &c.join("allreduce", size, 0, rank).done
+// returns a handle on its completion, letting the caller overlap the
+// collective with further compute (DDP bucket overlap).
+func (c *Communicator) StartAllReduce(rank int, size units.Bytes) Handle {
+	return c.join("allreduce", size, 0, rank).handle()
 }
 
 // StartReduceScatter joins rank to a reduce-scatter (ZeRO gradient
 // sharding).
-func (c *Communicator) StartReduceScatter(rank int, size units.Bytes) *sim.Signal {
-	return &c.join("reducescatter", size, 0, rank).done
+func (c *Communicator) StartReduceScatter(rank int, size units.Bytes) Handle {
+	return c.join("reducescatter", size, 0, rank).handle()
 }
 
 // StartAllGather joins rank to an all-gather (ZeRO parameter reassembly).
-func (c *Communicator) StartAllGather(rank int, size units.Bytes) *sim.Signal {
-	return &c.join("allgather", size, 0, rank).done
+func (c *Communicator) StartAllGather(rank int, size units.Bytes) Handle {
+	return c.join("allgather", size, 0, rank).handle()
 }
+
+// handle names the op's current use.
+func (o *op) handle() Handle { return Handle{o, o.gen} }
 
 // Broadcast joins rank to a root→all broadcast and blocks.
 func (c *Communicator) Broadcast(p *sim.Proc, rank, root int, size units.Bytes) {

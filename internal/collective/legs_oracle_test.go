@@ -108,8 +108,8 @@ func legsScenario(env *sim.Env, cfg cluster.Config, channels int, reference bool
 			out.flows = append(out.flows, uint64(f.Src)<<32|uint64(f.Dst), math.Float64bits(float64(f.Rate())))
 		})
 	}
-	all := func(start func(rank int) *sim.Signal) *sim.Signal {
-		var done *sim.Signal
+	all := func(start func(rank int) Handle) Handle {
+		var done Handle
 		for r := range sys.GPUs {
 			done = start(r)
 		}
@@ -117,7 +117,7 @@ func legsScenario(env *sim.Env, cfg cluster.Config, channels int, reference bool
 	}
 	var direct fabric.LinkID
 	env.Go("driver", func(p *sim.Proc) {
-		done := all(func(r int) *sim.Signal { return c.StartAllReduce(r, 64*units.MB) })
+		done := all(func(r int) Handle { return c.StartAllReduce(r, 64*units.MB) })
 		p.Sleep(150 * time.Microsecond)
 		probe()
 		single, err := net.StartFlow(a, b, 8*units.MB)
@@ -143,11 +143,11 @@ func legsScenario(env *sim.Env, cfg cluster.Config, channels int, reference bool
 		single.Done().Wait(p)
 		net.ReleaseFlow(single)
 
-		all(func(r int) *sim.Signal { return c.StartReduceScatter(r, 24*units.MB) }).Wait(p)
-		all(func(r int) *sim.Signal { return c.StartAllGather(r, 24*units.MB) }).Wait(p)
+		all(func(r int) Handle { return c.StartReduceScatter(r, 24*units.MB) }).Wait(p)
+		all(func(r int) Handle { return c.StartAllGather(r, 24*units.MB) }).Wait(p)
 
 		direct = net.ConnectSym(a, b, units.GBps(100), 100*time.Nanosecond, "direct")
-		done = all(func(r int) *sim.Signal { return c.StartAllReduce(r, 16*units.MB) })
+		done = all(func(r int) Handle { return c.StartAllReduce(r, 16*units.MB) })
 		p.Sleep(10 * time.Microsecond)
 		probe()
 		done.Wait(p)

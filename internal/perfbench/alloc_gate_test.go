@@ -10,14 +10,15 @@ import (
 	"composable/internal/sim"
 )
 
-// Steady-state allocation ceilings for the two fleet-path benchmarks,
-// pinned by PR7's allocation-free pass. The ceilings are the PR's 10x
-// acceptance targets (BENCH_PR6 ÷ 10, with margin over the ~2.0k/2.3k
-// measured steady state), so a change that drifts allocations back up
-// fails here long before it erodes a full 10x.
+// Steady-state allocation ceilings for the two fleet-path benchmarks:
+// the measured 1,348 and 1,003 allocations of a run whose collective ops
+// recycle through the communicator's free list, plus ~10%. They were
+// 3,391 and 4,161, the allocation-free fleet pass's 10x targets, until
+// collective ops stopped allocating. A change that drifts allocations back
+// up fails here.
 const (
-	fleetScheduleAllocCeiling    = 3391
-	faultsRecoverAllocCeiling    = 4161
+	fleetScheduleAllocCeiling    = 1480
+	faultsRecoverAllocCeiling    = 1100
 	fleetScheduleBytesPerOpNotes = "see BENCH_PR7.json for the full record"
 )
 
@@ -63,7 +64,7 @@ func runFaultsRecoverOnce(t testing.TB) {
 
 // TestFleetScheduleAllocGate pins the fleet-schedule op's allocation
 // count: the same op body BenchOrchestratorFleetSchedule measures, gated
-// at PR7's 10x-vs-PR6 ceiling via testing.AllocsPerRun.
+// at its measured count plus ~10% via testing.AllocsPerRun.
 func TestFleetScheduleAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate runs full fleet ops")
@@ -73,6 +74,7 @@ func TestFleetScheduleAllocGate(t *testing.T) {
 		t.Errorf("fleet-schedule op allocates %.0f objects, ceiling %d (%s)",
 			allocs, fleetScheduleAllocCeiling, fleetScheduleBytesPerOpNotes)
 	}
+	t.Logf("fleet-schedule op allocates %.0f objects", allocs)
 }
 
 // TestFaultsRecoverAllocGate pins the fault-recovery op's allocation
@@ -86,6 +88,7 @@ func TestFaultsRecoverAllocGate(t *testing.T) {
 		t.Errorf("faults-recover op allocates %.0f objects, ceiling %d (%s)",
 			allocs, faultsRecoverAllocCeiling, fleetScheduleBytesPerOpNotes)
 	}
+	t.Logf("faults-recover op allocates %.0f objects", allocs)
 }
 
 // composePodAllocCeiling gates composing the 1024-GPU pod fleet: the

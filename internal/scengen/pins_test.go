@@ -31,7 +31,8 @@ var update = flag.Bool("update", false, "rewrite the sweep pin lists in testdata
 // (two ring channels started the other way round, completion batches
 // signalled in another order) without moving any result.
 //
-// The pins are captured on the CI architecture (amd64). Go may fuse
+// The pins were captured with go1.24.0 on amd64, the toolchain
+// bench/pins.json records; CI's setup-go installs Go 1.22. Go may fuse
 // x*y+z into one FMA instruction on arm64 but not on amd64, so float
 // fields such as the link-traffic averages can differ in the last bit on
 // other architectures; the pins are checked only on amd64.

@@ -739,9 +739,10 @@ func (s *Signal) Fire(e *Env) {
 }
 
 // Reset returns a fired signal to its unfired state, keeping the waiter
-// backing array. It is for owners that recycle signal-bearing structures
-// (pooled fabric flows); the caller must guarantee no process still holds
-// a reference expecting the previous firing.
+// backing array. It is for owners that recycle signal-bearing structures:
+// pooled fabric flows, and collective ops, whose handles carry a
+// generation so that none waits on a reused op. The caller must guarantee
+// no process still holds a reference expecting the previous firing.
 func (s *Signal) Reset() {
 	s.fired = false
 	s.waiters = s.waiters[:0]

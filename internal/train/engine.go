@@ -85,7 +85,6 @@ func (j *Job) spawn(rankStr []string) {
 	for i := range ranks {
 		r := &ranks[i]
 		r.j, r.rank, r.dev = j, i, j.sys.GPUs[i]
-		r.handles = make([]*sim.Signal, 0, j.buckets)
 		env.Spawn(&r.proc, "rank"+rankStr[i], r)
 	}
 	jn := &joiner{j: j}
@@ -290,15 +289,15 @@ type ranker struct {
 	stage rankStage
 	it    int
 	item  *h2dItem
-	// b is the next backward bucket; handles collects the bucket
-	// collectives' completion signals, reused across iterations.
-	b       int
-	handles []*sim.Signal
-	t0      time.Duration // start of the gradient wait
-	ckptT0  time.Duration
-	hold    sim.HoldOp
-	xfer    fabric.TransferOp
-	io      storage.IOOp
+	// b is the next backward bucket; last is the handle of the last
+	// bucket collective started.
+	b      int
+	last   collective.Handle
+	t0     time.Duration // start of the gradient wait
+	ckptT0 time.Duration
+	hold   sim.HoldOp
+	xfer   fabric.TransferOp
+	io     storage.IOOp
 }
 
 type rankStage uint8
@@ -384,7 +383,6 @@ func (r *ranker) Step() {
 			if j.strategy == DP {
 				r.stage = rkDPBackward
 			} else {
-				r.handles = r.handles[:0]
 				r.b = 0
 				r.stage = rkBuckets
 			}
@@ -414,19 +412,21 @@ func (r *ranker) Step() {
 				}
 				bucket := j.gradBytes / units.Bytes(j.buckets)
 				if j.opts.Sharded {
-					r.handles = append(r.handles, j.comm.StartReduceScatter(r.rank, bucket))
+					r.last = j.comm.StartReduceScatter(r.rank, bucket)
 				} else {
-					r.handles = append(r.handles, j.comm.StartAllReduce(r.rank, bucket))
+					r.last = j.comm.StartAllReduce(r.rank, bucket)
 				}
 				r.b++
 				continue
 			}
 			r.t0 = env.Now()
-			// One park at the last bucket's completion: bucket ops
-			// serialize on the communicator, so waiting on all of them
-			// resumes exactly where waiting one-by-one did.
+			// One park at the last bucket's completion: bucket ops run one
+			// at a time in join order on the communicator, so the last one
+			// completes after every earlier one, and waiting on it alone
+			// resumes exactly where waiting on all of them did. Earlier
+			// buckets' ops may already be recycled; their handles are gone.
 			r.stage = rkGradsSynced
-			if sim.ArmWaitAll(sp, r.handles) {
+			if r.last.Arm(sp) {
 				return
 			}
 		case rkGradsSynced:

@@ -282,8 +282,10 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 			if resuming {
 				restored.Wait(p)
 			}
-			// Bucket-collective handles, reused across iterations.
-			handles := make([]*sim.Signal, 0, buckets)
+			// The last bucket collective's handle: bucket ops run one at
+			// a time in join order, so it completes after every earlier
+			// bucket's op.
+			var last collective.Handle
 			for it := 0; it < totalIters; it++ {
 				// Abort cutoff: every rank runs exactly the iterations
 				// some rank had begun when Abort fired, then stops — so
@@ -322,28 +324,26 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 					comm.Broadcast(p, rank, 0, paramBytes)
 					dev.MarkBusyFor(p.Now() - t0)
 				case opts.Sharded:
-					handles = handles[:0]
 					for b := 0; b < buckets; b++ {
 						dev.Compute(p, bwd/time.Duration(buckets))
-						handles = append(handles, comm.StartReduceScatter(rank, gradBytes/units.Bytes(buckets)))
+						last = comm.StartReduceScatter(rank, gradBytes/units.Bytes(buckets))
 					}
 					t0 := p.Now()
 					// One park at the last bucket's completion: bucket ops
-					// serialize on the communicator, so waiting on all of
-					// them resumes exactly where waiting one-by-one did.
-					sim.WaitAll(p, handles)
+					// serialize on the communicator, so waiting on the last
+					// resumes exactly where waiting one-by-one did.
+					last.Wait(p)
 					// Shard-local optimizer step, then parameter
 					// all-gather.
 					comm.StartAllGather(rank, paramBytes).Wait(p)
 					dev.MarkBusyFor(p.Now() - t0)
 				default: // DDP
-					handles = handles[:0]
 					for b := 0; b < buckets; b++ {
 						dev.Compute(p, bwd/time.Duration(buckets))
-						handles = append(handles, comm.StartAllReduce(rank, gradBytes/units.Bytes(buckets)))
+						last = comm.StartAllReduce(rank, gradBytes/units.Bytes(buckets))
 					}
 					t0 := p.Now()
-					sim.WaitAll(p, handles)
+					last.Wait(p)
 					dev.MarkBusyFor(p.Now() - t0)
 				}
 
