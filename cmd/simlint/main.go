@@ -1,15 +1,20 @@
-// Command simlint runs the repo's determinism and hot-path analyzers
-// (internal/lint): nowallclock, maporder, hotalloc and goroutine.
+// Command simlint runs the repo's determinism, hot-path and dead-API
+// analyzers (internal/lint): nowallclock, maporder, hotalloc, goroutine
+// and deadapi, which flags exported API under internal/ that no shipped
+// code (what a main package reaches, outside _test.go files) references.
 //
 // It speaks two protocols:
 //
 //   - Standalone: `simlint ./...` (or any go package patterns) loads the
-//     packages via the toolchain and prints findings.
+//     packages via the toolchain and prints findings. With `./...`, the
+//     default, it loads the whole program, the benchmark module included
+//     as a caller, and also runs deadapi; with other patterns it runs the
+//     per-package analyzers only.
 //
 //   - Vet tool: `go vet -vettool=$(which simlint) ./...` — the go command
 //     invokes simlint once per package with a .cfg file (the unitchecker
 //     protocol), which adds build-cache integration and test-file
-//     coverage. This is the mode CI's lint job uses.
+//     coverage. It sees one package at a time, so it cannot run deadapi.
 //
 // Exit status: 0 clean, 1 operational error, 2 findings (vet mode).
 //
@@ -46,16 +51,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return lint.RunUnitChecker(args[0], lint.Analyzers(), stdout, stderr)
 		}
 	}
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	var (
+		pkgs  []*lint.Package
+		diags []lint.Diagnostic
+		err   error
+	)
+	if len(args) == 0 || len(args) == 1 && args[0] == "./..." {
+		var callers []*lint.Package
+		if pkgs, callers, err = lint.LoadProgram(); err == nil {
+			diags, err = lint.RunProgram(pkgs, callers)
+		}
+	} else if pkgs, err = lint.Load(args...); err == nil {
+		diags, err = lint.RunAnalyzers(pkgs, lint.Analyzers()...)
 	}
-	pkgs, err := lint.Load(patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, "simlint:", err)
-		return 1
-	}
-	diags, err := lint.RunAnalyzers(pkgs, lint.Analyzers()...)
 	if err != nil {
 		fmt.Fprintln(stderr, "simlint:", err)
 		return 1

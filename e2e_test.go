@@ -231,7 +231,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 			for i := 0; i < len(cfgs)*len(workloads); i++ {
 				j := (i + g) % (len(cfgs) * len(workloads))
 				cfg, w := cfgs[j%len(cfgs)], workloads[j/len(cfgs)]
-				res, err := s.Run(cfg, w)
+				res, err := s.RunOpts(cfg, w, train.Options{})
 				if err != nil {
 					t.Errorf("goroutine %d: %s/%s: %v", g, cfg.Name, w.Name, err)
 					return

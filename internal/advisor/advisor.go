@@ -146,7 +146,8 @@ func PredictOverhead(w dlmodel.Workload, cfg cluster.Config) (float64, error) {
 
 	fwd, bwd := w.ComputeTime(sys.GPUs[0].Spec, gpu.FP16, w.BatchPerGPU)
 	compute := (fwd + bwd + w.LaunchOverhead).Seconds()
-	window := bwd.Seconds() * 3 / 4 // buckets emitted across backward
+	// float64(…) rounds the product, so no architecture fuses it (FMA).
+	window := float64(bwd.Seconds() * 3 / 4) // buckets emitted across backward
 	exposed := commTime - window
 	if exposed < 0 {
 		exposed = 0

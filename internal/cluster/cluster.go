@@ -288,12 +288,3 @@ func (s *System) LocalGPUList() []*gpu.Device {
 func (s *System) FalconGPUList() []*gpu.Device {
 	return s.GPUs[s.Cfg.LocalGPUs:]
 }
-
-// GPUNodes returns the fabric nodes of all GPUs in index order.
-func (s *System) GPUNodes() []fabric.NodeID {
-	out := make([]fabric.NodeID, len(s.GPUs))
-	for i, g := range s.GPUs {
-		out[i] = g.Node
-	}
-	return out
-}

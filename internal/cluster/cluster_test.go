@@ -88,7 +88,10 @@ func TestAllGPUsReachMemoryAndEachOther(t *testing.T) {
 
 func TestLocalGPUsUseNVLink(t *testing.T) {
 	sys := compose(t, LocalGPUsConfig())
-	gpus := sys.GPUNodes()
+	var gpus []fabric.NodeID
+	for _, g := range sys.GPUs {
+		gpus = append(gpus, g.Node)
+	}
 	proto, err := sys.Net.PathProtocol(gpus[0], gpus[1])
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +137,14 @@ func TestChassisStateMatchesFigure6(t *testing.T) {
 	// GPUs per drawer, NVMe in drawer 2.
 	sys := compose(t, FalconGPUsConfig())
 	ch := sys.Chassis
-	if got := len(ch.Attached("H1")); got != 4 {
+	attached := map[string]int{}
+	for _, ref := range ch.Slots() {
+		attached[ch.Owner(ref)]++
+	}
+	if got := attached["H1"]; got != 4 {
 		t.Errorf("drawer 1 attached = %d", got)
 	}
-	if got := len(ch.Attached("H2")); got != 4 {
+	if got := attached["H2"]; got != 4 {
 		t.Errorf("drawer 2 attached = %d", got)
 	}
 	sysN := compose(t, FalconNVMeConfig())

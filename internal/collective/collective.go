@@ -220,11 +220,6 @@ type Handle struct {
 //perf:hot
 func (h Handle) live() bool { return h.o != nil && h.o.gen == h.gen }
 
-// Fired reports whether the collective has completed.
-//
-//perf:hot
-func (h Handle) Fired() bool { return !h.live() || h.o.done.Fired() }
-
 // Arm registers stepper sp to step when the collective completes and
 // returns true; if it already completed it registers nothing and returns
 // false — the handle form of sim.Signal.Arm.
@@ -235,6 +230,7 @@ func (h Handle) Arm(sp *sim.Proc) bool { return h.live() && h.o.done.Arm(sp) }
 // Wait blocks the process until the collective completes.
 //
 //perf:hot
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (h Handle) Wait(p *sim.Proc) {
 	if h.Arm(p) {
 		p.Park()
@@ -299,9 +295,6 @@ func NewWithRing(net *fabric.Network, gpus []*gpu.Device, ring []int) (*Communic
 	}
 	return c, nil
 }
-
-// Size returns the number of ranks.
-func (c *Communicator) Size() int { return len(c.gpus) }
 
 // Ring returns the ring order (indices into the GPU group).
 func (c *Communicator) Ring() []int { return append([]int(nil), c.ring...) }
@@ -532,6 +525,8 @@ func (c *Communicator) StartAllGather(rank int, size units.Bytes) Handle {
 func (o *op) handle() Handle { return Handle{o, o.gen} }
 
 // Broadcast joins rank to a root→all broadcast and blocks.
+//
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (c *Communicator) Broadcast(p *sim.Proc, rank, root int, size units.Bytes) {
 	if c.ArmBroadcast(p, rank, root, size) {
 		p.Park()
@@ -546,6 +541,8 @@ func (c *Communicator) ArmBroadcast(sp *sim.Proc, rank, root int, size units.Byt
 }
 
 // ReduceToRoot joins rank to an all→root gradient reduction and blocks.
+//
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (c *Communicator) ReduceToRoot(p *sim.Proc, rank, root int, size units.Bytes) {
 	if c.ArmReduceToRoot(p, rank, root, size) {
 		p.Park()

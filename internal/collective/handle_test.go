@@ -44,7 +44,7 @@ func TestStaleHandleReportsFired(t *testing.T) {
 	env, _, comm := compose(t, cluster.LocalGPUsConfig())
 	all := func() Handle {
 		var h Handle
-		for r := 0; r < comm.Size(); r++ {
+		for r := 0; r < len(comm.gpus); r++ {
 			h = comm.StartAllReduce(r, 16*units.MB)
 		}
 		return h
@@ -62,13 +62,13 @@ func TestStaleHandleReportsFired(t *testing.T) {
 			t.Error("third op did not reuse the first op")
 			return
 		}
-		if !h1.Fired() {
+		if !fired(h1) {
 			t.Error("stale handle reports unfired")
 		}
 		if h1.Arm(watcher) {
 			t.Error("stale handle armed")
 		}
-		if h3.Fired() {
+		if fired(h3) {
 			t.Error("fresh handle reports fired before its op ran")
 		}
 		armedAt = p.Now()
@@ -78,7 +78,7 @@ func TestStaleHandleReportsFired(t *testing.T) {
 		h3.o.done.Arm(ref)
 		h3.Wait(p)
 		waitAt = p.Now()
-		if !h3.Fired() || !h1.Fired() {
+		if !fired(h3) || !fired(h1) {
 			t.Error("handles unfired after the op completed")
 		}
 	})
@@ -102,7 +102,7 @@ func TestWarmAsyncAllReduceAllocatesNothing(t *testing.T) {
 	env, _, comm := compose(t, cluster.LocalGPUsConfig())
 	const buckets = 4
 	stop, iters := false, 0
-	for rank := 0; rank < comm.Size(); rank++ {
+	for rank := 0; rank < len(comm.gpus); rank++ {
 		env.Go("rank", func(p *sim.Proc) {
 			// Every rank wakes from the last bucket at one instant, so all
 			// of them see the same stop and leave no op half joined.
@@ -139,3 +139,7 @@ func TestWarmAsyncAllReduceAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fired reports whether h's collective has completed: a stale handle's
+// has, since its op was recycled only after firing.
+func fired(h Handle) bool { return !h.live() || h.o.done.Fired() }

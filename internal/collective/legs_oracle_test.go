@@ -136,7 +136,7 @@ func legsScenario(env *sim.Env, cfg cluster.Config, channels int, reference bool
 		probe()
 		p.Sleep(300 * time.Microsecond)
 		probe()
-		out.midOp = !done.Fired()
+		out.midOp = !fired(done)
 		net.SetLinkCapacity(l.ID, capAB, capBA)
 		probe()
 		done.Wait(p)

@@ -34,11 +34,6 @@ type Spec struct {
 	InputBytesPerSample units.Bytes
 }
 
-// TotalBytes returns the on-disk dataset size.
-func (s Spec) TotalBytes() units.Bytes {
-	return units.Bytes(s.Samples) * s.BytesPerSample
-}
-
 // The three corpora used in the paper's evaluation.
 var (
 	// ImageNet is ILSVRC-2012 train: 1.28 M JPEGs averaging ≈110 KB,

@@ -1,6 +1,10 @@
 package data
 
-import "testing"
+import (
+	"testing"
+
+	"composable/internal/units"
+)
 
 func TestDatasetSizes(t *testing.T) {
 	// Sample counts match the corpora the paper trained on.
@@ -14,7 +18,7 @@ func TestDatasetSizes(t *testing.T) {
 		t.Errorf("SQuAD samples = %d", SQuADv11.Samples)
 	}
 	// ImageNet on disk ≈ 134 GiB at 110 KB/image.
-	tb := ImageNet.TotalBytes()
+	tb := units.Bytes(ImageNet.Samples) * ImageNet.BytesPerSample
 	if tb < 120<<30 || tb > 150<<30 {
 		t.Errorf("ImageNet bytes = %v", tb)
 	}

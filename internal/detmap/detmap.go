@@ -17,6 +17,8 @@ import (
 //	for _, k := range detmap.SortedKeys(m) {
 //		render(k, m[k])
 //	}
+//
+//lint:allow deadapi(the sorted-iteration helper the maporder analyzer tells callers to use)
 func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	out := make([]K, 0, len(m))
 	for k := range m {

@@ -2,7 +2,6 @@ package dlmodel
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"composable/internal/gpu"
@@ -152,32 +151,35 @@ func TestActivationBytesOrdering(t *testing.T) {
 	// Per-sample graph activations: transformers at seq 384 dwarf the
 	// CNN classifiers, matching the paper's observation that NLP models
 	// stress GPU memory.
-	mob := MobileNetV2().ActBytesFP32()
-	bert := BERTLarge(384).ActBytesFP32()
+	act := func(g *Graph) (total units.Bytes) {
+		for _, l := range g.Layers {
+			total += l.ActBytes
+		}
+		return total
+	}
+	mob, bert := act(MobileNetV2()), act(BERTLarge(384))
 	if bert <= mob {
 		t.Fatalf("BERT-large act (%v) should exceed MobileNetV2 (%v)", bert, mob)
-	}
-}
-
-func TestSummaryRendering(t *testing.T) {
-	out := ResNet50().Summary(3)
-	for _, want := range []string{"ResNet-50", "conv", "heaviest 3 layers"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary missing %q:\n%s", want, out)
-		}
 	}
 }
 
 func TestParamsByKindDistribution(t *testing.T) {
 	// BERT's parameters live overwhelmingly in linear layers and the
 	// embedding tables.
-	kinds := BERTBase(384).ParamsByKind()
+	byKind := func(g *Graph) map[string]int64 {
+		m := map[string]int64{}
+		for _, l := range g.Layers {
+			m[l.Kind] += l.Params
+		}
+		return m
+	}
+	kinds := byKind(BERTBase(384))
 	total := BERTBase(384).Params()
 	if frac := float64(kinds["linear"]+kinds["embed"]) / float64(total); frac < 0.98 {
 		t.Fatalf("linear+embed fraction = %.3f, want ≈1", frac)
 	}
 	// ResNet: convs dominate, BN is a small tax.
-	rk := ResNet50().ParamsByKind()
+	rk := byKind(ResNet50())
 	if rk["conv"] < 20*rk["bn"] {
 		t.Fatalf("conv/bn param ratio too low: conv=%d bn=%d", rk["conv"], rk["bn"])
 	}

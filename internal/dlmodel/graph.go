@@ -41,7 +41,6 @@ type Graph struct {
 	finalized bool
 	params    int64
 	fwdFLOPs  units.FLOPs
-	actBytes  units.Bytes
 	depth     int
 }
 
@@ -51,11 +50,10 @@ func (g *Graph) add(l Layer) { g.Layers = append(g.Layers, l) }
 // after the last add; graphs assembled by hand (tests) that skip it fall
 // back to the walking implementations.
 func (g *Graph) finalize() *Graph {
-	g.params, g.fwdFLOPs, g.actBytes, g.depth = 0, 0, 0, 0
+	g.params, g.fwdFLOPs, g.depth = 0, 0, 0
 	for _, l := range g.Layers {
 		g.params += l.Params
 		g.fwdFLOPs += l.FwdFLOPs
-		g.actBytes += l.ActBytes
 		g.depth += l.DepthUnits
 	}
 	g.finalized = true
@@ -86,21 +84,6 @@ func (g *Graph) FwdFLOPs() units.FLOPs {
 	var total units.FLOPs
 	for _, l := range g.Layers {
 		total += l.FwdFLOPs
-	}
-	return total
-}
-
-// ActBytesFP32 returns the summed FP32 activation output of one sample —
-// a proxy for training-time activation memory before framework overheads.
-//
-//perf:hot
-func (g *Graph) ActBytesFP32() units.Bytes {
-	if g.finalized {
-		return g.actBytes
-	}
-	var total units.Bytes
-	for _, l := range g.Layers {
-		total += l.ActBytes
 	}
 	return total
 }

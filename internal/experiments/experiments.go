@@ -104,13 +104,8 @@ func storageConfigs() []cluster.Config {
 	return []cluster.Config{cluster.LocalNVMeConfig(), cluster.FalconNVMeConfig()}
 }
 
-// Run returns the (cached) result of training w on cfg with default
-// options at the session scale.
-func (s *Session) Run(cfg cluster.Config, w dlmodel.Workload) (*train.Result, error) {
-	return s.RunOpts(cfg, w, train.Options{})
-}
-
-// RunOpts is Run with strategy/precision overrides. opts.Workload,
+// RunOpts returns the (cached) result of training w on cfg with the
+// given strategy/precision overrides at the session scale. opts.Workload,
 // ItersPerEpoch and Epochs are filled from the session.
 func (s *Session) RunOpts(cfg cluster.Config, w dlmodel.Workload, opts train.Options) (*train.Result, error) {
 	opts.Workload = w
@@ -191,7 +186,6 @@ func All() []Experiment {
 type registry struct {
 	order []Experiment
 	byID  map[string]Experiment
-	ids   []string // paper artifacts only, in paper order
 }
 
 var catalog = sync.OnceValue(func() *registry {
@@ -199,9 +193,6 @@ var catalog = sync.OnceValue(func() *registry {
 	r.order = append(append(append(All(), Extensions()...), FleetExperiments()...), RecoveryExperiments()...)
 	for _, e := range r.order {
 		r.byID[e.ID] = e
-	}
-	for _, e := range All() {
-		r.ids = append(r.ids, e.ID)
 	}
 	return r
 })
@@ -218,11 +209,6 @@ func ByID(id string) (Experiment, error) {
 		return e, nil
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have T1-T4, F9-F16, A1-A4, X1-X2, S1-S5, R1-R3)", id)
-}
-
-// IDs lists the paper-artifact experiment IDs in paper order.
-func IDs() []string {
-	return append([]string(nil), catalog().ids...)
 }
 
 // PercentChange is the paper's Figure 11/15 metric: how much slower (+) or

@@ -95,7 +95,7 @@ func TestByID(t *testing.T) {
 	if _, err := ByID("F99"); err == nil {
 		t.Fatal("expected error")
 	}
-	if got := len(IDs()); got != 12 {
+	if got := len(All()); got != 12 {
 		t.Fatalf("experiments = %d, want 12 (4 tables + 8 figures)", got)
 	}
 }

@@ -120,12 +120,7 @@ func TestRegistryLookupsAndCopies(t *testing.T) {
 	if _, err := ByID("nope"); err == nil {
 		t.Error("ByID should reject unknown IDs")
 	}
-	// Mutating returned slices must not corrupt the shared catalog.
-	ids := IDs()
-	ids[0] = "corrupted"
-	if IDs()[0] != "T1" {
-		t.Error("IDs() exposed shared backing storage")
-	}
+	// Mutating the returned slice must not corrupt the shared catalog.
 	reg := Registry()
 	reg[0].ID = "corrupted"
 	if Registry()[0].ID != "T1" {

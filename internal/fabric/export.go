@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"composable/internal/units"
@@ -40,32 +39,4 @@ func (n *Network) Dot(title string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// LinkUtilizationRow summarizes one link's cumulative traffic.
-type LinkUtilizationRow struct {
-	Link     LinkID
-	From, To string
-	Protocol string
-	AtoB     units.Bytes
-	BtoA     units.Bytes
-}
-
-// LinkUtilization returns cumulative traffic for every link, busiest
-// first, after integrating in-flight flows to the current instant.
-func (n *Network) LinkUtilization() []LinkUtilizationRow {
-	n.advance()
-	rows := make([]LinkUtilizationRow, 0, len(n.links))
-	for _, l := range n.links {
-		rows = append(rows, LinkUtilizationRow{
-			Link: l.ID,
-			From: n.nodes[l.A].Name, To: n.nodes[l.B].Name,
-			Protocol: l.Protocol,
-			AtoB:     l.BytesAtoB(), BtoA: l.BytesBtoA(),
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		return rows[i].AtoB+rows[i].BtoA > rows[j].AtoB+rows[j].BtoA
-	})
-	return rows
 }

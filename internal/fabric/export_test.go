@@ -130,14 +130,13 @@ func TestLinkUtilizationOrdering(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rows := n.LinkUtilization()
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	// The a--b link carries both transfers, b--c only the second.
+	ab0, ba0 := n.LinkTrafficSnapshot(0)
+	ab1, ba1 := n.LinkTrafficSnapshot(1)
+	if ab0 != 6*units.GB || ab1 != units.GB || ba0 != 0 || ba1 != 0 {
+		t.Fatalf("link traffic = %v/%v and %v/%v, want 6GB/0 and 1GB/0", ab0, ba0, ab1, ba1)
 	}
-	if rows[0].AtoB != 6*units.GB || rows[1].AtoB != units.GB {
-		t.Fatalf("rows = %+v", rows)
-	}
-	if rows[0].From != "a" || rows[0].To != "b" {
-		t.Fatalf("busiest link = %s--%s", rows[0].From, rows[0].To)
+	if l := n.Link(0); n.nodes[l.A].Name != "a" || n.nodes[l.B].Name != "b" {
+		t.Fatalf("busiest link = %s--%s", n.nodes[l.A].Name, n.nodes[l.B].Name)
 	}
 }

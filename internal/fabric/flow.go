@@ -1336,6 +1336,8 @@ func (n *Network) SetLinkCapacity(id LinkID, capAB, capBA units.BytesPerSec) {
 // Traverses reports whether the flow's path crosses the link (either
 // direction). The fault-aware invariant probes use it to assert no live
 // flow rides a dead device's link.
+//
+//lint:allow deadapi(oracle hook: the collective legs oracle picks a link on a flow's path)
 func (f *Flow) Traverses(id LinkID) bool {
 	for _, dl := range f.path {
 		if dl.link.ID == id {

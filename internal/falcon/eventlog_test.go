@@ -69,7 +69,7 @@ func goldenChassis(t *testing.T) (*Chassis, string) {
 	if got := c.checkThermals(SensorReadings{DrawerTempC: [NumDrawers]float64{66.54, 71.25}}); got != 2 {
 		t.Fatalf("thermal alerts = %d, want 2", got)
 	}
-	if got := c.CheckThermals(); got != 0 {
+	if got := c.checkThermals(c.Sensors()); got != 0 {
 		t.Fatalf("thermal alerts at real load = %d, want 0", got)
 	}
 	return c, counts.String()

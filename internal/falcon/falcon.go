@@ -305,9 +305,6 @@ func (c *Chassis) SetMode(drawer int, m Mode) error {
 	return nil
 }
 
-// DrawerMode returns a drawer's mode.
-func (c *Chassis) DrawerMode(drawer int) Mode { return c.drawers[drawer].mode }
-
 // Install seats a device in an empty slot.
 func (c *Chassis) Install(ref SlotRef, dev DeviceInfo) error {
 	if !ref.valid() {
@@ -494,19 +491,6 @@ func (c *Chassis) Reassign(ref SlotRef, portID string) error {
 		return err
 	}
 	return nil
-}
-
-// Attached returns the slots attached to the given host port, in slot order.
-func (c *Chassis) Attached(portID string) []SlotRef {
-	var out []SlotRef
-	for d := 0; d < NumDrawers; d++ {
-		for s := 0; s < SlotsPerDrawer; s++ {
-			if c.drawers[d].slots[s].port == portID {
-				out = append(out, SlotRef{Drawer: d, Slot: s})
-			}
-		}
-	}
-	return out
 }
 
 // AttachedToHost returns slots attached to any port cabled to host.

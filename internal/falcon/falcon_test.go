@@ -216,10 +216,16 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if got := c2.Owner(SlotRef{1, 7}); got != "H3" {
 		t.Fatalf("imported owner = %q, want H3", got)
 	}
-	if c2.DrawerMode(1) != ModeAdvanced {
-		t.Fatalf("imported mode = %v", c2.DrawerMode(1))
+	if m := c2.drawers[1].mode; m != ModeAdvanced {
+		t.Fatalf("imported mode = %v", m)
 	}
-	if got, want := len(c2.Attached("H1")), 4; got != want {
+	h1 := 0
+	for _, ref := range c2.Slots() {
+		if c2.Owner(ref) == "H1" {
+			h1++
+		}
+	}
+	if got, want := h1, 4; got != want {
 		t.Fatalf("H1 devices = %d, want %d", got, want)
 	}
 	d := c2.Device(SlotRef{1, 7})
@@ -275,7 +281,7 @@ func TestSensorsScaleWithLoadAndThermalAlert(t *testing.T) {
 		t.Fatal("fan duty did not rise with load")
 	}
 	// 8 attached devices: 23+10+28 = 61C < 65C threshold -> no alert.
-	if got := c.CheckThermals(); got != 0 {
+	if got := c.checkThermals(busy); got != 0 {
 		t.Fatalf("unexpected thermal alerts: %d", got)
 	}
 }
@@ -347,9 +353,9 @@ func TestAttachInvariantsProperty(t *testing.T) {
 					ModeStandardOneHost: 1,
 					ModeStandardTwoHost: 2,
 					ModeAdvanced:        MaxHostsAdvanced,
-				}[c.DrawerMode(d)]
+				}[c.drawers[d].mode]
 				if len(hostsInDrawer) > limit {
-					t.Logf("seed %d: drawer %d has %d hosts in mode %s", seed, d, len(hostsInDrawer), c.DrawerMode(d))
+					t.Logf("seed %d: drawer %d has %d hosts in mode %s", seed, d, len(hostsInDrawer), c.drawers[d].mode)
 					return false
 				}
 			}

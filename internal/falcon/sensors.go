@@ -34,14 +34,16 @@ func (c *Chassis) Sensors() SensorReadings {
 				active++
 			}
 		}
-		t := ambientC + idleDrawerRise + perDeviceRise*float64(active)
+		// float64(…) rounds the product, so no architecture fuses it (FMA).
+		t := ambientC + idleDrawerRise + float64(perDeviceRise*float64(active))
 		r.DrawerTempC[d] = t
 		if t > hottest {
 			hottest = t
 		}
 	}
-	r.ChassisTempC = ambientC + (hottest-ambientC)*0.6
-	r.FanDutyPct = fanBaseDuty + (hottest-ambientC)*1.8
+	// float64(…) rounds the product, so no architecture fuses it (FMA).
+	r.ChassisTempC = ambientC + float64((hottest-ambientC)*0.6)
+	r.FanDutyPct = fanBaseDuty + float64((hottest-ambientC)*1.8)
 	if r.FanDutyPct > 100 {
 		r.FanDutyPct = 100
 	}
@@ -52,10 +54,6 @@ func (c *Chassis) Sensors() SensorReadings {
 // (§II-B: "alert administrators to any parameters which fall outside of
 // specifications").
 const tempAlertC = 65.0
-
-// CheckThermals appends event-log warnings for out-of-spec temperatures
-// and returns the number of alerts raised.
-func (c *Chassis) CheckThermals() int { return c.checkThermals(c.Sensors()) }
 
 // checkThermals raises the alerts for one set of readings.
 func (c *Chassis) checkThermals(r SensorReadings) int {

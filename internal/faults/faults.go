@@ -138,27 +138,6 @@ type Plan struct {
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool { return len(p.Events) == 0 }
 
-// Ledger canonically renders the plan, one event per line — the fault
-// section of a run's byte-exact fingerprint. Rendered with manual
-// strconv/append calls; the bytes are pinned by the golden render test.
-func (p Plan) Ledger() string {
-	b := make([]byte, 0, 64*len(p.Events))
-	for _, e := range p.Events {
-		b = append(b, "fault at="...)
-		b = strconv.AppendInt(b, int64(e.At), 10)
-		b = append(b, " kind="...)
-		b = append(b, e.Kind...)
-		b = append(b, " target="...)
-		b = strconv.AppendInt(b, int64(e.Target), 10)
-		b = append(b, " factor="...)
-		b = strconv.AppendFloat(b, e.Factor, 'g', -1, 64)
-		b = append(b, " repair="...)
-		b = strconv.AppendInt(b, int64(e.Repair), 10)
-		b = append(b, '\n')
-	}
-	return string(b)
-}
-
 // Bounds describes the composed system a plan targets, so generation and
 // sanitization can keep every event on real hardware.
 type Bounds struct {
@@ -551,7 +530,8 @@ func (in *Injector) obsRecord(r Record) {
 	in.obs.SetAttr(id, "target", int64(r.Target))
 	if r.Kind.linkKind() {
 		// Per-mille capacity factor keeps span attributes integer-typed.
-		in.obs.SetAttr(id, "factor_pm", int64(r.Factor*1000+0.5))
+		// float64(…) rounds the product, so no architecture fuses it (FMA).
+		in.obs.SetAttr(id, "factor_pm", int64(float64(r.Factor*1000)+0.5))
 	}
 	in.obsOpen[k] = id
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -129,7 +130,7 @@ func TestUtilizationAndNCCLBusyCredit(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := d.Utilization()
+	got := d.UtilizationSince(0, 0)
 	if got < 0.59 || got > 0.61 {
 		t.Fatalf("utilization = %v, want 0.6 (30ms compute + 30ms NCCL over 100ms)", got)
 	}
@@ -162,13 +163,17 @@ func TestCatalogSpecs(t *testing.T) {
 }
 
 // TestComputeResourceName pins the name of each device's compute
-// resource, which carries its global index.
+// resource, which carries its global index, as a deadlock report shows
+// it.
 func TestComputeResourceName(t *testing.T) {
-	env := sim.NewEnv()
 	for _, idx := range []int{0, 7, 99, 100, 1023, -3} {
-		want := fmt.Sprintf("gpu%d.compute", idx)
-		if got := New(env, TeslaV100PCIe, idx, 0, false).compute.Name(); got != want {
-			t.Errorf("device %d compute resource = %q, want %q", idx, got, want)
+		env := sim.NewEnv()
+		d := New(env, TeslaV100PCIe, idx, 0, false)
+		env.Go("holder", func(p *sim.Proc) { d.compute.Acquire(p, 1) })
+		env.Go("waiter", func(p *sim.Proc) { d.compute.Acquire(p, 1) })
+		want := fmt.Sprintf("waiter (waiting: resource gpu%d.compute)", idx)
+		if err := env.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("device %d: deadlock report %v, want it to contain %q", idx, err, want)
 		}
 	}
 }

@@ -40,7 +40,6 @@ type Host struct {
 	cores *sim.Resource
 	// memory accounting
 	used units.Bytes
-	peak units.Bytes
 	// baseline is memory permanently in use by OS + frameworks.
 	baseline units.Bytes
 }
@@ -60,6 +59,8 @@ func New(env *sim.Env, spec Spec) *Host {
 func (h *Host) TotalCores() int { return h.Spec.Sockets * h.Spec.Cores }
 
 // RunOnCore occupies one core for the scaled duration of op.
+//
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (h *Host) RunOnCore(p *sim.Proc, d time.Duration) {
 	h.RunOnCores(p, 1, d)
 }
@@ -97,9 +98,6 @@ func (h *Host) ArmRunOnCores(sp *sim.Proc, op *sim.HoldOp, n int, d time.Duratio
 	return h.cores.ArmHold(sp, op, n, time.Duration(float64(d)/h.Spec.PerCoreScale))
 }
 
-// CPUUtilization returns the lifetime average core occupancy.
-func (h *Host) CPUUtilization() float64 { return h.cores.Utilization(h.env) }
-
 // BusySnapshot supports windowed utilization sampling.
 func (h *Host) BusySnapshot() (sim.Time, sim.Time) { return h.cores.BusySnapshot(h.env) }
 
@@ -119,9 +117,6 @@ func (h *Host) AllocMem(n units.Bytes) error {
 			n, h.Spec.Memory-h.baseline-h.used)
 	}
 	h.used += n
-	if h.used > h.peak {
-		h.peak = h.used
-	}
 	return nil
 }
 
@@ -137,9 +132,3 @@ func (h *Host) FreeMem(n units.Bytes) {
 func (h *Host) MemUtilization() float64 {
 	return float64(h.baseline+h.used) / float64(h.Spec.Memory)
 }
-
-// UsedMem returns current workload memory including the OS baseline.
-func (h *Host) UsedMem() units.Bytes { return h.baseline + h.used }
-
-// PeakMem returns the high-water mark excluding baseline.
-func (h *Host) PeakMem() units.Bytes { return h.peak }

@@ -79,8 +79,8 @@ func TestHostMemoryAccounting(t *testing.T) {
 		t.Fatal("over-allocation accepted")
 	}
 	h.FreeMem(100 * units.GB)
-	if h.PeakMem() != 100*units.GB {
-		t.Fatalf("peak = %v", h.PeakMem())
+	if h.MemUtilization() != base {
+		t.Fatalf("utilization after free = %v, want the baseline %v", h.MemUtilization(), base)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestCPUUtilizationWindowed(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	u := h.CPUUtilization()
+	u := h.UtilizationSince(0, 0)
 	if u < 0.24 || u > 0.26 {
 		t.Fatalf("utilization = %v, want 0.25 (20/40 cores for half the run)", u)
 	}

@@ -119,16 +119,6 @@ func (s *Set) Report(rule string, at time.Duration, format string, args ...any) 
 	}
 }
 
-// Ok reports whether no violation has been observed.
-func (s *Set) Ok() bool { return s.count == 0 }
-
-// Count returns the total number of violations observed, including any
-// beyond the retained window.
-func (s *Set) Count() int { return s.count }
-
-// Violations returns the retained violations in observation order.
-func (s *Set) Violations() []Violation { return s.violations }
-
 // Err returns nil when the set is clean, otherwise an error summarizing
 // the violations.
 func (s *Set) Err() error {
@@ -167,7 +157,8 @@ func (s *Set) WatchNetwork(net *fabric.Network) {
 	net.SetAuditor(func() {
 		now := env.Now()
 		net.VisitAllocations(func(l *fabric.Link, forward bool, allocated, capacity float64) {
-			if allocated > capacity*(1+capacitySlack)+1 {
+			// float64(…) rounds the product, so no architecture fuses it (FMA).
+			if allocated > float64(capacity*(1+capacitySlack))+1 {
 				dir := "A→B"
 				if !forward {
 					dir = "B→A"
@@ -181,7 +172,8 @@ func (s *Set) WatchNetwork(net *fabric.Network) {
 			if rate < 0 || math.IsNaN(rate) {
 				s.Report("fabric/flow-rate", now, "flow %d→%d rate %v", f.Src, f.Dst, f.Rate())
 			}
-			if rcap := float64(f.MaxRate()); rcap > 0 && rate > rcap*(1+capacitySlack)+1 {
+			// float64(…) rounds the product, so no architecture fuses it (FMA).
+			if rcap := float64(f.MaxRate()); rcap > 0 && rate > float64(rcap*(1+capacitySlack))+1 {
 				s.Report("fabric/flow-rate-cap", now,
 					"flow %d→%d rate %.1f B/s over cap %.1f B/s", f.Src, f.Dst, rate, rcap)
 			}
@@ -208,16 +200,18 @@ func (s *Set) WatchNetwork(net *fabric.Network) {
 				cap = [2]float64{float64(l.CapAtoB), float64(l.CapBtoA)}
 			}
 			integ := s.linkCapInt[l.ID]
-			integ[0] += cap[0] * dt
-			integ[1] += cap[1] * dt
+			// float64(…) rounds the product, so no architecture fuses it (FMA).
+			integ[0] += float64(cap[0] * dt)
+			integ[1] += float64(cap[1] * dt)
 			s.linkCapInt[l.ID] = integ
 			s.linkPrevCap[l.ID] = [2]float64{float64(l.CapAtoB), float64(l.CapBtoA)}
 
-			if maxAB := integ[0]*(1+capacitySlack) + 1; float64(ab) > maxAB {
+			// float64(…) rounds the product, so no architecture fuses it (FMA).
+			if maxAB := float64(integ[0]*(1+capacitySlack)) + 1; float64(ab) > maxAB {
 				s.Report("fabric/bytes-conserved", now,
 					"link %d moved %v A→B, over the %v capacity integral", l.ID, ab, units.Bytes(maxAB))
 			}
-			if maxBA := integ[1]*(1+capacitySlack) + 1; float64(ba) > maxBA {
+			if maxBA := float64(integ[1]*(1+capacitySlack)) + 1; float64(ba) > maxBA {
 				s.Report("fabric/bytes-conserved", now,
 					"link %d moved %v B→A, over the %v capacity integral", l.ID, ba, units.Bytes(maxBA))
 			}

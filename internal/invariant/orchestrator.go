@@ -216,14 +216,6 @@ func slotKey(ev orchestrator.Event, k int) int {
 	return ref.Drawer*falcon.SlotsPerDrawer + ref.Slot
 }
 
-// WatchChassis attaches the attach/detach conservation check to the
-// chassis event stream: every event must land on a slot in the matching
-// ownership state, and replaying the stream must reproduce the chassis's
-// aggregate attached-device count at every step. Attach events on
-// already-attached slots are counted as reassignments (advanced-mode
-// on-the-fly moves emit a single attach).
-func (s *Set) WatchChassis(ch *falcon.Chassis) { s.watchChassis(ch, 0) }
-
 // WatchFleet attaches the conservation check to every chassis of a fleet
 // and records the host→pod map the pod-blast placement check reads.
 func (s *Set) WatchFleet(f *cluster.FleetSystem) {

@@ -82,7 +82,7 @@ func TestWatchChassisConservation(t *testing.T) {
 		}
 	}
 	s := New()
-	s.WatchChassis(ch)
+	s.watchChassis(ch, 0)
 	if err := ch.Attach(ref(0, 0), "H1"); err != nil {
 		t.Fatal(err)
 	}

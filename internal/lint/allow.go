@@ -54,7 +54,7 @@ func indexAllows(fset *token.FileSet, files []*ast.File) (allowIndex, []Diagnost
 					continue
 				}
 				name, reason := m[1], strings.TrimSpace(m[2])
-				if AnalyzerByName(name) == nil {
+				if name != deadapiName && AnalyzerByName(name) == nil {
 					report(c.Pos(), "//lint:allow names unknown analyzer "+name)
 					continue
 				}

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named check over a type-checked package, the stdlib-only
@@ -65,10 +64,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // InTestFile reports whether pos lies in a _test.go file. Analyzers skip
 // those: tests may measure wall time and iterate maps they sort afterward.
 func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+	return isTestPos(p.Fset, pos)
 }
 
-// Analyzers returns the full simlint suite in stable order.
+// Analyzers returns the per-package simlint suite in stable order. The
+// whole-program deadapi check is not an Analyzer; RunProgram adds it.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{NoWallClock, MapOrder, HotAlloc, GoroutineInProc}
 }
@@ -109,6 +109,25 @@ func RunAnalyzers(pkgs []*Package, analyzers ...*Analyzer) ([]Diagnostic, error)
 			}
 		}
 	}
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
+// RunProgram is the whole-program pass: the per-package suite over pkgs,
+// then the deadapi check over pkgs with callers' references also counted.
+// pkgs and callers come from LoadProgram.
+func RunProgram(pkgs, callers []*Package) ([]Diagnostic, error) {
+	diags, err := RunAnalyzers(pkgs, Analyzers()...)
+	if err != nil {
+		return diags, err
+	}
+	diags = append(diags, findDeadAPI(pkgs, callers)...)
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
+// sortDiagnostics orders findings by position, then analyzer.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -122,5 +141,4 @@ func RunAnalyzers(pkgs []*Package, analyzers ...*Analyzer) ([]Diagnostic, error)
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, nil
 }

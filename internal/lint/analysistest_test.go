@@ -208,6 +208,13 @@ func runTestdata(t *testing.T, a *Analyzer, importPath string) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWants(t, pkg, diags)
+	return diags
+}
+
+// checkWants matches diags one-to-one against pkg's want comments.
+func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
+	t.Helper()
 	wants := parseWants(t, pkg)
 	for _, d := range diags {
 		found := false
@@ -233,5 +240,4 @@ func runTestdata(t *testing.T, a *Analyzer, importPath string) []Diagnostic {
 			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.re)
 		}
 	}
-	return diags
 }

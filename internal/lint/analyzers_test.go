@@ -53,6 +53,49 @@ func TestDomainScoping(t *testing.T) {
 	}
 }
 
+// TestDeadAPIGolden runs the whole-program pass over the deadapi golden
+// package and its test-only helper package, with their caller package
+// loaded by a second loader, as the benchmark module is loaded: the
+// caller's references reach the package through objects of their own.
+// The helper has no want comments: as test code it is not judged.
+func TestDeadAPIGolden(t *testing.T) {
+	l := newTestLoader(t)
+	api, err := l.load("composable/internal/deadapi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	helper, err := l.load("composable/internal/deadapi/testhelper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := newTestLoader(t).load("composable/cmd/deadapiuser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := RunProgram([]*Package{api, helper}, []*Package{user})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reason-less allow is itself a finding. Its line cannot carry a
+	// want comment (see TestLintDirectiveGrammar), so it is checked here.
+	var rest []Diagnostic
+	directives := 0
+	for _, d := range diags {
+		if d.Analyzer == "lintdirective" {
+			directives++
+			if !strings.Contains(d.Message, "deadapi needs a written reason") {
+				t.Errorf("unexpected directive finding: %s", d)
+			}
+			continue
+		}
+		rest = append(rest, d)
+	}
+	if directives != 1 {
+		t.Errorf("%d lintdirective findings, want 1 for the reason-less allow", directives)
+	}
+	checkWants(t, api, rest)
+}
+
 // runOn applies analyzers to one already-loaded package.
 func runOn(t *testing.T, pkg *Package, as ...*Analyzer) []Diagnostic {
 	t.Helper()

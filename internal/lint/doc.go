@@ -41,6 +41,26 @@
 // and clean, a regression fails the lint gate instead of showing up two
 // PRs later as a 10x allocs/op jump in BENCH_*.json.
 //
+// # The dead-API check
+//
+// deadapi flags exported functions, methods and types under internal/
+// that no shipped code references, so API that nothing ships does not
+// grow back after it is deleted. Shipped code is the non-test files of
+// the packages that a main package reaches through non-test imports; a
+// package only tests import (internal/sim/simtest, say) is test code:
+// its references do not count and its own API is not judged. The mains
+// are those of the main module and of the benchmark module (bench/),
+// whose references are matched by package path, receiver and name
+// because it is loaded as a separate module. A method that implements any interface type in the
+// program, the standard library's included, is live. Only direct
+// references count: an item used only by another dead item is flagged
+// once that one is deleted. Deliberate test hooks carry
+// //lint:allow deadapi(reason) naming the test or oracle that needs them.
+//
+// deadapi needs the whole program at once, so it runs only in
+// whole-program mode (RunProgram: `simlint ./...` and the repo-wide
+// self-test), never in vet-tool mode, which sees one package at a time.
+//
 // # Annotation grammar
 //
 // Two comment directives, both requiring written reasons:
@@ -62,12 +82,19 @@
 //
 // # Running simlint
 //
-// In-process (what the repo-wide self-test and perfbench entry do):
+// In-process, the whole program (what the repo-wide self-test does):
+//
+//	pkgs, callers, _ := lint.LoadProgram()
+//	diags, _ := lint.RunProgram(pkgs, callers)
+//
+// or the per-package analyzers over chosen packages (what the perfbench
+// entry times):
 //
 //	pkgs, _ := lint.Load("composable/...")
 //	diags, _ := lint.RunAnalyzers(pkgs, lint.Analyzers()...)
 //
-// From the command line, standalone or as a vet tool:
+// From the command line, standalone (whole program for ./..., deadapi
+// included) or as a vet tool (per package, no deadapi):
 //
 //	go run ./cmd/simlint ./...
 //	go build -o /tmp/simlint ./cmd/simlint && go vet -vettool=/tmp/simlint ./...

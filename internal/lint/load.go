@@ -57,9 +57,35 @@ func Load(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loadIn(root, patterns...)
+}
+
+// callerModule is the repo's other module, the end-to-end benchmark. It
+// imports the main module's internal packages, so what it references is
+// live API.
+const callerModule = "bench"
+
+// LoadProgram loads the whole program for RunProgram: every package of
+// the main module, and as callers every package of the benchmark module.
+func LoadProgram() (pkgs, callers []*Package, err error) {
+	root, err := moduleRoot()
+	if err != nil {
+		return nil, nil, err
+	}
+	if pkgs, err = loadIn(root, "./..."); err != nil {
+		return nil, nil, err
+	}
+	if callers, err = loadIn(filepath.Join(root, callerModule), "./..."); err != nil {
+		return nil, nil, err
+	}
+	return pkgs, callers, nil
+}
+
+// loadIn runs Load's work with the go command in dir.
+func loadIn(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-test", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = root
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

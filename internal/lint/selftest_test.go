@@ -3,22 +3,22 @@ package lint
 import "testing"
 
 // TestRepoIsLintClean is the acceptance gate: the full simlint suite over
-// the whole module must come back empty. Every wall-clock read, rendered
-// map range, hot-path allocator and raw goroutine in the repo is either
-// fixed or carries a //lint:allow with a written reason — and this test is
-// what keeps it that way.
+// the whole program must come back empty. Every wall-clock read, rendered
+// map range, hot-path allocator, raw goroutine and exported item nothing
+// ships is either fixed or carries a //lint:allow with a written reason —
+// and this test is what keeps it that way.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, err := Load("./...")
+	pkgs, callers, err := LoadProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages; the module pattern is broken", len(pkgs))
+	if len(pkgs) < 10 || len(callers) == 0 {
+		t.Fatalf("loaded %d packages and %d callers; the module pattern is broken", len(pkgs), len(callers))
 	}
-	diags, err := RunAnalyzers(pkgs, Analyzers()...)
+	diags, err := RunProgram(pkgs, callers)
 	if err != nil {
 		t.Fatal(err)
 	}

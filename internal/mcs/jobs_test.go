@@ -25,6 +25,16 @@ func jobsTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// auditLog reads the audit log through the admin API.
+func auditLog(t *testing.T, ts *httptest.Server) []AuditEntry {
+	t.Helper()
+	var log []AuditEntry
+	if resp := doJSON(t, ts, "GET", "/api/audit", "tok-root", nil, &log); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/audit: %d", resp.StatusCode)
+	}
+	return log
+}
+
 func doJSON(t *testing.T, ts *httptest.Server, method, path, token string, body any, out any) *http.Response {
 	t.Helper()
 	var buf bytes.Buffer
@@ -206,6 +216,7 @@ func TestJobRunWithFaultProfile(t *testing.T) {
 // daemon answers 413 and neither the job list nor the audit log changes.
 func TestOversizedBodyRejected(t *testing.T) {
 	srv := NewServer(falcon.New("body-test"), []User{
+		{Name: "root", Role: RoleAdmin, Token: "tok-root"},
 		{Name: "alice", Role: RoleUser, Token: "tok-alice", Hosts: []string{"host1"}},
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -215,7 +226,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 		map[string]any{"workload": "ResNet-50", "gpus": 2, "iters": 3}, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("small submit: %d", resp.StatusCode)
 	}
-	audit := srv.Audit()
+	audit := auditLog(t, ts)
 	var before []JobRecord
 	doJSON(t, ts, "GET", "/api/jobs", "tok-alice", nil, &before)
 
@@ -228,7 +239,7 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("job list changed:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if got := srv.Audit(); !reflect.DeepEqual(audit, got) {
+	if got := auditLog(t, ts); !reflect.DeepEqual(audit, got) {
 		t.Errorf("audit log changed:\nbefore %+v\nafter  %+v", audit, got)
 	}
 }

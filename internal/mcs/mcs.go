@@ -102,13 +102,6 @@ func NewServer(ch *falcon.Chassis, users []User) *Server {
 	return s
 }
 
-// Audit returns a copy of the audit log.
-func (s *Server) Audit() []AuditEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]AuditEntry(nil), s.audit...)
-}
-
 func (s *Server) record(u *User, action, detail, result string) {
 	s.audit = append(s.audit, AuditEntry{
 		At: s.clock(), User: u.Name, Action: action, Detail: detail, Result: result,

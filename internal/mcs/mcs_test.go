@@ -143,10 +143,10 @@ func TestAdminOnlyEndpoints(t *testing.T) {
 }
 
 func TestAuditLogRecordsDenials(t *testing.T) {
-	srv, ts, _ := newTestServer(t)
+	_, ts, _ := newTestServer(t)
 	call(t, ts, "POST", "/api/attach", "tok-alice", attachRequest{Drawer: 0, Slot: 0, Port: "H1"})
 	call(t, ts, "POST", "/api/attach", "tok-bob", attachRequest{Drawer: 0, Slot: 1, Port: "H1"})
-	audit := srv.Audit()
+	audit := auditLog(t, ts)
 	var ok, denied int
 	for _, e := range audit {
 		switch e.Result {
@@ -182,7 +182,15 @@ func TestModeSwitchViaAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
 	}
-	if ch.DrawerMode(1) != falcon.ModeStandardTwoHost {
+	exported, err := ch.ExportConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg struct{ Drawers []struct{ Mode falcon.Mode } }
+	if err := json.Unmarshal(exported, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Drawers[1].Mode != falcon.ModeStandardTwoHost {
 		t.Fatal("mode not applied")
 	}
 	// Users cannot switch modes.

@@ -113,8 +113,12 @@ func checkLedger(t testing.TB, tr *analyze.Trace, a *analyze.Analysis, res *orch
 	if res == nil {
 		return
 	}
+	byID := make(map[int64]*analyze.JobAttribution, len(a.Jobs))
+	for i := range a.Jobs {
+		byID[a.Jobs[i].Job] = &a.Jobs[i]
+	}
 	for _, jr := range res.Jobs {
-		ja := a.Job(int64(jr.ID))
+		ja := byID[int64(jr.ID)]
 		if ja == nil {
 			t.Errorf("job %d in FleetResult but not in trace analysis", jr.ID)
 			continue

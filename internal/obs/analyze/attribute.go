@@ -78,16 +78,6 @@ func (a *Analysis) FailedJobs() int {
 	return n
 }
 
-// Job returns the attribution for one job ID, or nil.
-func (a *Analysis) Job(id int64) *JobAttribution {
-	for i := range a.Jobs {
-		if a.Jobs[i].Job == id {
-			return &a.Jobs[i]
-		}
-	}
-	return nil
-}
-
 // Slowest returns up to n jobs ordered by descending wall time (ties
 // by ascending job ID, so the order is deterministic).
 func (a *Analysis) Slowest(n int) []*JobAttribution {

@@ -52,14 +52,6 @@ func histBucket(v time.Duration) int {
 	return b
 }
 
-// BucketBounds returns bucket i's [lo, hi) range.
-func BucketBounds(i int) (lo, hi time.Duration) {
-	if i <= 0 {
-		return 0, time.Millisecond
-	}
-	return time.Millisecond << (i - 1), time.Millisecond << i
-}
-
 func (h *Histogram) seal() {
 	sort.Slice(h.values, func(i, j int) bool { return h.values[i] < h.values[j] })
 	h.sealed = true

@@ -100,9 +100,6 @@ func (c *Collector) SetInterval(d time.Duration) {
 	}
 }
 
-// Interval returns the metric sampling interval.
-func (c *Collector) Interval() time.Duration { return c.smp.interval }
-
 // Registry returns the collector's metric registry, shared by every
 // instrumented layer of the run.
 func (c *Collector) Registry() *Registry { return &c.reg }
@@ -124,9 +121,6 @@ func (c *Collector) Attach(env *sim.Env) {
 	c.reg.Gauge("sim.events", func() float64 { return float64(env.EventCount()) })
 	c.reg.Gauge("sim.procs", func() float64 { return float64(env.LiveProcs()) })
 }
-
-// Env returns the attached environment (nil before Attach).
-func (c *Collector) Env() *sim.Env { return c.env }
 
 func (c *Collector) note(at sim.Time) {
 	if at > c.maxTime {
@@ -152,13 +146,6 @@ func (c *Collector) beginAt(cat Cat, name string, at sim.Time, instant bool) Spa
 // life of the collector.
 func (c *Collector) Begin(cat Cat, name string) SpanID {
 	return c.beginAt(cat, name, c.env.Now(), false)
-}
-
-// BeginAt opens a span with an explicit start time (used for spans whose
-// start was only known in retrospect, e.g. epoch boundaries).
-func (c *Collector) BeginAt(cat Cat, name string, at sim.Time) SpanID {
-	c.note(c.env.Now())
-	return c.beginAt(cat, name, at, false)
 }
 
 // End closes the span at the current sim time. A zero id is a no-op.
@@ -213,9 +200,6 @@ func (c *Collector) SetAttrStr(id SpanID, key, v string) {
 
 // Inc bumps a registered counter by one.
 func (c *Collector) Inc(id CounterID) { c.reg.Add(id, 1) }
-
-// Add bumps a registered counter by delta.
-func (c *Collector) Add(id CounterID, delta int64) { c.reg.Add(id, delta) }
 
 // attrInt returns the span's integer attribute named key, if present.
 func (s *span) attrInt(key string) (int64, bool) {
@@ -311,6 +295,3 @@ func (c *Collector) VisitSpans(f func(SpanView)) {
 		})
 	}
 }
-
-// SampleCount returns the number of sampling ticks taken.
-func (c *Collector) SampleCount() int { return c.smp.Len() }

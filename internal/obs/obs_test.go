@@ -126,7 +126,7 @@ func TestSamplingCSV(t *testing.T) {
 	n := 0
 	sp = env.NewStepper("driver", func() {
 		n++
-		c.Add(cnt, 2)
+		c.Registry().Add(cnt, 2)
 		if n < 5 {
 			env.ReadyAfter(sp, 20*time.Millisecond)
 		} else {
@@ -138,7 +138,7 @@ func TestSamplingCSV(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.SampleCount() == 0 {
+	if c.smp.Len() == 0 {
 		t.Fatal("sampler never ticked")
 	}
 	var sb strings.Builder
@@ -149,8 +149,8 @@ func TestSamplingCSV(t *testing.T) {
 	if lines[0] != "time_s,sim.events,sim.procs,ticks,bumps_total" {
 		t.Fatalf("CSV header = %q", lines[0])
 	}
-	if len(lines) != 1+c.SampleCount() {
-		t.Fatalf("%d CSV rows, want %d", len(lines)-1, c.SampleCount())
+	if len(lines) != 1+c.smp.Len() {
+		t.Fatalf("%d CSV rows, want %d", len(lines)-1, c.smp.Len())
 	}
 	if !strings.HasPrefix(lines[1], "0.020,") {
 		t.Errorf("first sample row = %q, want 0.020s tick", lines[1])

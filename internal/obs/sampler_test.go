@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -132,7 +133,7 @@ func TestCSVExport(t *testing.T) {
 
 // record drives one deterministic simulated recording and renders every
 // output format the sampler and tracks expose.
-func record(t *testing.T) (csv, spark, trackCSV, timeline string) {
+func record(t *testing.T) (csv, spark, track, timeline string) {
 	t.Helper()
 	env := sim.NewEnv()
 	var reg Registry
@@ -156,7 +157,7 @@ func record(t *testing.T) (csv, spark, trackCSV, timeline string) {
 		t.Fatal(err)
 	}
 	s := smp.Series("util")
-	return s.CSV(), s.Sparkline(40), tr.CSV(), tr.Timeline(60, time.Second)
+	return s.CSV(), s.Sparkline(40), fmt.Sprint(tr.Events), tr.Timeline(60, time.Second)
 }
 
 // TestRenderedOutputIsRunStable is the run-twice pin for the rendered
@@ -172,7 +173,7 @@ func TestRenderedOutputIsRunStable(t *testing.T) {
 		t.Errorf("Sparkline differs between identical runs: %q vs %q", spark1, spark2)
 	}
 	if track1 != track2 {
-		t.Errorf("Track.CSV differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s", track1, track2)
+		t.Errorf("track events differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", track1, track2)
 	}
 	if tl1 != tl2 {
 		t.Errorf("Timeline differs between identical runs:\n%q\nvs\n%q", tl1, tl2)

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // TrackEvent is one annotated observation on an event track.
 type TrackEvent struct {
@@ -32,17 +28,6 @@ func (t *Track) Record(at time.Duration, kind, label string) {
 
 // Len returns the event count.
 func (t *Track) Len() int { return len(t.Events) }
-
-// CSV renders "time_s,kind,label" lines, the event-track analog of
-// Series.CSV.
-func (t *Track) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "time_s,%s_kind,label\n", t.Name)
-	for _, e := range t.Events {
-		fmt.Fprintf(&b, "%.3f,%s,%s\n", e.At.Seconds(), e.Kind, strings.ReplaceAll(e.Label, ",", ";"))
-	}
-	return b.String()
-}
 
 // Timeline renders the track as a fixed-width ASCII lane over [0, span]:
 // each column shows the first rune of the kind of the event(s) landing in

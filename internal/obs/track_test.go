@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -17,18 +16,6 @@ func TestTrackRecord(t *testing.T) {
 	want := TrackEvent{At: 2 * time.Second, Kind: "kill", Label: "job 0"}
 	if tr.Events[1] != want {
 		t.Fatalf("events[1] = %+v, want %+v", tr.Events[1], want)
-	}
-}
-
-func TestTrackCSV(t *testing.T) {
-	tr := NewTrack("faults")
-	tr.Record(1500*time.Millisecond, "fault", "gpu[3], drawer 0")
-	csv := tr.CSV()
-	if !strings.HasPrefix(csv, "time_s,faults_kind,label\n") {
-		t.Fatalf("bad header: %q", csv)
-	}
-	if !strings.Contains(csv, "1.500,fault,gpu[3]; drawer 0") {
-		t.Fatalf("bad row (commas must not break the format): %q", csv)
 	}
 }
 

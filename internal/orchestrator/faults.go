@@ -182,7 +182,8 @@ func (s *scheduler) killHost(h int, cause string) {
 // between fault events.
 func (s *scheduler) capAccrue(now time.Duration) {
 	if now > s.capLastT {
-		s.capGPUSec += float64(s.liveSlots) * (now - s.capLastT).Seconds()
+		// float64(…) rounds the product, so no architecture fuses it (FMA).
+		s.capGPUSec += float64(float64(s.liveSlots) * (now - s.capLastT).Seconds())
 	}
 	s.capLastT = now
 }
@@ -294,8 +295,9 @@ func (s *scheduler) reschedule(js *jobState, now time.Duration) {
 		}
 		// Up to the last epoch boundary the attempt delivered kept work;
 		// past it the work is lost and will be re-run.
-		js.deliveredSec += float64(js.spec.GPUs) * (usefulEnd - js.launched).Seconds()
-		js.lostSec += float64(js.spec.GPUs) * (now - usefulEnd).Seconds()
+		// float64(…) rounds the product, so no architecture fuses it (FMA).
+		js.deliveredSec += float64(float64(js.spec.GPUs) * (usefulEnd - js.launched).Seconds())
+		js.lostSec += float64(float64(js.spec.GPUs) * (now - usefulEnd).Seconds())
 	}
 	for _, slot := range js.slots {
 		s.slotJob[slot.Index] = -1

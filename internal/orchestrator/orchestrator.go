@@ -486,7 +486,8 @@ func (s *scheduler) probe(ev Event) {
 //perf:hot
 func (s *scheduler) account(now time.Duration) {
 	if len(s.queue) > 0 && now > s.lastT {
-		s.fragGPUSec += float64(s.view.idx.free) * (now - s.lastT).Seconds()
+		// float64(…) rounds the product, so no architecture fuses it (FMA).
+		s.fragGPUSec += float64(float64(s.view.idx.free) * (now - s.lastT).Seconds())
 	}
 	s.lastT = now
 }
@@ -728,7 +729,8 @@ func (s *scheduler) finish(js *jobState, now time.Duration) {
 		return
 	}
 	js.res = res
-	js.deliveredSec += float64(js.spec.GPUs) * (now - js.launched).Seconds()
+	// float64(…) rounds the product, so no architecture fuses it (FMA).
+	js.deliveredSec += float64(float64(js.spec.GPUs) * (now - js.launched).Seconds())
 	for _, slot := range js.slots {
 		s.slotJob[slot.Index] = -1
 		s.syncSlot(slot.Index)

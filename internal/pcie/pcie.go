@@ -35,39 +35,6 @@ func (g Gen) String() string {
 	return fmt.Sprintf("PCI-e %d.0", int(g))
 }
 
-// laneGTs returns the per-lane transfer rate in GT/s.
-func (g Gen) laneGTs() float64 {
-	switch g {
-	case Gen1:
-		return 2.5
-	case Gen2:
-		return 5
-	case Gen3:
-		return 8
-	case Gen4:
-		return 16
-	case Gen5:
-		return 32
-	default:
-		panic(fmt.Sprintf("pcie: unknown generation %d", int(g)))
-	}
-}
-
-// encodingEfficiency is the line-coding efficiency: 8b/10b for Gen1/2,
-// 128b/130b from Gen3 on.
-func (g Gen) encodingEfficiency() float64 {
-	if g <= Gen2 {
-		return 8.0 / 10.0
-	}
-	return 128.0 / 130.0
-}
-
-// RawBandwidth returns the per-direction line bandwidth of a link with the
-// given lane count after line coding (e.g. Gen4 x16 ≈ 31.5 GB/s).
-func RawBandwidth(g Gen, lanes int) units.BytesPerSec {
-	return units.GBps(g.laneGTs() * float64(lanes) * g.encodingEfficiency() / 8)
-}
-
 // Calibrated effective data-path bandwidths (per direction). These are the
 // only tuned constants in the PCIe model; each is pinned to a measurement in
 // the paper's Table IV. Effective rates are well below raw line rate because

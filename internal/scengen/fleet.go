@@ -291,9 +291,6 @@ type FleetOutcome struct {
 	Fingerprint string
 }
 
-// Violations returns the invariant violations the run accumulated.
-func (o *FleetOutcome) Violations() []invariant.Violation { return o.Inv.Violations() }
-
 // Err returns nil when every invariant held.
 func (o *FleetOutcome) Err() error { return o.Inv.Err() }
 

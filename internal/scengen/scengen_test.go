@@ -1,10 +1,12 @@
 package scengen
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"composable/internal/cluster"
 	"composable/internal/sim"
@@ -76,11 +78,11 @@ func TestScenarioSweep(t *testing.T) {
 				var merr error
 				switch j.idx % 10 {
 				case 0:
-					merr = CheckFasterFabricNotSlower(sc)
+					merr = checkFasterFabricNotSlower(sc)
 				case 3:
-					merr = CheckShardedPeakNotLarger(sc)
+					merr = checkShardedPeakNotLarger(sc)
 				case 5:
-					merr = CheckMoreItersNotFaster(sc)
+					merr = checkMoreItersNotFaster(sc)
 				}
 				if merr != nil {
 					fail("seed %d: %v", j.seed, merr)
@@ -257,7 +259,7 @@ func TestFingerprintDistinguishesResults(t *testing.T) {
 
 func TestMetamorphicFasterFabric(t *testing.T) {
 	for seed := int64(11); seed <= 14; seed++ {
-		if err := CheckFasterFabricNotSlower(FromSeed(seed)); err != nil {
+		if err := checkFasterFabricNotSlower(FromSeed(seed)); err != nil {
 			t.Error(err)
 		}
 	}
@@ -265,7 +267,7 @@ func TestMetamorphicFasterFabric(t *testing.T) {
 
 func TestMetamorphicMoreIters(t *testing.T) {
 	for seed := int64(21); seed <= 24; seed++ {
-		if err := CheckMoreItersNotFaster(FromSeed(seed)); err != nil {
+		if err := checkMoreItersNotFaster(FromSeed(seed)); err != nil {
 			t.Error(err)
 		}
 	}
@@ -273,8 +275,119 @@ func TestMetamorphicMoreIters(t *testing.T) {
 
 func TestMetamorphicShardedPeak(t *testing.T) {
 	for seed := int64(31); seed <= 34; seed++ {
-		if err := CheckShardedPeakNotLarger(FromSeed(seed)); err != nil {
+		if err := checkShardedPeakNotLarger(FromSeed(seed)); err != nil {
 			t.Error(err)
 		}
 	}
+}
+
+// Metamorphic relations. Each check runs a scenario and a transformed
+// sibling and asserts the physically necessary ordering between them, with
+// a small tolerance for float scheduling noise.
+
+// fasterFabricScale is the link speedup used by checkFasterFabricNotSlower.
+const fasterFabricScale = 4.0
+
+// metamorphicSlack bounds the tolerated inversion: a relative fraction of
+// the baseline plus an absolute floor.
+func metamorphicSlack(base time.Duration) time.Duration {
+	s := base / 1000 // 0.1%
+	if s < time.Millisecond {
+		s = time.Millisecond
+	}
+	return s
+}
+
+// checkFasterFabricNotSlower asserts that the same workload on a strictly
+// faster fabric (every link capacity ×4, latencies unchanged) never trains
+// slower. Compute, storage media rates and endpoint overheads are
+// unchanged, so total time must be monotone nonincreasing.
+func checkFasterFabricNotSlower(sc Scenario) error {
+	base, err := Run(sc)
+	if err != nil {
+		return err
+	}
+	if berr := base.Err(); berr != nil {
+		return fmt.Errorf("scengen: baseline run of %s: %w", sc.ID(), berr)
+	}
+	fast, err := run(sim.NewEnv(), sc, fasterFabricScale)
+	if err != nil {
+		return err
+	}
+	if ferr := fast.Err(); ferr != nil {
+		return fmt.Errorf("scengen: scaled-fabric run of %s: %w", sc.ID(), ferr)
+	}
+	b, f := base.Result.TotalTime, fast.Result.TotalTime
+	if f > b+metamorphicSlack(b) {
+		return fmt.Errorf("scengen: metamorphic faster-fabric violated on %s: %v (×%g links) > %v (baseline)",
+			sc.ID(), f, fasterFabricScale, b)
+	}
+	return nil
+}
+
+// checkMoreItersNotFaster asserts that doubling the iteration count never
+// reduces total training time — work is strictly additive in this engine.
+func checkMoreItersNotFaster(sc Scenario) error {
+	base, err := Run(sc)
+	if err != nil {
+		return err
+	}
+	if berr := base.Err(); berr != nil {
+		return fmt.Errorf("scengen: baseline run of %s: %w", sc.ID(), berr)
+	}
+	longer := sc
+	longer.ItersPerEpoch *= 2
+	long, err := Run(longer)
+	if err != nil {
+		return err
+	}
+	if lerr := long.Err(); lerr != nil {
+		return fmt.Errorf("scengen: doubled-iters run of %s: %w", sc.ID(), lerr)
+	}
+	b, l := base.Result.TotalTime, long.Result.TotalTime
+	if l+metamorphicSlack(b) < b {
+		return fmt.Errorf("scengen: metamorphic more-iters violated on %s: %d iters in %v < %d iters in %v",
+			sc.ID(), long.Result.Iters, l, base.Result.Iters, b)
+	}
+	return nil
+}
+
+// checkShardedPeakNotLarger asserts ZeRO-2 sharding never increases the
+// per-GPU memory high-water mark at equal batch: sharding divides gradient
+// and optimizer state, touching nothing else. Scenarios whose batch only
+// fits sharded are skipped (nil error) — there is no unsharded sibling to
+// compare against.
+func checkShardedPeakNotLarger(sc Scenario) error {
+	plain := sc
+	plain.Strategy = train.DDP
+	plain.Sharded = false
+	plain = Sanitize(plain)
+	if plain.Sharded {
+		// Sanitize's relief valve re-enabled sharding: the workload does
+		// not fit unsharded at all, so there is no sibling to compare.
+		return nil
+	}
+	shard := plain
+	shard.Sharded = true
+	shard = Sanitize(shard)
+	shard.BatchPerGPU = plain.BatchPerGPU // equal batch, known to fit unsharded
+	pres, err := Run(plain)
+	if err != nil {
+		return err
+	}
+	if perr := pres.Err(); perr != nil {
+		return fmt.Errorf("scengen: unsharded run of %s: %w", plain.ID(), perr)
+	}
+	sres, err := Run(shard)
+	if err != nil {
+		return err
+	}
+	if serr := sres.Err(); serr != nil {
+		return fmt.Errorf("scengen: sharded run of %s: %w", shard.ID(), serr)
+	}
+	if sres.Result.PeakGPUMem > pres.Result.PeakGPUMem {
+		return fmt.Errorf("scengen: metamorphic sharded-memory violated on %s: sharded peak %v > plain peak %v",
+			sc.ID(), sres.Result.PeakGPUMem, pres.Result.PeakGPUMem)
+	}
+	return nil
 }

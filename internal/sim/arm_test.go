@@ -10,12 +10,12 @@ import (
 )
 
 // contend starts the background every arm-form test runs against: a Go
-// process that grabs all of r at t=0 and holds it, then two waiters — one
+// process that grabs all capacity units of r at t=0 and holds them, then two waiters — one
 // goroutine process, one tracked stepper — that queue on r at the same
 // instant, ahead of the worker spawned after them.
-func contend(env *sim.Env, r *sim.Resource) {
+func contend(env *sim.Env, r *sim.Resource, capacity int) {
 	env.Go("hog", func(p *sim.Proc) {
-		r.Hold(p, r.Capacity(), 3*time.Millisecond)
+		r.Hold(p, capacity, 3*time.Millisecond)
 	})
 	env.Go("ahead-go", func(p *sim.Proc) {
 		r.Hold(p, 1, time.Millisecond)
@@ -37,7 +37,7 @@ func minEvents(t *testing.T, d *sim.Digest, n uint64) {
 func TestArmResourceMatchesAcquire(t *testing.T) {
 	d := simtest.CheckArmMatchesBlock(t, 3, func(env *sim.Env) (func(*sim.Proc, int), func(*sim.Proc, int) bool) {
 		r := sim.NewResource("dev", 2)
-		contend(env, r)
+		contend(env, r, 2)
 		block := func(p *sim.Proc, _ int) {
 			r.Acquire(p, 2)
 			p.Sleep(time.Millisecond)
@@ -70,7 +70,7 @@ func TestArmResourceMatchesAcquire(t *testing.T) {
 func TestArmHoldMatchesHold(t *testing.T) {
 	d := simtest.CheckArmMatchesBlock(t, 4, func(env *sim.Env) (func(*sim.Proc, int), func(*sim.Proc, int) bool) {
 		r := sim.NewResource("dev", 2)
-		contend(env, r)
+		contend(env, r, 2)
 		// Round 2 holds for zero time: the wake still takes its own
 		// same-instant slot.
 		dur := func(round int) time.Duration { return time.Duration(round%2) * time.Millisecond }
@@ -83,7 +83,7 @@ func TestArmHoldMatchesHold(t *testing.T) {
 
 func TestReadyAfterMatchesSleep(t *testing.T) {
 	d := simtest.CheckArmMatchesBlock(t, 4, func(env *sim.Env) (func(*sim.Proc, int), func(*sim.Proc, int) bool) {
-		contend(env, sim.NewResource("dev", 1))
+		contend(env, sim.NewResource("dev", 1), 1)
 		dur := func(round int) time.Duration { return time.Duration(round-1) * time.Millisecond } // -1ms clamps to 0
 		slept := false
 		return func(p *sim.Proc, round int) { p.Sleep(dur(round)) },
@@ -130,44 +130,6 @@ func TestArmGetMatchesGet(t *testing.T) {
 			}
 	})
 	minEvents(t, d, 12)
-}
-
-func TestArmWaitAllMatchesWaitAll(t *testing.T) {
-	d := simtest.CheckArmMatchesBlock(t, 2, func(env *sim.Env) (func(*sim.Proc, int), func(*sim.Proc, int) bool) {
-		sigs := []*sim.Signal{{}, {}, {}}
-		var wg sim.WaitGroup
-		wg.Add(2)
-		// The signals fire at 1, 2 and 3 ms; the first is waited on by a
-		// process ahead of the worker at the same instant.
-		for i, s := range sigs {
-			env.AfterSignal(time.Duration(i+1)*time.Millisecond, s)
-		}
-		env.Go("ahead-go", func(p *sim.Proc) {
-			sigs[0].Wait(p)
-			wg.Done(env)
-		})
-		env.Go("ahead-go2", func(p *sim.Proc) {
-			sim.WaitAll(p, sigs)
-			wg.Done(env)
-		})
-		// Round 0 waits for every signal, round 1 (already fired) for the
-		// wait group and a signal.
-		return func(p *sim.Proc, round int) {
-				if round == 0 {
-					sim.WaitAll(p, sigs)
-					return
-				}
-				wg.Wait(p)
-				sigs[1].Wait(p)
-			},
-			func(sp *sim.Proc, round int) bool {
-				if round == 0 {
-					return sim.ArmWaitAll(sp, sigs)
-				}
-				return wg.Arm(sp) || sigs[1].Arm(sp)
-			}
-	})
-	minEvents(t, d, 8)
 }
 
 func TestSpawnTracksLikeGo(t *testing.T) {
@@ -224,8 +186,10 @@ func TestTrackedStepperInDeadlockReport(t *testing.T) {
 	env := sim.NewEnv()
 	q := sim.NewQueue("h2d.gpu0")
 	r := sim.NewResource("gpu0.compute", 1)
+	held := false
 	simtest.SpawnLoop(env, "holder", 1, func(sp *sim.Proc, _ int) bool {
-		if env.Now() == 0 && r.InUse() == 0 {
+		if !held {
+			held = true
 			r.Arm(sp, 1)
 			env.ReadyAfter(sp, time.Millisecond)
 			return true

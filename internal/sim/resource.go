@@ -31,20 +31,12 @@ func NewResource(name string, capacity int) *Resource {
 	return &Resource{name: name, capacity: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Acquire blocks the process until n units are available, then takes them.
 // Requests are granted strictly FIFO, so a large request cannot be starved
 // by a stream of small ones.
 //
 //perf:hot
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (r *Resource) Acquire(p *Proc, n int) {
 	if r.Arm(p, n) {
 		p.yield()
@@ -111,18 +103,6 @@ func (r *Resource) ArmHold(sp *Proc, h *HoldOp, n int, d time.Duration) bool {
 	}
 }
 
-// TryAcquire takes n units if immediately available, reporting success.
-func (r *Resource) TryAcquire(e *Env, n int) bool {
-	if n <= 0 || n > r.capacity {
-		return false
-	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
-		r.take(e, n)
-		return true
-	}
-	return false
-}
-
 // Release returns n units and wakes as many FIFO waiters as now fit.
 //
 //perf:hot
@@ -187,21 +167,6 @@ func (r *Resource) account(e *Env) {
 	r.lastChange = e.now
 }
 
-// Utilization returns the occupancy-weighted busy fraction of the resource
-// over [0, now]. It is what a sampling monitor (nvidia-smi, top) would
-// report as average utilization.
-func (r *Resource) Utilization(e *Env) float64 {
-	if e.now == 0 {
-		return 0
-	}
-	busy := r.accumBusy
-	dt := e.now - r.lastChange
-	if dt > 0 && r.inUse > 0 {
-		busy += Time(float64(dt) * float64(r.inUse) / float64(r.capacity))
-	}
-	return float64(busy) / float64(e.now)
-}
-
 // UtilizationSince returns the busy fraction accrued after mark, where mark
 // is a previous snapshot from BusySnapshot. Used by periodic samplers.
 func (r *Resource) UtilizationSince(e *Env, markTime, markBusy Time) (frac float64) {
@@ -250,9 +215,6 @@ type Queue struct {
 // NewQueue creates an empty queue.
 func NewQueue(name string) *Queue { return &Queue{name: name} }
 
-// Len returns the number of buffered items.
-func (q *Queue) Len() int { return len(q.items) }
-
 // Put appends an item and wakes one waiting consumer.
 func (q *Queue) Put(e *Env, item interface{}) {
 	if q.closed {
@@ -287,6 +249,7 @@ func (q *Queue) wakeOne(e *Env) {
 // empty. ok is false when the queue is closed and drained.
 //
 //perf:hot
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (q *Queue) Get(p *Proc) (item interface{}, ok bool) {
 	for {
 		item, ok, armed := q.ArmGet(p)

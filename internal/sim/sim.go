@@ -355,8 +355,8 @@ type Proc struct {
 	// wake-up events invoke step.Step inline on the dispatching goroutine
 	// instead of a context switch (NewStepper, InitStepperFor, Spawn).
 	step Stepper
-	// padFrom/padFactor, when padFactor > 0, defer a WaitAll wake by
-	// (fire time − padFrom) × padFactor (WaitAllPadded).
+	// padFrom/padFactor, when padFactor > 0, defer an ArmWaitAllPadded
+	// wake by (fire time − padFrom) × padFactor.
 	padFrom   Time
 	padFactor float64
 	waitDur   time.Duration // waitSleep
@@ -366,8 +366,9 @@ type Proc struct {
 	obsTok uint64
 	// procIdx is the process's slot in Env.procs while live.
 	procIdx int32
-	// waitN > 0 marks a WaitAll in progress: the process is registered on
-	// waitN unfired signals and must not be woken until the last one fires.
+	// waitN > 0 marks an ArmWaitAllPadded in progress: the process is
+	// registered on waitN unfired signals and must not be woken until the
+	// last one fires.
 	waitN int32
 	// What the process is blocked on; rendered lazily by deadlockError.
 	waitKind waitKind
@@ -377,12 +378,6 @@ type Proc struct {
 	// until Exit.
 	tracked bool
 }
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
@@ -660,6 +655,8 @@ func (e *Env) Run() error { return e.run(-1) }
 // RunUntil executes events up to and including virtual time t.
 // Processes still alive at t simply stop being scheduled; this is the
 // normal way to run an open-ended simulation for a fixed horizon.
+//
+//lint:allow deadapi(the event-queue oracle runs the engine to a horizon)
 func (e *Env) RunUntil(t Time) error { return e.run(t) }
 
 func (e *Env) run(limit Time) error {
@@ -721,8 +718,8 @@ func (s *Signal) Fire(e *Env) {
 	s.waiters = ws[:0]
 	for i, p := range ws {
 		if p.waitN > 0 {
-			// WaitAll registration: only the last signal of the set
-			// schedules the wake, padded if WaitAllPadded asked for it.
+			// ArmWaitAllPadded registration: only the last signal of
+			// the set schedules the wake, padded if padFactor asks.
 			if p.waitN--; p.waitN == 0 {
 				at := e.now
 				if p.padFactor > 0 {
@@ -752,53 +749,10 @@ func (s *Signal) Reset() {
 // if the signal already fired.
 //
 //perf:hot
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (s *Signal) Wait(p *Proc) {
 	if s.Arm(p) {
 		p.yield()
-	}
-}
-
-// WaitAll blocks the process until every signal in sigs has fired. Unlike
-// waiting on each signal in turn — which parks and wakes the process once
-// per unfired signal — WaitAll registers on all pending signals up front
-// and parks at most once: the last signal to fire schedules the single
-// wake. The virtual time at which the process resumes is identical to the
-// sequential formulation (the maximum of the signals' fire times).
-//
-//perf:hot
-func WaitAll(p *Proc, sigs []*Signal) {
-	if ArmWaitAll(p, sigs) {
-		p.yield()
-	}
-}
-
-// ArmWaitAll is WaitAll for steppers: it registers sp on every unfired
-// signal and returns true if at least one is pending, in which case sp
-// steps once, when the last of them fires. It returns false, registering
-// nothing, if every signal has already fired.
-//
-//perf:hot
-func ArmWaitAll(sp *Proc, sigs []*Signal) bool {
-	return ArmWaitAllPadded(sp, sigs, 0, 0)
-}
-
-// WaitAllPadded is WaitAll followed by a proportional cool-down: the
-// process resumes at T + (T − from) × factor, where T is the instant the
-// last signal fires. It exists for the collective rings, whose per-round
-// protocol overhead is a fixed fraction of the round's transfer time —
-// folding the cool-down into the wake-up halves the parks per round
-// versus WaitAll-then-Sleep while resuming at exactly the same virtual
-// time.
-//
-//perf:hot
-func WaitAllPadded(p *Proc, sigs []*Signal, from Time, factor float64) {
-	if ArmWaitAllPadded(p, sigs, from, factor) {
-		p.yield()
-		return
-	}
-	// Everything already fired: the elapsed time is known here.
-	if d := time.Duration(float64(p.env.now-from) * factor); d > 0 {
-		p.Sleep(d)
 	}
 }
 
@@ -893,13 +847,14 @@ func (e *Env) ReadyAfter(sp *Proc, d time.Duration) {
 	sp.waitKind, sp.waitDur = waitSleep, d
 }
 
-// ArmWaitAllPadded is WaitAllPadded for steppers: it registers sp on every
-// unfired signal and returns true if at least one is pending, in which
-// case sp's step runs at T + (T − from) × factor, where T is the instant
-// the last signal fires — the exact event position WaitAllPadded would
-// have woken a blocking process at. If every signal has already fired it
-// registers nothing and returns false; the caller continues inline (the
-// blocking formulation would not have parked either).
+// ArmWaitAllPadded waits on a set of signals with a proportional
+// cool-down. It registers stepper sp on every unfired signal and returns
+// true if at least one is pending, in which case sp steps once, at
+// T + (T − from) × factor, where T is the instant the last signal fires:
+// one wake however many signals are pending. The collective rings use it
+// because their per-round protocol overhead is a fixed fraction of the
+// round's transfer time. If every signal has already fired it registers
+// nothing and returns false, and the caller continues inline.
 //
 //perf:hot
 func ArmWaitAllPadded(sp *Proc, sigs []*Signal, from Time, factor float64) bool {

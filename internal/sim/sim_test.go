@@ -241,7 +241,7 @@ func TestResourceUtilization(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := r.Utilization(e)
+	got := r.UtilizationSince(e, 0, 0)
 	if got < 0.49 || got > 0.51 {
 		t.Fatalf("utilization = %v, want ~0.5", got)
 	}
@@ -435,27 +435,6 @@ func TestScheduleCallbackOrdering(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	e := NewEnv()
-	r := NewResource("x", 2)
-	e.Go("p", func(p *Proc) {
-		if !r.TryAcquire(e, 2) {
-			t.Error("try on free resource failed")
-		}
-		if r.TryAcquire(e, 1) {
-			t.Error("try on exhausted resource succeeded")
-		}
-		r.Release(e, 2)
-		if !r.TryAcquire(e, 1) {
-			t.Error("try after release failed")
-		}
-		r.Release(e, 1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestScheduleFromCallback(t *testing.T) {
 	e := NewEnv()
 	var hits []time.Duration
@@ -481,7 +460,7 @@ func TestAddBusyClamped(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if u := r.Utilization(e); u > 1.0 {
-		t.Fatalf("utilization %v exceeds 1", u)
+	if now, busy := r.BusySnapshot(e); busy > now {
+		t.Fatalf("busy time %v exceeds the elapsed %v", busy, now)
 	}
 }

@@ -65,9 +65,6 @@ type Device struct {
 	env   *sim.Env
 	net   *fabric.Network
 	queue *sim.Resource
-
-	bytesRead    units.Bytes
-	bytesWritten units.Bytes
 }
 
 // New creates a device bound to a fabric node.
@@ -89,6 +86,8 @@ type IOOp struct {
 
 // Read transfers size bytes from the device into host memory at mem,
 // blocking until complete. random selects the random-read media rate.
+//
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (d *Device) Read(p *sim.Proc, mem fabric.NodeID, size units.Bytes, random bool) error {
 	var op IOOp
 	for {
@@ -102,6 +101,8 @@ func (d *Device) Read(p *sim.Proc, mem fabric.NodeID, size units.Bytes, random b
 
 // Write transfers size bytes from host memory at mem onto the device,
 // blocking until complete (checkpoints, logs).
+//
+//lint:allow deadapi(blocking form: the goroutine training-engine oracle runs on it)
 func (d *Device) Write(p *sim.Proc, mem fabric.NodeID, size units.Bytes) error {
 	var op IOOp
 	for {
@@ -134,7 +135,6 @@ func (d *Device) ArmRead(sp *sim.Proc, op *IOOp, mem fabric.NodeID, size units.B
 	if err != nil {
 		return false, fmt.Errorf("storage read: %w", err)
 	}
-	d.bytesRead += size
 	return false, nil
 }
 
@@ -152,7 +152,6 @@ func (d *Device) ArmWrite(sp *sim.Proc, op *IOOp, mem fabric.NodeID, size units.
 	if err != nil {
 		return false, fmt.Errorf("storage write: %w", err)
 	}
-	d.bytesWritten += size
 	return false, nil
 }
 
@@ -183,21 +182,14 @@ func (d *Device) armIO(sp *sim.Proc, op *IOOp, src, dst fabric.NodeID, size unit
 	}
 }
 
-// BytesRead returns the cumulative bytes read from the device.
-func (d *Device) BytesRead() units.Bytes { return d.bytesRead }
-
-// BytesWritten returns the cumulative bytes written to the device.
-func (d *Device) BytesWritten() units.Bytes { return d.bytesWritten }
-
 // PageCache models the kernel page cache over dataset files: the first
 // epoch's reads go to the device; once a dataset is fully resident,
 // subsequent epochs are served from host memory. Residency charges the
 // host-memory accountant, so datasets larger than free host memory
 // never become fully resident.
 type PageCache struct {
-	host         *hostcpu.Host
-	resident     map[string]units.Bytes
-	capacityUsed units.Bytes
+	host     *hostcpu.Host
+	resident map[string]units.Bytes
 }
 
 // NewPageCache creates an empty cache charging host.
@@ -223,15 +215,4 @@ func (c *PageCache) Admit(key string, n, limit units.Bytes) {
 		return // memory pressure: stop caching
 	}
 	c.resident[key] = cur + n
-	c.capacityUsed += n
-}
-
-// Drop evicts the keyed dataset from the cache.
-func (c *PageCache) Drop(key string) {
-	n := c.resident[key]
-	if n > 0 {
-		c.host.FreeMem(n)
-		c.capacityUsed -= n
-		delete(c.resident, key)
-	}
 }

@@ -30,7 +30,7 @@ func TestAbortMidRunWindsDownCleanly(t *testing.T) {
 	full := runOn(t, cluster.LocalGPUsConfig(), opts)
 
 	env, sys, job := startOn(t, cluster.LocalGPUsConfig(), opts)
-	baseHostMem := sys.Host.UsedMem() // staging buffers are already pinned
+	baseHostMem := sys.Host.MemUtilization() // staging buffers are already pinned
 	env.Schedule(full.TotalTime/2, func() { job.Abort() })
 	if err := env.Run(); err != nil {
 		t.Fatalf("aborted run did not wind down: %v", err)
@@ -56,7 +56,7 @@ func TestAbortMidRunWindsDownCleanly(t *testing.T) {
 	if n := sys.Net.ActiveFlows(); n != 0 {
 		t.Fatalf("%d flows still active after abort", n)
 	}
-	if got := sys.Host.UsedMem(); got >= baseHostMem {
+	if got := sys.Host.MemUtilization(); got >= baseHostMem {
 		t.Fatalf("host memory after abort (%v) not below start-of-run level (%v): staging leak", got, baseHostMem)
 	}
 }

@@ -490,7 +490,8 @@ func memAccessFrac(sys *cluster.System, w dlmodel.Workload, prec gpu.Precision, 
 	if prec == gpu.FP32 {
 		act *= 2
 	}
-	traffic := 3*float64(act)*float64(batch) + 6*float64(w.GradBytes(prec))
+	// float64(…) rounds the product, so no architecture fuses it (FMA).
+	traffic := float64(3*float64(act)*float64(batch)) + float64(6*float64(w.GradBytes(prec)))
 	memTime := traffic / float64(sys.GPUs[0].Spec.MemBW)
 	frac := memTime / iter.Seconds()
 	if frac > 1 {

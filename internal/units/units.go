@@ -42,9 +42,6 @@ func (b Bytes) String() string {
 	return fmt.Sprintf("%dB", int64(b))
 }
 
-// Float returns the size as a float64 number of bytes.
-func (b Bytes) Float() float64 { return float64(b) }
-
 // BytesPerSec is a bandwidth. The paper reports bandwidths in GB/s
 // (decimal gigabytes, as NVIDIA tools do), so the constructor GBps and the
 // String method use 1e9.
@@ -53,9 +50,6 @@ type BytesPerSec float64
 // GBps converts a decimal-GB/s figure (as used by nvidia-smi, NCCL and the
 // paper's Table IV) into a BytesPerSec.
 func GBps(v float64) BytesPerSec { return BytesPerSec(v * 1e9) }
-
-// MBps converts decimal MB/s.
-func MBps(v float64) BytesPerSec { return BytesPerSec(v * 1e6) }
 
 // Gbps converts a line rate in gigabits per second (e.g. the Falcon's
 // 400 Gb/s CDFP host cables).
@@ -74,17 +68,6 @@ func (r BytesPerSec) String() string {
 		return fmt.Sprintf("%.2fKB/s", float64(r)/1e3)
 	}
 	return fmt.Sprintf("%.0fB/s", float64(r))
-}
-
-// TransferTime returns how long moving n bytes takes at rate r, excluding
-// propagation latency. A non-positive rate yields a very large duration so
-// that misconfigured links surface as obvious stalls rather than panics.
-func (r BytesPerSec) TransferTime(n Bytes) time.Duration {
-	if r <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	sec := float64(n) / float64(r)
-	return time.Duration(sec * float64(time.Second))
 }
 
 // FLOPs counts floating-point operations.
@@ -115,12 +98,6 @@ type FLOPSRate float64
 // TFLOPS converts a teraFLOP/s figure.
 func TFLOPS(v float64) FLOPSRate { return FLOPSRate(v * 1e12) }
 
-// GFLOPS converts a gigaFLOP/s figure.
-func GFLOPS(v float64) FLOPSRate { return FLOPSRate(v * 1e9) }
-
-// TF returns the rate in teraFLOP/s.
-func (r FLOPSRate) TF() float64 { return float64(r) / 1e12 }
-
 func (r FLOPSRate) String() string {
 	if r >= 1e12 {
 		return fmt.Sprintf("%.2fTFLOPS", float64(r)/1e12)
@@ -136,6 +113,3 @@ func (r FLOPSRate) ComputeTime(f FLOPs) time.Duration {
 	sec := float64(f) / float64(r)
 	return time.Duration(sec * float64(time.Second))
 }
-
-// Percent formats a 0..1 fraction as a percentage string.
-func Percent(frac float64) string { return fmt.Sprintf("%.1f%%", frac*100) }
