@@ -62,7 +62,8 @@ type Communicator struct {
 	// channel, reused across every op on this communicator (ops execute
 	// serially — NCCL stream semantics — so reuse is safe). Each round of
 	// each channel then costs zero context switches: the stepper's
-	// continuation runs inline in the event dispatcher.
+	// continuation runs inline in the event dispatcher. The first
+	// channels drivers run the ops; any past them stay idle.
 	ringChans []*ringChannel
 	// execWG is the Exec variants' wait for the ring channels, reused
 	// across ops like the channels themselves.
@@ -80,8 +81,8 @@ type ringChannel struct {
 	sp      *sim.Proc
 	reverse bool
 	// legs is the round's transfers, one per rank to its ring neighbour,
-	// prepared on the channel's first round and re-armed on every round
-	// after it.
+	// prepared on the channel's first round (and again when the
+	// communicator is rebound) and re-armed on every round after it.
 	legs   *fabric.LegSet
 	chunk  units.Bytes
 	r      int
@@ -124,11 +125,18 @@ func (rc *ringChannel) step() {
 }
 
 // prepare builds the channel's leg set: rank i of the ring sends to its
-// successor, or to its predecessor on a reverse channel.
+// successor, or to its predecessor on a reverse channel. A channel that
+// has a set refills it.
+//
+//perf:hot
 func (rc *ringChannel) prepare() {
 	c := rc.c
 	n := len(c.ring)
-	rc.legs = c.net.NewLegSet(n)
+	if rc.legs == nil {
+		rc.legs = c.net.NewLegSet(n)
+	} else {
+		rc.legs.Reset()
+	}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
 		if rc.reverse {
@@ -148,14 +156,14 @@ func (c *Communicator) SetChannels(n int) {
 	c.buildChannels()
 }
 
-// buildChannels constructs the per-channel ring drivers for the current
-// channel count.
+// buildChannels constructs the ring drivers the current channel count
+// lacks. Drivers past the count stay built and idle, so a communicator
+// rebound to the default count keeps them for a later SetChannels.
 func (c *Communicator) buildChannels() {
-	c.ringChans = make([]*ringChannel, c.channels)
-	for ch := range c.ringChans {
+	for ch := len(c.ringChans); ch < c.channels; ch++ {
 		rc := &ringChannel{c: c, reverse: ch%2 == 1}
 		rc.sp = c.env.NewStepper("ring-ch"+strconv.Itoa(ch), rc.step)
-		c.ringChans[ch] = rc
+		c.ringChans = append(c.ringChans, rc)
 	}
 }
 
@@ -185,7 +193,7 @@ type op struct {
 	kind    string
 	bytes   units.Bytes
 	root    int
-	ranks   uint64 // bitmask of joined ranks (groups are ≤ maxRanks)
+	ranks   uint64 // bitmask of joined ranks (groups are ≤ MaxRanks)
 	joined  int
 	started bool
 	done    sim.Signal
@@ -201,9 +209,9 @@ type op struct {
 	flows  []*fabric.Flow
 }
 
-// maxRanks bounds a communicator's group: join marks each rank's arrival
+// MaxRanks bounds a communicator's group: join marks each rank's arrival
 // in a uint64 bitmask.
-const maxRanks = 64
+const MaxRanks = 64
 
 // Handle names one use of a collective op, as returned by the async Start
 // forms. Ops are recycled once they complete and their successor no longer
@@ -245,28 +253,53 @@ func New(net *fabric.Network, gpus []*gpu.Device) (*Communicator, error) {
 	if len(gpus) < 2 {
 		return nil, fmt.Errorf("collective: need at least 2 GPUs, have %d", len(gpus))
 	}
-	var locals, falcons []int
-	for i, g := range gpus {
+	return NewWithRing(net, gpus, ringOrder(gpus, make([]int, 0, len(gpus))))
+}
+
+// ringOrder fills ring with New's ring order over gpus: the host-local
+// GPUs along the NVLink ring, then the Falcon GPUs in slot order.
+//
+//perf:hot
+func ringOrder(gpus []*gpu.Device, ring []int) []int {
+	ring = ring[:0]
+	locals := 0
+	for _, g := range gpus {
 		if g.Local {
-			locals = append(locals, i)
-		} else {
-			falcons = append(falcons, i)
+			locals++
 		}
 	}
-	ring := make([]int, 0, len(gpus))
-	for _, pos := range nvlink.RingOrder(len(locals)) {
-		ring = append(ring, locals[pos])
+	if locals > 0 {
+		for _, pos := range nvlink.RingOrder(locals) {
+			ring = append(ring, nthLocal(gpus, pos))
+		}
 	}
-	ring = append(ring, falcons...)
-	return NewWithRing(net, gpus, ring)
+	for i, g := range gpus {
+		if !g.Local {
+			ring = append(ring, i)
+		}
+	}
+	return ring
+}
+
+// nthLocal returns the index in gpus of the n-th host-local GPU.
+func nthLocal(gpus []*gpu.Device, n int) int {
+	for i, g := range gpus {
+		if g.Local {
+			if n == 0 {
+				return i
+			}
+			n--
+		}
+	}
+	panic("collective: local GPU out of range")
 }
 
 // NewWithRing builds a communicator with an explicit ring order (indices
 // into gpus, each exactly once). Used by the ring-topology ablation; New
 // is the production constructor.
 func NewWithRing(net *fabric.Network, gpus []*gpu.Device, ring []int) (*Communicator, error) {
-	if len(gpus) > maxRanks {
-		return nil, fmt.Errorf("collective: %d GPUs exceed the %d-rank group limit", len(gpus), maxRanks)
+	if len(gpus) > MaxRanks {
+		return nil, fmt.Errorf("collective: %d GPUs exceed the %d-rank group limit", len(gpus), MaxRanks)
 	}
 	if len(ring) != len(gpus) {
 		return nil, fmt.Errorf("collective: ring has %d entries for %d GPUs", len(ring), len(gpus))
@@ -281,19 +314,57 @@ func NewWithRing(net *fabric.Network, gpus []*gpu.Device, ring []int) (*Communic
 
 	c := &Communicator{net: net, env: net.Env(), gpus: gpus, ring: ring, channels: DefaultChannels}
 	c.buildChannels()
+	if err := c.pickEfficiency(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// pickEfficiency sets the ring's protocol efficiency: NVLink's only when
+// every ring edge runs over NVLink.
+func (c *Communicator) pickEfficiency() error {
 	c.eff = NVLinkRingEfficiency
-	for i := range ring {
-		a := gpus[ring[i]].Node
-		b := gpus[ring[(i+1)%len(ring)]].Node
-		proto, err := net.PathProtocol(a, b)
+	for i := range c.ring {
+		a := c.gpus[c.ring[i]].Node
+		b := c.gpus[c.ring[(i+1)%len(c.ring)]].Node
+		proto, err := c.net.PathProtocol(a, b)
 		if err != nil {
-			return nil, fmt.Errorf("collective: ring edge unreachable: %w", err)
+			return fmt.Errorf("collective: ring edge unreachable: %w", err)
 		}
 		if proto != nvlink.Protocol {
 			c.eff = PCIeRingEfficiency
 		}
 	}
-	return c, nil
+	return nil
+}
+
+// Rebind points an idle communicator at a new GPU group on the same
+// network, with New's ring order and the default channel count, as if it
+// had just been built by New: the next collective runs exactly as on a
+// new communicator. It keeps what the old group left — the ring drivers
+// and their leg sets, the op free list — so a communicator that serves
+// one training attempt after another allocates nothing once warm. It
+// panics if a collective is still in flight.
+//
+//perf:hot
+func (c *Communicator) Rebind(gpus []*gpu.Device) error {
+	if len(gpus) < 2 {
+		return fmt.Errorf("collective: need at least 2 GPUs, have %d", len(gpus))
+	}
+	if len(gpus) > MaxRanks {
+		return fmt.Errorf("collective: %d GPUs exceed the %d-rank group limit", len(gpus), MaxRanks)
+	}
+	c.gc()
+	if len(c.queue) != 0 {
+		panic("collective: rebind with a collective in flight")
+	}
+	c.gpus, c.ring, c.channels = gpus, ringOrder(gpus, c.ring), DefaultChannels
+	for _, rc := range c.ringChans {
+		if rc.legs != nil {
+			rc.prepare()
+		}
+	}
+	return c.pickEfficiency()
 }
 
 // Ring returns the ring order (indices into the GPU group).

@@ -27,11 +27,11 @@ func TestGroupOverMaxRanksRejected(t *testing.T) {
 		}
 		return net, gpus
 	}
-	if _, err := New(star(maxRanks)); err != nil {
-		t.Fatalf("%d-rank group rejected: %v", maxRanks, err)
+	if _, err := New(star(MaxRanks)); err != nil {
+		t.Fatalf("%d-rank group rejected: %v", MaxRanks, err)
 	}
-	if _, err := New(star(maxRanks + 1)); err == nil {
-		t.Fatalf("%d-rank group accepted", maxRanks+1)
+	if _, err := New(star(MaxRanks + 1)); err == nil {
+		t.Fatalf("%d-rank group accepted", MaxRanks+1)
 	}
 }
 

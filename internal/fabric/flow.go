@@ -795,6 +795,15 @@ func (s *LegSet) Add(src, dst NodeID) {
 	s.gen = 0
 }
 
+// Reset empties the set for a new group of legs, keeping its blocks.
+// The last round's flows must have gone back through Release.
+//
+//perf:hot
+func (s *LegSet) Reset() {
+	s.legs = s.legs[:0]
+	s.gen = 0
+}
+
 // Arm starts every leg with size bytes and registers sp to step when the
 // slowest completes, padded by (T − now) × padFactor, exactly as
 // ArmParallelTransfer does with the same legs in the same order. It

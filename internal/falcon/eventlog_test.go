@@ -14,11 +14,11 @@ import (
 // goldenChassis drives every event-log kind through the public API: host
 // cabling, mode switches, installs of each device type, attaches,
 // rejected attaches (a half-split and an advanced-mode host limit),
-// re-assignment, detach, removal and two thermal alerts. Each step
-// advances the management clock by 1.5 ms, so every entry's timestamp is
-// distinct. It also returns the link-health error count after each step,
-// one digit per step: the count is the info entries over seven, so the
-// digits change exactly where the seventh and fourteenth info entry land.
+// re-assignment, detach and removal. Each step advances the management
+// clock by 1.5 ms, so every entry's timestamp is distinct. It also
+// returns the link-health error count after each step, one digit per
+// step: the count is the info entries over seven, so the digits change
+// exactly where the seventh and fourteenth info entry land.
 func goldenChassis(t *testing.T) (*Chassis, string) {
 	t.Helper()
 	c := New("falcon-golden")
@@ -66,12 +66,6 @@ func goldenChassis(t *testing.T) (*Chassis, string) {
 	fail(c.Attach(SlotRef{0, 2}, "H4")) // a fourth host in an advanced drawer
 	ok(c.Detach(SlotRef{0, 1}))
 	ok(c.Remove(SlotRef{0, 1}))
-	if got := c.checkThermals(SensorReadings{DrawerTempC: [NumDrawers]float64{66.54, 71.25}}); got != 2 {
-		t.Fatalf("thermal alerts = %d, want 2", got)
-	}
-	if got := c.checkThermals(c.Sensors()); got != 0 {
-		t.Fatalf("thermal alerts at real load = %d, want 0", got)
-	}
 	return c, counts.String()
 }
 
@@ -116,8 +110,6 @@ const goldenEvents = `0 info host host-a cabled to port H1
 30000000 warning attach d0/s2 to H4 rejected: mode advanced allows at most 3 hosts per drawer
 31500000 info device nvme-0 in d0/s1 detached from H2
 33000000 info device nvme-0 removed from d0/s1
-34500000 warning drawer 0 temperature 66.5C exceeds 65C threshold
-34500000 warning drawer 1 temperature 71.2C exceeds 65C threshold
 `
 
 const goldenErrorCounts = "00000011111112222222222"

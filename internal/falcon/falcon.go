@@ -162,8 +162,8 @@ func (c *Chassis) notify(ev string, ref SlotRef) {
 type logKind uint8
 
 // Event-log kinds. The text kinds carry a message formatted when it was
-// logged; they cover the rare entries (rejected attaches, thermal alerts,
-// the import marker), so the frequent ones never format on the way in.
+// logged; they cover the rare entries (rejected attaches and the import
+// marker), so the frequent ones never format on the way in.
 const (
 	logCable   logKind = iota // str: host cabled to port
 	logMode                   // str: the drawer's new mode

@@ -280,10 +280,6 @@ func TestSensorsScaleWithLoadAndThermalAlert(t *testing.T) {
 	if busy.FanDutyPct <= idle.FanDutyPct {
 		t.Fatal("fan duty did not rise with load")
 	}
-	// 8 attached devices: 23+10+28 = 61C < 65C threshold -> no alert.
-	if got := c.checkThermals(busy); got != 0 {
-		t.Fatalf("unexpected thermal alerts: %d", got)
-	}
 }
 
 func TestPortHealthView(t *testing.T) {

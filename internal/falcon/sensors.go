@@ -5,7 +5,7 @@ import "fmt"
 // Sensor readings mirror the OpenBMC/management-GUI monitoring surface
 // (§II-B): temperatures per drawer and chassis, fan duty, and PCIe link
 // health counters. Values are synthesized from chassis state — enough to
-// exercise alerting logic and the management API.
+// exercise the management API.
 
 // SensorReadings is a snapshot of the BMC's environmental monitoring.
 type SensorReadings struct {
@@ -48,23 +48,6 @@ func (c *Chassis) Sensors() SensorReadings {
 		r.FanDutyPct = 100
 	}
 	return r
-}
-
-// tempAlertC is the threshold above which the BMC raises a warning
-// (§II-B: "alert administrators to any parameters which fall outside of
-// specifications").
-const tempAlertC = 65.0
-
-// checkThermals raises the alerts for one set of readings.
-func (c *Chassis) checkThermals(r SensorReadings) int {
-	alerts := 0
-	for d, t := range r.DrawerTempC {
-		if t > tempAlertC {
-			c.warnf("drawer %d temperature %.1fC exceeds %.0fC threshold", d, t, tempAlertC)
-			alerts++
-		}
-	}
-	return alerts
 }
 
 // LinkHealth is the per-port PCIe health view (§II-B: "PCI-e Link Health,

@@ -32,28 +32,33 @@ type metric struct {
 // attached — or inside a Collector, where the sampler snapshots every
 // metric on a fixed sim-time interval. Like the Collector it is not safe
 // for concurrent use; callers that share one across goroutines (mcsd)
-// serialize with their own lock.
+// serialize with their own lock. Lookups by name scan the metrics: a
+// registry holds a few dozen at most, and hot paths bump counters by ID,
+// so a name index would cost every registry (one per training run) more
+// than it saves.
 type Registry struct {
 	metrics []metric
-	index   map[string]int
+}
+
+// NewRegistry returns an empty registry with room for size metrics, for
+// owners that know their metric count up front. The zero Registry is
+// ready to use too.
+func NewRegistry(size int) *Registry {
+	return &Registry{metrics: make([]metric, 0, size)}
 }
 
 func (r *Registry) lookup(name string) (int, bool) {
-	if r.index == nil {
-		return 0, false
+	for i := range r.metrics {
+		if r.metrics[i].name == name {
+			return i, true
+		}
 	}
-	i, ok := r.index[name]
-	return i, ok
+	return 0, false
 }
 
 func (r *Registry) add(m metric) int {
-	if r.index == nil {
-		r.index = make(map[string]int)
-	}
 	r.metrics = append(r.metrics, m)
-	i := len(r.metrics) - 1
-	r.index[m.name] = i
-	return i
+	return len(r.metrics) - 1
 }
 
 // Counter registers (or finds) a counter and returns its handle.

@@ -298,6 +298,7 @@ func (s *scheduler) reschedule(js *jobState, now time.Duration) {
 		// float64(…) rounds the product, so no architecture fuses it (FMA).
 		js.deliveredSec += float64(float64(js.spec.GPUs) * (usefulEnd - js.launched).Seconds())
 		js.lostSec += float64(float64(js.spec.GPUs) * (now - usefulEnd).Seconds())
+		s.launcher.Release(js.job)
 	}
 	for _, slot := range js.slots {
 		s.slotJob[slot.Index] = -1

@@ -294,6 +294,9 @@ type scheduler struct {
 
 	recomps int
 	err     error
+	// launcher starts every attempt's training job and recycles the
+	// engines of finished attempts (finish and reschedule release them).
+	launcher train.Launcher
 
 	// Fault state (see faults.go). A slot is schedulable only while its
 	// device, drawer, and pod are healthy; a host only while neither it nor
@@ -661,7 +664,7 @@ func (s *scheduler) launch(js *jobState) {
 	}
 	name := "fleet-j" + strconv.Itoa(js.spec.ID) + "-h" + strconv.Itoa(js.host+1)
 	sys := s.fleet.JobSystem(s.fleet.Hosts[js.host], js.slots, name)
-	job, err := train.Start(sys, train.Options{
+	job, err := s.launcher.Start(sys, train.Options{
 		Workload:            w,
 		Precision:           js.spec.Precision,
 		Strategy:            js.spec.Strategy,
@@ -729,6 +732,8 @@ func (s *scheduler) finish(js *jobState, now time.Duration) {
 		return
 	}
 	js.res = res
+	s.launcher.Release(js.job)
+	js.job = nil
 	// float64(…) rounds the product, so no architecture fuses it (FMA).
 	js.deliveredSec += float64(float64(js.spec.GPUs) * (now - js.launched).Seconds())
 	for _, slot := range js.slots {

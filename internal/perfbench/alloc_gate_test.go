@@ -5,20 +5,24 @@ import (
 	"time"
 
 	"composable/internal/cluster"
+	"composable/internal/dlmodel"
 	"composable/internal/faults"
+	"composable/internal/gpu"
 	"composable/internal/orchestrator"
 	"composable/internal/sim"
+	"composable/internal/train"
 )
 
 // Steady-state allocation ceilings for the two fleet-path benchmarks:
-// the measured 1,348 and 1,003 allocations of a run whose collective ops
-// recycle through the communicator's free list, plus ~10%. They were
-// 3,391 and 4,161, the allocation-free fleet pass's 10x targets, until
-// collective ops stopped allocating. A change that drifts allocations back
-// up fails here.
+// the measured 958 and 848 allocations of a run whose attempts recycle
+// their training engines through the scheduler's launcher, plus ~10%.
+// They were 1,480 and 1,100 (measured 1,348 and 1,003) while every
+// attempt built its engine anew, and 3,391 and 4,161, the
+// allocation-free fleet pass's 10x targets, until collective ops stopped
+// allocating. A change that drifts allocations back up fails here.
 const (
-	fleetScheduleAllocCeiling    = 1480
-	faultsRecoverAllocCeiling    = 1100
+	fleetScheduleAllocCeiling    = 1050
+	faultsRecoverAllocCeiling    = 930
 	fleetScheduleBytesPerOpNotes = "see BENCH_PR7.json for the full record"
 )
 
@@ -110,4 +114,52 @@ func TestComposePodAllocGate(t *testing.T) {
 		t.Errorf("composing the pod fleet allocates %.0f objects, ceiling %d", allocs, composePodAllocCeiling)
 	}
 	t.Logf("composing the pod fleet allocates %.0f objects", allocs)
+}
+
+// relaunchAllocCeiling gates one relaunch on a warm fleet: a 4-GPU job
+// whose predecessor of the same width finished and was released starts
+// on a fresh job view of the same slots, runs and is collected. It is the
+// measured 39 allocations of a relaunch that takes the released engine,
+// plus ~10%: the Job handle, the Result, the sampler and its series, the
+// job view. A relaunch that builds its engine anew makes 114.
+const relaunchAllocCeiling = 43
+
+// TestRelaunchAllocGate pins the allocation count of relaunching on a
+// warm fleet, same scheme as TestFleetScheduleAllocGate.
+func TestRelaunchAllocGate(t *testing.T) {
+	env := sim.NewEnv()
+	fleet, err := cluster.ComposeFleet(env, cluster.FleetOptions{Hosts: 1, GPUs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, slots := fleet.Hosts[0], fleet.Slots[:4]
+	for _, s := range slots {
+		if err := fleet.AttachSlot(s, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := train.Options{
+		Workload: dlmodel.ResNet50Workload(), Precision: gpu.FP16, Strategy: train.DDP,
+		Epochs: 1, ItersPerEpoch: 2,
+	}
+	var l train.Launcher
+	relaunch := func() {
+		job, err := l.Start(fleet.JobSystem(host, slots, "relaunch"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := job.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		l.Release(job)
+	}
+	relaunch() // the first launch builds the engine
+	allocs := testing.AllocsPerRun(5, relaunch)
+	if allocs > relaunchAllocCeiling {
+		t.Errorf("relaunch allocates %.0f objects, ceiling %d", allocs, relaunchAllocCeiling)
+	}
+	t.Logf("relaunch allocates %.0f objects", allocs)
 }

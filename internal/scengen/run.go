@@ -9,7 +9,6 @@ import (
 	"composable/internal/invariant"
 	"composable/internal/sim"
 	"composable/internal/train"
-	"composable/internal/units"
 )
 
 // Outcome is one executed scenario: the training result, the invariant set
@@ -32,14 +31,12 @@ func (o *Outcome) Err() error { return o.Inv.Err() }
 // post-run structural checks. A non-nil error means the scenario failed to
 // compose or train; invariant violations are reported on the Outcome.
 func Run(sc Scenario) (*Outcome, error) {
-	return run(sim.NewEnv(), sc, 1)
+	return run(sim.NewEnv(), sc)
 }
 
 // run is Run on a caller-supplied fresh environment (the sweep attaches
-// an event digest first), with the fabric speedup used by the
-// metamorphic checks: before any flow starts, every link capacity is
-// multiplied by linkScale.
-func run(env *sim.Env, sc Scenario, linkScale float64) (*Outcome, error) {
+// an event digest first).
+func run(env *sim.Env, sc Scenario) (*Outcome, error) {
 	opts, err := sc.Options()
 	if err != nil {
 		return nil, err
@@ -48,9 +45,11 @@ func run(env *sim.Env, sc Scenario, linkScale float64) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scengen: compose %s: %w", sc.ID(), err)
 	}
-	if linkScale != 1 {
-		scaleLinks(sys, linkScale)
-	}
+	return trainOn(sys, sc, opts)
+}
+
+// trainOn trains sc on its composed system under the invariant set.
+func trainOn(sys *cluster.System, sc Scenario, opts train.Options) (*Outcome, error) {
 	inv := invariant.New()
 	inv.Watch(sys)
 	opts.Probe = inv.TrainProbe()
@@ -60,15 +59,6 @@ func run(env *sim.Env, sc Scenario, linkScale float64) (*Outcome, error) {
 	}
 	inv.CheckResult(sys, res)
 	return &Outcome{Scenario: sc, Result: res, Inv: inv, Fingerprint: Fingerprint(res)}, nil
-}
-
-// scaleLinks multiplies every fabric link capacity (both directions) by
-// factor. It must run before any flow starts.
-func scaleLinks(sys *cluster.System, factor float64) {
-	for _, l := range sys.Net.Links() {
-		l.CapAtoB = units.BytesPerSec(float64(l.CapAtoB) * factor)
-		l.CapBtoA = units.BytesPerSec(float64(l.CapBtoA) * factor)
-	}
 }
 
 // Fingerprint canonically renders every deterministic scalar of a result.

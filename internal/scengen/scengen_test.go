@@ -11,6 +11,7 @@ import (
 	"composable/internal/cluster"
 	"composable/internal/sim"
 	"composable/internal/train"
+	"composable/internal/units"
 )
 
 // TestScenarioSweep is the randomized scenario tier: seeds 1–100, each
@@ -46,7 +47,7 @@ func TestScenarioSweep(t *testing.T) {
 			for j := range jobs {
 				sc := FromSeed(j.seed)
 				env, digest := newSweepEnv()
-				first, err := run(env, sc, 1)
+				first, err := run(env, sc)
 				if err != nil {
 					fail("seed %d (%s): %v", j.seed, sc.ID(), err)
 					continue
@@ -56,7 +57,7 @@ func TestScenarioSweep(t *testing.T) {
 					continue
 				}
 				env2, digest2 := newSweepEnv()
-				second, err := run(env2, sc, 1)
+				second, err := run(env2, sc)
 				if err != nil {
 					fail("seed %d (%s): repeat: %v", j.seed, sc.ID(), err)
 					continue
@@ -310,7 +311,7 @@ func checkFasterFabricNotSlower(sc Scenario) error {
 	if berr := base.Err(); berr != nil {
 		return fmt.Errorf("scengen: baseline run of %s: %w", sc.ID(), berr)
 	}
-	fast, err := run(sim.NewEnv(), sc, fasterFabricScale)
+	fast, err := runScaledFabric(sc, fasterFabricScale)
 	if err != nil {
 		return err
 	}
@@ -323,6 +324,24 @@ func checkFasterFabricNotSlower(sc Scenario) error {
 			sc.ID(), f, fasterFabricScale, b)
 	}
 	return nil
+}
+
+// runScaledFabric is Run with every fabric link capacity (both
+// directions) multiplied by factor before any flow starts.
+func runScaledFabric(sc Scenario, factor float64) (*Outcome, error) {
+	opts, err := sc.Options()
+	if err != nil {
+		return nil, err
+	}
+	sys, err := cluster.Compose(sim.NewEnv(), sc.Config())
+	if err != nil {
+		return nil, fmt.Errorf("scengen: compose %s: %w", sc.ID(), err)
+	}
+	for _, l := range sys.Net.Links() {
+		l.CapAtoB = units.BytesPerSec(float64(l.CapAtoB) * factor)
+		l.CapBtoA = units.BytesPerSec(float64(l.CapBtoA) * factor)
+	}
+	return trainOn(sys, sc, opts)
 }
 
 // checkMoreItersNotFaster asserts that doubling the iteration count never

@@ -31,6 +31,20 @@ func NewResource(name string, capacity int) *Resource {
 	return &Resource{name: name, capacity: capacity}
 }
 
+// Reset returns an idle resource to its just-made state with a new
+// capacity (> 0), for owners that recycle resources between runs. It
+// panics if any unit is held or any process waits.
+//
+//perf:hot
+func (r *Resource) Reset(capacity int) {
+	if capacity <= 0 || r.inUse != 0 || len(r.waiters) != 0 {
+		//lint:allow hotalloc(panic path only: formats a misuse report, never runs in steady state)
+		panic(fmt.Sprintf("sim: reset of resource %q (capacity %d, in use %d, %d waiting)", r.name, capacity, r.inUse, len(r.waiters)))
+	}
+	r.capacity = capacity
+	r.accumBusy, r.lastChange = 0, 0
+}
+
 // Acquire blocks the process until n units are available, then takes them.
 // Requests are granted strictly FIFO, so a large request cannot be starved
 // by a stream of small ones.
@@ -214,6 +228,18 @@ type Queue struct {
 
 // NewQueue creates an empty queue.
 func NewQueue(name string) *Queue { return &Queue{name: name} }
+
+// Reset reopens a drained queue, closed or not, keeping its backing
+// arrays, for owners that recycle queues between runs. It panics if an
+// item is still buffered or a process waits.
+//
+//perf:hot
+func (q *Queue) Reset() {
+	if len(q.items) != 0 || len(q.waiters) != 0 {
+		panic("sim: reset of a queue in use: " + q.name)
+	}
+	q.closed = false
+}
 
 // Put appends an item and wakes one waiting consumer.
 func (q *Queue) Put(e *Env, item interface{}) {

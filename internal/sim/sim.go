@@ -909,6 +909,17 @@ func (w *WaitGroup) Done(e *Env) {
 	}
 }
 
+// Reset returns the group to a zero count, keeping the waiter backing
+// array, for owners that recycle wait groups between runs; a group whose
+// count never reached zero (work that was abandoned) is reset too. The
+// caller guarantees that no process waits on it.
+//
+//perf:hot
+func (w *WaitGroup) Reset() {
+	w.n = 0
+	w.waiters = w.waiters[:0]
+}
+
 // Wait blocks until the counter is zero.
 func (w *WaitGroup) Wait(p *Proc) {
 	if w.Arm(p) {

@@ -70,7 +70,7 @@ func TestAbortIsDeterministic(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return job.finish, job.EpochsDone()
+		return job.e.finish, job.EpochsDone()
 	}
 	f1, e1 := wind()
 	f2, e2 := wind()

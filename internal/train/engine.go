@@ -1,8 +1,10 @@
 package train
 
 import (
+	"strconv"
 	"time"
 
+	"composable/internal/cluster"
 	"composable/internal/collective"
 	"composable/internal/fabric"
 	"composable/internal/gpu"
@@ -23,31 +25,69 @@ import (
 // goroutine processes running the same loops would — with no hand-off
 // between goroutines.
 
-// pipeline is the per-job plumbing the training machines share.
-type pipeline struct {
-	env      *sim.Env
-	comm     *collective.Communicator
-	strategy Strategy
-	nGPU     int
-	buckets  int
-	workers  int
-	// need is each GPU's memory admission and staging the pinned host
-	// buffers; join returns both.
-	need    units.Bytes
-	staging units.Bytes
+// engine is what a job runs on: the machines, the plumbing they share and
+// the state of the current attempt. A Launcher recycles engines, so the
+// parts that cost allocations — machines, per-rank queues and buffers,
+// checkpoint points, the communicator — are built once, for the widest
+// group the engine serves, and reset in place by every later start;
+// everything else lives in attempt and is overwritten wholesale.
+type engine struct {
+	// gen counts the engine's releases; a Job holds the generation it was
+	// started under.
+	gen  uint64
+	net  *fabric.Network
+	comm *collective.Communicator
 
-	resuming bool
-	restored sim.Signal
+	attempt
+
+	done      sim.Signal
+	restored  sim.Signal
+	ranksDone sim.WaitGroup
 
 	// prefetch bounds the loader's lookahead; queues carry loaded batches
 	// to the feeders and h2dReady carries started H2D copies to the ranks.
+	// The per-rank slices are as long as the attempt's group and as
+	// wide as the engine.
 	prefetch *sim.Resource
 	queues   []*sim.Queue
 	h2dReady []*sim.Queue
 
-	ckptAt    []*ckptPoint
-	ckptBytes units.Bytes
+	// ckptAt is indexed by iteration (nil: no checkpoint there): the rank
+	// loop probes it every iteration, so it must be a slice load, not a
+	// map lookup. Its points come from ckpts, which keeps every point the
+	// engine has made.
+	ckptAt []*ckptPoint
+	ckpts  []*ckptPoint
 
+	epochEnds []time.Duration
+
+	restorer restorer
+	loader   loader
+	feeders  []feeder
+	ranks    []ranker
+	joiner   joiner
+}
+
+// attempt is one run's configuration and progress.
+type attempt struct {
+	sys  *cluster.System
+	env  *sim.Env
+	res  *Result
+	smp  *obs.Sampler
+	opts Options
+
+	strategy Strategy
+	nGPU     int
+	batch    int
+	buckets  int
+	workers  int
+	// need is each GPU's memory admission and staging the pinned host
+	// buffers; join returns both.
+	need     units.Bytes
+	staging  units.Bytes
+	resuming bool
+
+	ckptBytes      units.Bytes
 	readPerIter    units.Bytes
 	datasetBytes   units.Bytes
 	inputBytes     units.Bytes
@@ -58,36 +98,134 @@ type pipeline struct {
 	gradBytes  units.Bytes
 	paramBytes units.Bytes
 
-	ranksDone sim.WaitGroup
+	start    time.Duration
+	finish   time.Duration
+	portBase units.Bytes
+
+	// Abort machinery: when a fault kills the job, every rank stops at the
+	// same iteration boundary (cutoff) so no collective is left waiting on
+	// a rank that already quit — the simulated analog of NCCL tearing the
+	// process group down after a peer dies.
+	totalIters int
+	maxStarted int // highest iteration any rank has begun (-1 before iter 0)
+	cutoff     int
+	aborted    bool
+
 	// obsEpochStart tracks the last epoch boundary for the epoch spans;
 	// only rank 0 reads or writes it.
 	obsEpochStart time.Duration
 }
 
-// spawn starts the job's machines in the order the engine has always
-// started its processes, so each first step takes the same event slot.
-func (j *Job) spawn(rankStr []string) {
-	env := j.env
-	if j.resuming {
-		r := &restorer{j: j}
+// newEngine builds an engine width ranks wide around comm, a communicator
+// on net.
+func newEngine(net *fabric.Network, comm *collective.Communicator, width int) *engine {
+	e := &engine{
+		net: net, comm: comm,
+		prefetch: sim.NewResource("loader.prefetch", prefetchDepth*width),
+		queues:   make([]*sim.Queue, width),
+		h2dReady: make([]*sim.Queue, width),
+		feeders:  make([]feeder, width),
+		ranks:    make([]ranker, width),
+	}
+	for i := 0; i < width; i++ {
+		names := &rankNames[i]
+		e.queues[i] = sim.NewQueue(names.batches)
+		e.h2dReady[i] = sim.NewQueue(names.h2d)
+		e.feeders[i].inflight = sim.NewResource(names.h2dbuf, len(e.feeders[i].items))
+	}
+	return e
+}
+
+// rankNames holds every rank's process, queue and buffer names, up to the
+// collective library's group limit, so no engine formats a name.
+var rankNames = func() (t [collective.MaxRanks]struct{ feeder, rank, batches, h2d, h2dbuf string }) {
+	for i := range t {
+		s := strconv.Itoa(i)
+		t[i].feeder, t[i].rank = "feeder"+s, "rank"+s
+		t[i].batches, t[i].h2d, t[i].h2dbuf = "batches.gpu"+s, "h2d.gpu"+s, "h2dbuf"+s
+	}
+	return t
+}()
+
+// width is the widest group the engine serves.
+func (e *engine) width() int { return cap(e.ranks) }
+
+// stopAt reports whether iteration it is past the abort cutoff.
+func (e *engine) stopAt(it int) bool { return e.aborted && it >= e.cutoff }
+
+// scheduleCheckpoints lays out the attempt's checkpoint marks: per epoch,
+// ckptPer marks spread over its iters iterations, the last at the epoch
+// boundary, each a point every one of n ranks must reach.
+//
+//perf:hot
+func (e *engine) scheduleCheckpoints(totalIters, epochs, iters, ckptPer, n int) {
+	if cap(e.ckptAt) < totalIters {
+		e.ckptAt = make([]*ckptPoint, totalIters)
+	}
+	e.ckptAt = e.ckptAt[:totalIters]
+	clear(e.ckptAt)
+	used := 0
+	for ep := 0; ep < epochs; ep++ {
+		for k := 0; k < ckptPer; k++ {
+			it := ep*iters + (k+1)*iters/ckptPer - 1
+			if it < 0 || it >= totalIters {
+				continue
+			}
+			if used == len(e.ckpts) {
+				e.ckpts = append(e.ckpts, new(ckptPoint))
+			}
+			cp := e.ckpts[used]
+			used++
+			cp.wg.Reset()
+			cp.done.Reset()
+			cp.wg.Add(n)
+			e.ckptAt[it] = cp
+		}
+	}
+}
+
+// spawn resets the engine's plumbing and machines for the attempt and
+// starts the machines, in the order the engine has always started its
+// processes, so each first step takes the same event slot.
+//
+//perf:hot
+func (e *engine) spawn() {
+	env, n := e.env, e.nGPU
+	e.done.Reset()
+	e.restored.Reset()
+	e.ranksDone.Reset()
+	e.ranksDone.Add(n)
+	e.prefetch.Reset(prefetchDepth * n)
+	e.queues, e.h2dReady = e.queues[:n], e.h2dReady[:n]
+	for i := 0; i < n; i++ {
+		e.queues[i].Reset()
+		e.h2dReady[i].Reset()
+	}
+	e.epochEnds = e.epochEnds[:0]
+
+	if e.resuming {
+		r := &e.restorer
+		*r = restorer{e: e, specs: r.specs, flows: r.flows[:0]}
 		env.Spawn(&r.proc, "restore", r)
 	}
-	l := &loader{j: j}
+	l := &e.loader
+	*l = loader{e: e}
 	env.Spawn(&l.proc, "loader", l)
-	feeders := make([]feeder, j.nGPU)
-	for i := range feeders {
-		f := &feeders[i]
-		f.j, f.rank, f.dev = j, i, j.sys.GPUs[i]
-		f.inflight = sim.NewResource("h2dbuf"+rankStr[i], len(f.items))
-		env.Spawn(&f.proc, "feeder"+rankStr[i], f)
+	e.feeders = e.feeders[:n]
+	for i := range e.feeders {
+		f := &e.feeders[i]
+		*f = feeder{e: e, rank: i, dev: e.sys.GPUs[i], inflight: f.inflight}
+		f.inflight.Reset(len(f.items))
+		env.Spawn(&f.proc, rankNames[i].feeder, f)
 	}
-	ranks := make([]ranker, j.nGPU)
-	for i := range ranks {
-		r := &ranks[i]
-		r.j, r.rank, r.dev = j, i, j.sys.GPUs[i]
-		env.Spawn(&r.proc, "rank"+rankStr[i], r)
+	e.ranks = e.ranks[:n]
+	for i := range e.ranks {
+		r := &e.ranks[i]
+		*r = ranker{e: e, rank: i, dev: e.sys.GPUs[i]}
+		env.Spawn(&r.proc, rankNames[i].rank, r)
 	}
-	jn := &joiner{j: j}
+	jn := &e.joiner
+	*jn = joiner{e: e}
 	env.Spawn(&jn.proc, "join", jn)
 }
 
@@ -98,33 +236,37 @@ func (j *Job) spawn(rankStr []string) {
 // work.
 type restorer struct {
 	proc  sim.Proc
-	j     *Job
+	e     *engine
 	stage uint8 // 0: not started, 1: reading, 2: loading to the GPUs
 	t0    time.Duration
 	io    storage.IOOp
+	// specs and flows are the parameter load's legs and flows, kept with
+	// the engine.
+	specs []fabric.TransferSpec
 	flows []*fabric.Flow
 }
 
 func (r *restorer) Step() {
-	j, sp := r.j, &r.proc
-	sys := j.sys
+	e, sp := r.e, &r.proc
+	sys := e.sys
 	switch r.stage {
 	case 0:
-		r.t0 = j.env.Now()
+		r.t0 = e.env.Now()
 		r.stage = 1
 		fallthrough
 	case 1:
-		armed, err := sys.Store.ArmRead(sp, &r.io, sys.Mem, j.ckptBytes, false)
+		armed, err := sys.Store.ArmRead(sp, &r.io, sys.Mem, e.ckptBytes, false)
 		if err != nil {
 			panic(err)
 		}
 		if armed {
 			return
 		}
-		specs := make([]fabric.TransferSpec, j.nGPU)
-		for i, g := range sys.GPUs {
-			specs[i] = fabric.TransferSpec{Src: sys.Mem, Dst: g.Node, Size: j.ckptBytes}
+		specs := r.specs[:0]
+		for _, g := range sys.GPUs {
+			specs = append(specs, fabric.TransferSpec{Src: sys.Mem, Dst: g.Node, Size: e.ckptBytes})
 		}
+		r.specs = specs
 		r.stage = 2
 		armed, err = sys.Net.ArmParallelTransfer(sp, specs, 0, &r.flows)
 		if err != nil {
@@ -135,15 +277,15 @@ func (r *restorer) Step() {
 		}
 	}
 	sys.Net.ReleaseFlows(&r.flows)
-	now := j.env.Now()
-	if j.opts.Probe != nil {
-		j.opts.Probe(ProbeRestore, now)
+	now := e.env.Now()
+	if e.opts.Probe != nil {
+		e.opts.Probe(ProbeRestore, now)
 	}
-	if o := j.opts.Obs; o != nil {
+	if o := e.opts.Obs; o != nil {
 		id := o.Emit(obs.CatTrain, "restore", r.t0, now)
-		o.SetAttr(id, "job", int64(j.opts.ObsJob))
+		o.SetAttr(id, "job", int64(e.opts.ObsJob))
 	}
-	j.restored.Fire(j.env)
+	e.restored.Fire(e.env)
 	sp.Exit()
 }
 
@@ -152,7 +294,7 @@ func (r *restorer) Step() {
 // the page cache (storage.PageCache), and the CPU workers decode.
 type loader struct {
 	proc  sim.Proc
-	j     *Job
+	e     *engine
 	stage loaderStage
 	it    int
 	io    storage.IOOp
@@ -171,48 +313,48 @@ const (
 
 //perf:hot
 func (l *loader) Step() {
-	j, sp := l.j, &l.proc
-	sys := j.sys
+	e, sp := l.e, &l.proc
+	sys := e.sys
 	for {
 		switch l.stage {
 		case ldRestore:
 			l.stage = ldNext
-			if j.resuming && j.restored.Arm(sp) {
+			if e.resuming && e.restored.Arm(sp) {
 				return
 			}
 		case ldNext:
-			if l.it >= j.totalIters || j.stopAt(l.it) {
-				for _, q := range j.queues {
-					q.Close(j.env)
+			if l.it >= e.totalIters || e.stopAt(l.it) {
+				for _, q := range e.queues {
+					q.Close(e.env)
 				}
 				sp.Exit()
 				return
 			}
 			l.stage = ldCache
-			if j.prefetch.Arm(sp, j.nGPU) {
+			if e.prefetch.Arm(sp, e.nGPU) {
 				return
 			}
 		case ldCache:
 			l.stage = ldDecode
-			if sys.Cache.CachedBytes(j.cacheKey) < j.datasetBytes {
+			if sys.Cache.CachedBytes(e.cacheKey) < e.datasetBytes {
 				l.stage = ldRead
 			}
 		case ldRead:
-			armed, err := sys.Store.ArmRead(sp, &l.io, sys.Mem, j.readPerIter, j.opts.Workload.Data.RandomAccess)
+			armed, err := sys.Store.ArmRead(sp, &l.io, sys.Mem, e.readPerIter, e.opts.Workload.Data.RandomAccess)
 			if err != nil {
 				panic(err)
 			}
 			if armed {
 				return
 			}
-			sys.Cache.Admit(j.cacheKey, j.readPerIter, j.datasetBytes)
+			sys.Cache.Admit(e.cacheKey, e.readPerIter, e.datasetBytes)
 			l.stage = ldDecode
 		case ldDecode:
-			if sys.Host.ArmRunOnCores(sp, &l.cpu, j.workers, j.decodePerBatch/time.Duration(j.workers)) {
+			if sys.Host.ArmRunOnCores(sp, &l.cpu, e.workers, e.decodePerBatch/time.Duration(e.workers)) {
 				return
 			}
-			for _, q := range j.queues {
-				q.Put(j.env, l.it)
+			for _, q := range e.queues {
+				q.Put(e.env, l.it)
 			}
 			l.it++
 			l.stage = ldNext
@@ -227,7 +369,7 @@ func (l *loader) Step() {
 // down.
 type feeder struct {
 	proc     sim.Proc
-	j        *Job
+	e        *engine
 	rank     int
 	dev      *gpu.Device
 	inflight *sim.Resource
@@ -243,20 +385,20 @@ type feeder struct {
 
 //perf:hot
 func (f *feeder) Step() {
-	j, sp := f.j, &f.proc
+	e, sp := f.e, &f.proc
 	for {
 		if !f.buffered {
-			_, ok, armed := j.queues[f.rank].ArmGet(sp)
+			_, ok, armed := e.queues[f.rank].ArmGet(sp)
 			if armed {
 				return
 			}
 			if !ok {
-				j.h2dReady[f.rank].Close(j.env)
+				e.h2dReady[f.rank].Close(e.env)
 				sp.Exit()
 				return
 			}
-			j.prefetch.Release(j.env, 1)
-			if j.stopAt(f.it) {
+			e.prefetch.Release(e.env, 1)
+			if e.stopAt(f.it) {
 				f.it++ // past the cutoff: no rank will consume this
 				continue
 			}
@@ -266,14 +408,14 @@ func (f *feeder) Step() {
 			}
 		}
 		f.buffered = false
-		fl, err := j.sys.Net.StartFlow(j.sys.Mem, f.dev.Node, j.inputBytes)
+		fl, err := e.sys.Net.StartFlow(e.sys.Mem, f.dev.Node, e.inputBytes)
 		if err != nil {
 			panic(err)
 		}
 		item := &f.items[f.next]
 		f.next = (f.next + 1) % len(f.items)
 		item.flow, item.buf = fl, f.inflight
-		j.h2dReady[f.rank].Put(j.env, item)
+		e.h2dReady[f.rank].Put(e.env, item)
 		f.it++
 	}
 }
@@ -283,7 +425,7 @@ func (f *feeder) Step() {
 // checkpoint barrier, epoch bookkeeping.
 type ranker struct {
 	proc  sim.Proc
-	j     *Job
+	e     *engine
 	rank  int
 	dev   *gpu.Device
 	stage rankStage
@@ -326,33 +468,33 @@ const (
 
 //perf:hot
 func (r *ranker) Step() {
-	j, sp := r.j, &r.proc
-	env, sys, w := j.env, j.sys, j.opts.Workload
+	e, sp := r.e, &r.proc
+	env, sys, w := e.env, e.sys, e.opts.Workload
 	for {
 		switch r.stage {
 		case rkRestore:
 			r.stage = rkNext
-			if j.resuming && j.restored.Arm(sp) {
+			if e.resuming && e.restored.Arm(sp) {
 				return
 			}
 		case rkNext:
 			// Abort cutoff: every rank runs exactly the iterations some
 			// rank had begun when Abort fired, then stops — so
 			// collectives never wait on a departed peer.
-			if r.it >= j.totalIters || j.stopAt(r.it) {
-				if !j.aborted {
+			if r.it >= e.totalIters || e.stopAt(r.it) {
+				if !e.aborted {
 					r.finish()
 					return
 				}
 				r.stage = rkDrain
 				continue
 			}
-			if r.it > j.maxStarted {
-				j.maxStarted = r.it
+			if r.it > e.maxStarted {
+				e.maxStarted = r.it
 			}
 			r.stage = rkInput
 		case rkInput:
-			v, ok, armed := j.h2dReady[r.rank].ArmGet(sp)
+			v, ok, armed := e.h2dReady[r.rank].ArmGet(sp)
 			if armed {
 				return
 			}
@@ -377,17 +519,17 @@ func (r *ranker) Step() {
 			r.dev.MarkBusyFor(time.Duration(float64(w.LaunchOverhead) * launchBusyFraction))
 			r.stage = rkForward
 		case rkForward:
-			if r.dev.ArmCompute(sp, &r.hold, j.fwd) {
+			if r.dev.ArmCompute(sp, &r.hold, e.fwd) {
 				return
 			}
-			if j.strategy == DP {
+			if e.strategy == DP {
 				r.stage = rkDPBackward
 			} else {
 				r.b = 0
 				r.stage = rkBuckets
 			}
 		case rkDPBackward:
-			if r.dev.ArmCompute(sp, &r.hold, j.bwd) {
+			if r.dev.ArmCompute(sp, &r.hold, e.bwd) {
 				return
 			}
 			r.stage = rkDPHost
@@ -397,24 +539,24 @@ func (r *ranker) Step() {
 			}
 			r.t0 = env.Now()
 			r.stage = rkDPReduced
-			if j.comm.ArmReduceToRoot(sp, r.rank, 0, j.gradBytes) {
+			if e.comm.ArmReduceToRoot(sp, r.rank, 0, e.gradBytes) {
 				return
 			}
 		case rkDPReduced:
 			r.stage = rkSynced
-			if j.comm.ArmBroadcast(sp, r.rank, 0, j.paramBytes) {
+			if e.comm.ArmBroadcast(sp, r.rank, 0, e.paramBytes) {
 				return
 			}
 		case rkBuckets:
-			if r.b < j.buckets {
-				if r.dev.ArmCompute(sp, &r.hold, j.bwd/time.Duration(j.buckets)) {
+			if r.b < e.buckets {
+				if r.dev.ArmCompute(sp, &r.hold, e.bwd/time.Duration(e.buckets)) {
 					return
 				}
-				bucket := j.gradBytes / units.Bytes(j.buckets)
-				if j.opts.Sharded {
-					r.last = j.comm.StartReduceScatter(r.rank, bucket)
+				bucket := e.gradBytes / units.Bytes(e.buckets)
+				if e.opts.Sharded {
+					r.last = e.comm.StartReduceScatter(r.rank, bucket)
 				} else {
-					r.last = j.comm.StartAllReduce(r.rank, bucket)
+					r.last = e.comm.StartAllReduce(r.rank, bucket)
 				}
 				r.b++
 				continue
@@ -433,7 +575,7 @@ func (r *ranker) Step() {
 			r.stage = rkSynced
 			// Sharded: shard-local optimizer step, then parameter
 			// all-gather.
-			if j.opts.Sharded && j.comm.StartAllGather(r.rank, j.paramBytes).Arm(sp) {
+			if e.opts.Sharded && e.comm.StartAllGather(r.rank, e.paramBytes).Arm(sp) {
 				return
 			}
 		case rkSynced:
@@ -441,7 +583,7 @@ func (r *ranker) Step() {
 			r.stage = rkCkpt
 		case rkCkpt:
 			// Checkpoint barrier (Figure 9's periodic dips).
-			cp := j.ckptAt[r.it]
+			cp := e.ckptAt[r.it]
 			if cp == nil {
 				r.stage = rkEpoch
 				continue
@@ -460,7 +602,7 @@ func (r *ranker) Step() {
 				}
 			}
 		case rkCkptCopy:
-			armed, err := sys.Net.ArmTransfer(sp, &r.xfer, sys.GPUs[0].Node, sys.Mem, j.ckptBytes)
+			armed, err := sys.Net.ArmTransfer(sp, &r.xfer, sys.GPUs[0].Node, sys.Mem, e.ckptBytes)
 			if err != nil {
 				panic(err)
 			}
@@ -469,29 +611,29 @@ func (r *ranker) Step() {
 			}
 			r.stage = rkCkptWrite
 		case rkCkptWrite:
-			armed, err := sys.Store.ArmWrite(sp, &r.io, sys.Mem, j.ckptBytes)
+			armed, err := sys.Store.ArmWrite(sp, &r.io, sys.Mem, e.ckptBytes)
 			if err != nil {
 				panic(err)
 			}
 			if armed {
 				return
 			}
-			j.ckptAt[r.it].done.Fire(env)
+			e.ckptAt[r.it].done.Fire(env)
 			r.stage = rkCkptDone
 		case rkCkptDone:
 			if r.rank == 0 {
 				now := env.Now()
-				if j.opts.Probe != nil {
-					j.opts.Probe(ProbeCheckpoint, now)
+				if e.opts.Probe != nil {
+					e.opts.Probe(ProbeCheckpoint, now)
 				}
-				if o := j.opts.Obs; o != nil {
+				if o := e.opts.Obs; o != nil {
 					id := o.Emit(obs.CatTrain, "checkpoint", r.ckptT0, now)
-					o.SetAttr(id, "job", int64(j.opts.ObsJob))
+					o.SetAttr(id, "job", int64(e.opts.ObsJob))
 				}
 			}
 			r.stage = rkEpoch
 		case rkEpoch:
-			if r.rank == 0 && (r.it+1)%j.opts.ItersPerEpoch == 0 {
+			if r.rank == 0 && (r.it+1)%e.opts.ItersPerEpoch == 0 {
 				r.epochEnd()
 			}
 			r.it++
@@ -500,7 +642,7 @@ func (r *ranker) Step() {
 			// Abort wind-down: drain copies the feeder had in flight
 			// before it saw the cutoff, releasing their pinned buffers so
 			// the feeder can finish discarding and every machine exits.
-			v, ok, armed := j.h2dReady[r.rank].ArmGet(sp)
+			v, ok, armed := e.h2dReady[r.rank].ArmGet(sp)
 			if armed {
 				return
 			}
@@ -528,30 +670,30 @@ func (r *ranker) Step() {
 func (r *ranker) copied() {
 	it := r.item
 	r.item = nil
-	r.j.sys.Net.ReleaseFlow(it.flow)
+	r.e.sys.Net.ReleaseFlow(it.flow)
 	it.flow = nil
-	it.buf.Release(r.j.env, 1)
+	it.buf.Release(r.e.env, 1)
 }
 
 // epochEnd records rank 0's epoch boundary.
 func (r *ranker) epochEnd() {
-	j := r.j
-	now := j.env.Now()
-	j.epochEnds = append(j.epochEnds, now)
-	if j.opts.Probe != nil {
-		j.opts.Probe(ProbeEpoch, now)
+	e := r.e
+	now := e.env.Now()
+	e.epochEnds = append(e.epochEnds, now)
+	if e.opts.Probe != nil {
+		e.opts.Probe(ProbeEpoch, now)
 	}
-	if o := j.opts.Obs; o != nil {
-		id := o.Emit(obs.CatTrain, "epoch", j.obsEpochStart, now)
-		o.SetAttr(id, "job", int64(j.opts.ObsJob))
-		o.SetAttr(id, "epoch", int64(len(j.epochEnds)+j.opts.ResumeEpochs))
-		j.obsEpochStart = now
+	if o := e.opts.Obs; o != nil {
+		id := o.Emit(obs.CatTrain, "epoch", e.obsEpochStart, now)
+		o.SetAttr(id, "job", int64(e.opts.ObsJob))
+		o.SetAttr(id, "epoch", int64(len(e.epochEnds)+e.opts.ResumeEpochs))
+		e.obsEpochStart = now
 	}
 }
 
 // finish reports the rank to join and ends its machine.
 func (r *ranker) finish() {
-	r.j.ranksDone.Done(r.j.env)
+	r.e.ranksDone.Done(r.e.env)
 	r.proc.Exit()
 }
 
@@ -559,35 +701,30 @@ func (r *ranker) finish() {
 // fires its Done signal.
 type joiner struct {
 	proc sim.Proc
-	j    *Job
+	e    *engine
 }
 
 func (jn *joiner) Step() {
-	j := jn.j
-	if j.ranksDone.Arm(&jn.proc) {
+	e := jn.e
+	if e.ranksDone.Arm(&jn.proc) {
 		return
 	}
-	now := j.env.Now()
-	j.finish = now
-	j.smp.Stop()
-	j.sys.Host.FreeMem(j.staging)
-	freeGPUMem(j.sys, j.need)
+	now := e.env.Now()
+	e.finish = now
+	e.smp.Stop()
+	e.sys.Host.FreeMem(e.staging)
+	freeGPUMem(e.sys, e.need)
 	final := ProbeDone
-	if j.aborted {
+	if e.aborted {
 		final = ProbeAbort
 	}
-	if j.opts.Probe != nil {
-		j.opts.Probe(final, now)
+	if e.opts.Probe != nil {
+		e.opts.Probe(final, now)
 	}
-	if o := j.opts.Obs; o != nil {
+	if o := e.opts.Obs; o != nil {
 		id := o.Instant(obs.CatTrain, final)
-		o.SetAttr(id, "job", int64(j.opts.ObsJob))
+		o.SetAttr(id, "job", int64(e.opts.ObsJob))
 	}
-	env := j.env
-	// Every machine has exited: drop the plumbing, so a finished job that
-	// its caller keeps (the orchestrator keeps every attempt) does not pin
-	// the communicator, the queues and the checkpoint points.
-	j.pipeline = pipeline{}
-	j.done.Fire(env)
+	e.done.Fire(e.env)
 	jn.proc.Exit()
 }

@@ -28,14 +28,28 @@ import (
 // UseGoroutineEngine routes Start through the goroutine engine until the
 // returned function restores the stepper engine. Tests that drive
 // training through other layers (the orchestrator) use it to run the
-// oracle end to end; they must not run in parallel with other tests.
+// oracle end to end; they must not run in parallel with other tests. The
+// goroutine engine has no machines to recycle, so Release keeps nothing
+// meanwhile.
 func UseGoroutineEngine() (restore func()) {
-	startJob = goroutineStart
-	return func() { startJob = start }
+	startJob, releaseJob = goroutineStart, releaseNothing
+	return func() { startJob, releaseJob = (*Launcher).start, (*Launcher).release }
 }
 
+// UseFreshEngines makes every Launcher's Release keep nothing, so each
+// Start builds its engine anew, until the returned function restores
+// recycling. It is the recycled engine's oracle: a run must dispatch the
+// same events either way. The same caveat as UseGoroutineEngine applies.
+func UseFreshEngines() (restore func()) {
+	releaseJob = releaseNothing
+	return func() { releaseJob = (*Launcher).release }
+}
+
+// releaseNothing is a Release that retires the job and drops its engine.
+func releaseNothing(_ *Launcher, j *Job) { j.retire() }
+
 // goroutineStart is Start as the goroutine engine implemented it.
-func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
+func goroutineStart(_ *Launcher, sys *cluster.System, opts Options) (*Job, error) {
 	w := opts.Workload
 	if w.Graph == nil {
 		return nil, errors.New("train: options missing workload")
@@ -143,9 +157,9 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 		ckptScale = 1
 	}
 	ckptBytes := units.Bytes(float64(w.CheckpointWriteBytes()) * ckptScale)
-	for e := 0; e < epochs; e++ {
+	for ep := 0; ep < epochs; ep++ {
 		for j := 0; j < ckptPer; j++ {
-			it := e*opts.ItersPerEpoch + (j+1)*opts.ItersPerEpoch/ckptPer - 1
+			it := ep*opts.ItersPerEpoch + (j+1)*opts.ItersPerEpoch/ckptPer - 1
 			if it >= 0 && it < totalIters {
 				ckptAt[it] = newCkptPoint(nGPU)
 			}
@@ -167,13 +181,14 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 		Strategy: strategy, Precision: opts.Precision, Sharded: opts.Sharded,
 		BatchPerGPU: batch, Epochs: epochs, Iters: totalIters,
 	}
-	job := &Job{
+	e := &engine{attempt: attempt{
 		sys: sys, res: res, smp: smp, opts: opts, batch: batch, start: env.Now(),
 		totalIters: totalIters, maxStarted: -1,
-	}
+	}}
+	job := &Job{e: e}
 	for _, id := range sys.FalconGPUPortLinks {
 		ab, ba := sys.Net.LinkTrafficSnapshot(id)
-		job.portBase += ab + ba
+		e.portBase += ab + ba
 	}
 
 	// Checkpoint restore on restart: before any rank computes, rank 0
@@ -216,7 +231,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 		if resuming {
 			restored.Wait(p)
 		}
-		for it := 0; it < totalIters && !job.stopAt(it); it++ {
+		for it := 0; it < totalIters && !e.stopAt(it); it++ {
 			prefetch.Acquire(p, nGPU)
 			if sys.Cache.CachedBytes(cacheKey) < datasetBytes {
 				if err := sys.Store.Read(p, sys.Mem, readPerIter, w.Data.RandomAccess); err != nil {
@@ -253,7 +268,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 					return
 				}
 				prefetch.Release(env, 1)
-				if job.stopAt(it) {
+				if e.stopAt(it) {
 					continue // past the cutoff: no rank will consume this
 				}
 				inflight.Acquire(p, 1)
@@ -290,11 +305,11 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 				// Abort cutoff: every rank runs exactly the iterations
 				// some rank had begun when Abort fired, then stops — so
 				// collectives never wait on a departed peer.
-				if job.stopAt(it) {
+				if e.stopAt(it) {
 					break
 				}
-				if it > job.maxStarted {
-					job.maxStarted = it
+				if it > e.maxStarted {
+					e.maxStarted = it
 				}
 				// Input batch: wait for the prefetched H2D copy.
 				v, ok := h2dReady[rank].Get(p)
@@ -369,14 +384,14 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 					}
 				}
 				if rank == 0 && (it+1)%opts.ItersPerEpoch == 0 {
-					job.epochEnds = append(job.epochEnds, p.Now())
+					e.epochEnds = append(e.epochEnds, p.Now())
 					if opts.Probe != nil {
 						opts.Probe(ProbeEpoch, p.Now())
 					}
 					if opts.Obs != nil {
 						id := opts.Obs.Emit(obs.CatTrain, "epoch", obsEpochStart, p.Now())
 						opts.Obs.SetAttr(id, "job", int64(opts.ObsJob))
-						opts.Obs.SetAttr(id, "epoch", int64(len(job.epochEnds)+opts.ResumeEpochs))
+						opts.Obs.SetAttr(id, "epoch", int64(len(e.epochEnds)+opts.ResumeEpochs))
 						obsEpochStart = p.Now()
 					}
 				}
@@ -384,7 +399,7 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 			// Abort wind-down: drain copies the feeder had in flight before
 			// it saw the cutoff, releasing their pinned buffers so the
 			// feeder can finish discarding and every process exits.
-			if job.aborted {
+			if e.aborted {
 				for {
 					v, ok := h2dReady[rank].Get(p)
 					if !ok {
@@ -401,12 +416,12 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 
 	env.Go("join", func(p *sim.Proc) {
 		ranksDone.Wait(p)
-		job.finish = p.Now()
+		e.finish = p.Now()
 		smp.Stop()
 		sys.Host.FreeMem(staging)
 		freeAll()
 		final := ProbeDone
-		if job.aborted {
+		if e.aborted {
 			final = ProbeAbort
 		}
 		if opts.Probe != nil {
@@ -416,9 +431,15 @@ func goroutineStart(sys *cluster.System, opts Options) (*Job, error) {
 			id := opts.Obs.Instant(obs.CatTrain, final)
 			opts.Obs.SetAttr(id, "job", int64(opts.ObsJob))
 		}
-		job.done.Fire(env)
+		e.done.Fire(env)
 	})
 	return job, nil
+}
+
+func newCkptPoint(n int) *ckptPoint {
+	cp := &ckptPoint{}
+	cp.wg.Add(n)
+	return cp
 }
 
 func (cp *ckptPoint) arrive(env *sim.Env, p *sim.Proc, rank int, write func(*sim.Proc)) {
@@ -451,7 +472,7 @@ type oracleCase struct {
 }
 
 // engineSetup runs c with the given engine, recording into out.
-func engineSetup(startFn func(*cluster.System, Options) (*Job, error), c oracleCase, out *engineRun) simtest.Setup {
+func engineSetup(startFn func(*Launcher, *cluster.System, Options) (*Job, error), c oracleCase, out *engineRun) simtest.Setup {
 	return func(env *sim.Env) error {
 		*out = engineRun{}
 		col := obs.NewCollector()
@@ -466,7 +487,7 @@ func engineSetup(startFn func(*cluster.System, Options) (*Job, error), c oracleC
 		opts.Probe = func(ev string, at time.Duration) {
 			out.probes = append(out.probes, ev+"@"+strconv.FormatInt(int64(at), 10))
 		}
-		job, err := startFn(sys, opts)
+		job, err := startFn(new(Launcher), sys, opts)
 		if err != nil {
 			out.startErr = err.Error()
 			return nil
@@ -516,7 +537,7 @@ func resultFingerprint(r *Result) string {
 func checkEngines(t *testing.T, c oracleCase) engineRun {
 	t.Helper()
 	var gor, stp engineRun
-	if _, err := simtest.Compare(engineSetup(goroutineStart, c, &gor), engineSetup(start, c, &stp)); err != nil {
+	if _, err := simtest.Compare(engineSetup(goroutineStart, c, &gor), engineSetup((*Launcher).start, c, &stp)); err != nil {
 		t.Fatalf("%s: goroutine vs stepper engine: %v", c.name, err)
 	}
 	switch {

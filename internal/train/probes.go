@@ -21,7 +21,11 @@ const (
 // (wandb system metrics) and Falcon port traffic (chassis GUI) — on a
 // per-run registry and starts sampling them.
 func newSampler(sys *cluster.System) *obs.Sampler {
-	reg := &obs.Registry{}
+	series := 4
+	if len(sys.FalconGPUPortLinks) > 0 {
+		series++
+	}
+	reg := obs.NewRegistry(series)
 
 	// GPU utilization: windowed busy fraction averaged across devices.
 	type snap struct{ t, busy sim.Time }

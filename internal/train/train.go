@@ -11,7 +11,6 @@ package train
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"composable/internal/cluster"
@@ -175,35 +174,115 @@ func Run(sys *cluster.System, opts Options) (*Result, error) {
 	return job.Collect()
 }
 
-// Job is an in-flight training run started with Start.
-type Job struct {
-	sys       *cluster.System
-	res       *Result
-	smp       *obs.Sampler
-	opts      Options
-	batch     int
-	start     time.Duration
-	finish    time.Duration
-	epochEnds []time.Duration
-	portBase  units.Bytes
-	done      sim.Signal
-	// pipeline is what the job's machines share while they run (see
-	// engine.go); join clears it.
-	pipeline
+// Start sets up and launches the training job's processes without running
+// the simulation. The caller runs sys.Env (once, possibly with several
+// concurrent jobs) and then calls Collect. It is a fresh Launcher's Start:
+// the job's engine is built for it and never recycled.
+func Start(sys *cluster.System, opts Options) (*Job, error) {
+	return new(Launcher).Start(sys, opts)
+}
 
-	// Abort machinery: when a fault kills the job, every rank stops at the
-	// same iteration boundary (cutoff) so no collective is left waiting on
-	// a rank that already quit — the simulated analog of NCCL tearing the
-	// process group down after a peer dies.
-	totalIters int
-	maxStarted int // highest iteration any rank has begun (-1 before iter 0)
-	cutoff     int
-	aborted    bool
+// Launcher starts training jobs and recycles the engines of the jobs it
+// is handed back. An engine is everything a run is built from — its
+// machines, per-rank queues, pinned-buffer resources, checkpoint points
+// and collective communicator. Release puts a finished job's engine on
+// the launcher's free list, and a later Start on the same network whose
+// GPU group fits takes it and resets it in place, so relaunching on a
+// warm fleet allocates little beyond the new job's Result and sampler.
+// Recycling changes where the engine's structures live, never which
+// events a run schedules. The zero value is ready to use. A Launcher is
+// not safe for concurrent use.
+type Launcher struct {
+	free []*engine
+}
+
+// Start is the package-level Start, run on the narrowest free engine that
+// fits the job's GPU group when there is one.
+func (l *Launcher) Start(sys *cluster.System, opts Options) (*Job, error) {
+	return startJob(l, sys, opts)
+}
+
+// Release retires j, a job whose Done signal has fired, and keeps its
+// engine for a later Start. The Result that Collect returned, and its
+// sampled series, stay valid; every later call on j panics.
+//
+//perf:hot
+func (l *Launcher) Release(j *Job) { releaseJob(l, j) }
+
+// startJob and releaseJob are the engine behind Launcher. They are
+// variables so the engine's oracle tests can substitute the goroutine
+// reference engine, or a launcher that keeps nothing, for runs driven
+// through the orchestrator.
+var (
+	startJob   = (*Launcher).start
+	releaseJob = (*Launcher).release
+)
+
+// release retires j and puts its engine on the free list.
+//
+//perf:hot
+func (l *Launcher) release(j *Job) {
+	l.free = append(l.free, j.retire())
+}
+
+// take removes and returns the narrowest free engine on net that is at
+// least n ranks wide, or nil when none is.
+//
+//perf:hot
+func (l *Launcher) take(net *fabric.Network, n int) *engine {
+	best := -1
+	for i, e := range l.free {
+		if e.net == net && e.width() >= n && (best < 0 || e.width() < l.free[best].width()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	e := l.free[best]
+	last := len(l.free) - 1
+	l.free[best] = l.free[last]
+	l.free[last] = nil
+	l.free = l.free[:last]
+	return e
+}
+
+// Job is an in-flight training run started with Start or Launcher.Start.
+// It names one use of a training engine: the generation the engine had
+// when the job started. Releasing the job moves the generation on, so a
+// call on a released job panics instead of reaching the engine's next
+// run.
+type Job struct {
+	e   *engine
+	gen uint64
+}
+
+// eng returns the job's engine, panicking if the job was released.
+func (j *Job) eng() *engine {
+	if j.e.gen != j.gen {
+		panic("train: call on a released job")
+	}
+	return j.e
+}
+
+// retire ends the job's use of its engine and returns the engine, which
+// drops its references to the run: the system, the Result, the sampler
+// and the options' observers.
+//
+//perf:hot
+func (j *Job) retire() *engine {
+	e := j.eng()
+	if !e.done.Fired() {
+		panic("train: release of a job that has not finished")
+	}
+	e.gen++
+	e.attempt = attempt{}
+	return e
 }
 
 // Done returns the signal fired when all ranks complete (or, for an
 // aborted job, when the wind-down drains).
-func (j *Job) Done() *sim.Signal { return &j.done }
+func (j *Job) Done() *sim.Signal { return &j.eng().done }
 
 // Abort requests a cooperative stop: every rank finishes the last
 // iteration any rank has already begun (keeping in-flight collectives
@@ -213,47 +292,37 @@ func (j *Job) Done() *sim.Signal { return &j.done }
 // final iteration the abort is a no-op and the job completes normally —
 // the fault lost the race against the finish line.
 func (j *Job) Abort() {
-	if j.aborted || j.done.Fired() {
+	e := j.eng()
+	if e.aborted || e.done.Fired() {
 		return
 	}
-	cut := j.maxStarted + 1
-	if cut >= j.totalIters {
+	cut := e.maxStarted + 1
+	if cut >= e.totalIters {
 		return
 	}
-	j.aborted = true
-	j.cutoff = cut
+	e.aborted = true
+	e.cutoff = cut
 }
 
 // Aborted reports whether the job was stopped by Abort before completing.
-func (j *Job) Aborted() bool { return j.aborted }
+func (j *Job) Aborted() bool { return j.eng().aborted }
 
 // EpochsDone returns the number of epoch boundaries this run completed —
 // the progress a checkpoint restart resumes from.
-func (j *Job) EpochsDone() int { return len(j.epochEnds) }
+func (j *Job) EpochsDone() int { return len(j.eng().epochEnds) }
 
 // LastEpochEnd returns the virtual time of the last completed epoch
 // boundary, and false when no epoch completed.
 func (j *Job) LastEpochEnd() (time.Duration, bool) {
-	if len(j.epochEnds) == 0 {
+	ends := j.eng().epochEnds
+	if len(ends) == 0 {
 		return 0, false
 	}
-	return j.epochEnds[len(j.epochEnds)-1], true
+	return ends[len(ends)-1], true
 }
 
-// stopAt reports whether iteration it is past the abort cutoff.
-func (j *Job) stopAt(it int) bool { return j.aborted && it >= j.cutoff }
-
-// Start sets up and launches the training job's processes without running
-// the simulation. The caller runs sys.Env (once, possibly with several
-// concurrent jobs) and then calls Collect.
-func Start(sys *cluster.System, opts Options) (*Job, error) { return startJob(sys, opts) }
-
-// startJob is the engine behind Start. It is a variable so the engine's
-// oracle test can substitute the goroutine-process reference engine for
-// runs driven through the orchestrator.
-var startJob = start
-
-func start(sys *cluster.System, opts Options) (*Job, error) {
+// start is Launcher.Start on the stepper engine.
+func (l *Launcher) start(sys *cluster.System, opts Options) (*Job, error) {
 	w := opts.Workload
 	if w.Graph == nil {
 		return nil, errors.New("train: options missing workload")
@@ -302,13 +371,21 @@ func start(sys *cluster.System, opts Options) (*Job, error) {
 		}
 	}
 
-	comm, err := collective.New(sys.Net, sys.GPUs)
-	if err != nil {
+	e := l.take(sys.Net, nGPU)
+	if e == nil {
+		comm, err := collective.New(sys.Net, sys.GPUs)
+		if err != nil {
+			freeGPUMem(sys, need)
+			return nil, err
+		}
+		e = newEngine(sys.Net, comm, nGPU)
+	} else if err := e.comm.Rebind(sys.GPUs); err != nil {
+		l.free = append(l.free, e)
 		freeGPUMem(sys, need)
 		return nil, err
 	}
 	if opts.Channels > 0 {
-		comm.SetChannels(opts.Channels)
+		e.comm.SetChannels(opts.Channels)
 	}
 
 	totalIters := epochs * opts.ItersPerEpoch
@@ -322,13 +399,12 @@ func start(sys *cluster.System, opts Options) (*Job, error) {
 	if coldIters < 1 {
 		coldIters = 1
 	}
-	datasetBytes := units.Bytes(coldIters) * readPerIter
 	inputBytes := units.Bytes(batch) * w.Data.InputBytesPerSample
-	decodePerBatch := time.Duration(globalBatch) * w.Data.DecodePerSample
 
 	// Pinned staging buffers for the loader pipeline.
 	staging := units.Bytes(prefetchDepth) * units.Bytes(nGPU) * inputBytes
 	if err := sys.Host.AllocMem(staging); err != nil {
+		l.free = append(l.free, e)
 		freeGPUMem(sys, need)
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
@@ -347,91 +423,65 @@ func start(sys *cluster.System, opts Options) (*Job, error) {
 	if ckptPer > opts.ItersPerEpoch {
 		ckptPer = opts.ItersPerEpoch
 	}
-	// ckptAt is indexed by iteration (nil: no checkpoint there): the rank
-	// loop probes it every iteration, so it must be a slice load, not a
-	// map lookup.
-	ckptAt := make([]*ckptPoint, totalIters)
 	ckptScale := float64(opts.ItersPerEpoch) / float64(w.RealItersPerEpoch(nGPU))
 	if ckptScale > 1 {
 		ckptScale = 1
 	}
-	ckptBytes := units.Bytes(float64(w.CheckpointWriteBytes()) * ckptScale)
-	for e := 0; e < epochs; e++ {
-		for j := 0; j < ckptPer; j++ {
-			it := e*opts.ItersPerEpoch + (j+1)*opts.ItersPerEpoch/ckptPer - 1
-			if it >= 0 && it < totalIters {
-				ckptAt[it] = newCkptPoint(nGPU)
-			}
-		}
-	}
-
-	// Per-rank process/queue names, computed once up front (strconv, not
-	// fmt) so the spawn paths below never format.
-	rankStr := make([]string, nGPU)
-	for i := range rankStr {
-		rankStr[i] = strconv.Itoa(i)
-	}
+	e.scheduleCheckpoints(totalIters, epochs, opts.ItersPerEpoch, ckptPer, nGPU)
 
 	res := &Result{
 		System: sys.Cfg.Name, Workload: w.Name,
 		Strategy: strategy, Precision: opts.Precision, Sharded: opts.Sharded,
 		BatchPerGPU: batch, Epochs: epochs, Iters: totalIters,
 	}
-	job := &Job{
-		sys: sys, res: res, smp: smp, opts: opts, batch: batch, start: env.Now(),
-		totalIters: totalIters, maxStarted: -1,
-	}
-	for _, id := range sys.FalconGPUPortLinks {
-		ab, ba := sys.Net.LinkTrafficSnapshot(id)
-		job.portBase += ab + ba
-	}
-
-	job.pipeline = pipeline{
-		env: env, strategy: strategy, nGPU: nGPU, buckets: buckets, workers: workers,
-		comm: comm, need: need, staging: staging,
-		resuming:    opts.ResumeEpochs > 0,
-		prefetch:    sim.NewResource("loader.prefetch", prefetchDepth*nGPU),
-		queues:      make([]*sim.Queue, nGPU),
-		h2dReady:    make([]*sim.Queue, nGPU),
-		ckptAt:      ckptAt,
-		ckptBytes:   ckptBytes,
-		readPerIter: readPerIter, datasetBytes: datasetBytes, inputBytes: inputBytes,
-		decodePerBatch: decodePerBatch,
+	e.attempt = attempt{
+		sys: sys, env: env, res: res, smp: smp, opts: opts,
+		strategy: strategy, nGPU: nGPU, batch: batch, buckets: buckets, workers: workers,
+		need: need, staging: staging,
+		resuming:       opts.ResumeEpochs > 0,
+		ckptBytes:      units.Bytes(float64(w.CheckpointWriteBytes()) * ckptScale),
+		readPerIter:    readPerIter,
+		datasetBytes:   units.Bytes(coldIters) * readPerIter,
+		inputBytes:     inputBytes,
+		decodePerBatch: time.Duration(globalBatch) * w.Data.DecodePerSample,
 		cacheKey:       w.Name + "/" + w.Data.Name,
 		gradBytes:      w.GradBytes(opts.Precision),
 		paramBytes:     units.Bytes(w.Graph.Params()) * opts.Precision.BytesPerElement(),
+		start:          env.Now(),
+		totalIters:     totalIters,
+		maxStarted:     -1,
 		obsEpochStart:  env.Now(),
 	}
-	job.fwd, job.bwd = w.ComputeTime(dev0Spec(sys), opts.Precision, batch)
-	for i := range rankStr {
-		job.queues[i] = sim.NewQueue("batches.gpu" + rankStr[i])
-		job.h2dReady[i] = sim.NewQueue("h2d.gpu" + rankStr[i])
+	e.fwd, e.bwd = w.ComputeTime(dev0Spec(sys), opts.Precision, batch)
+	for _, id := range sys.FalconGPUPortLinks {
+		ab, ba := sys.Net.LinkTrafficSnapshot(id)
+		e.portBase += ab + ba
 	}
-	job.ranksDone.Add(nGPU)
-	job.spawn(rankStr)
-	return job, nil
+	e.spawn()
+	return &Job{e: e, gen: e.gen}, nil
 }
 
 // Collect finalizes the job's metrics. It must be called after the
 // simulation has run the job to completion.
 func (j *Job) Collect() (*Result, error) {
-	if !j.done.Fired() {
+	e := j.eng()
+	if !e.done.Fired() {
 		return nil, errors.New("train: Collect before job completion (run the environment first)")
 	}
-	if j.aborted {
+	if e.aborted {
 		return nil, errors.New("train: job was aborted; no result (reschedule from the last checkpoint)")
 	}
-	sys, res, w := j.sys, j.res, j.opts.Workload
-	elapsed := j.finish - j.start
+	sys, res, w := e.sys, e.res, e.opts.Workload
+	elapsed := e.finish - e.start
 	res.TotalTime = elapsed
 	res.AvgIter = elapsed / time.Duration(res.Iters)
-	prev := j.start
-	for _, e := range j.epochEnds {
-		res.EpochTimes = append(res.EpochTimes, e-prev)
-		prev = e
+	prev := e.start
+	for _, end := range e.epochEnds {
+		res.EpochTimes = append(res.EpochTimes, end-prev)
+		prev = end
 	}
-	fillAverages(res, j.smp)
-	res.MemAccessFrac = memAccessFrac(sys, w, j.opts.Precision, j.batch, res.AvgIter)
+	fillAverages(res, e.smp)
+	res.MemAccessFrac = memAccessFrac(sys, w, e.opts.Precision, e.batch, res.AvgIter)
 	for _, g := range sys.GPUs {
 		if g.PeakUsed() > res.PeakGPUMem {
 			res.PeakGPUMem = g.PeakUsed()
@@ -443,7 +493,7 @@ func (j *Job) Collect() (*Result, error) {
 			ab, ba := sys.Net.LinkTrafficSnapshot(id)
 			total += ab + ba
 		}
-		res.FalconPCIeGBps = float64(total-j.portBase) * pcieWireOverhead / elapsed.Seconds() / 1e9
+		res.FalconPCIeGBps = float64(total-e.portBase) * pcieWireOverhead / elapsed.Seconds() / 1e9
 	}
 	return res, nil
 }
@@ -464,12 +514,6 @@ func dev0Spec(sys *cluster.System) gpu.Spec { return sys.GPUs[0].Spec }
 type ckptPoint struct {
 	wg   sim.WaitGroup
 	done sim.Signal
-}
-
-func newCkptPoint(n int) *ckptPoint {
-	cp := &ckptPoint{}
-	cp.wg.Add(n)
-	return cp
 }
 
 // freeGPUMem returns a job's per-GPU memory admission.
