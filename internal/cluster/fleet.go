@@ -454,22 +454,36 @@ func (f *FleetSystem) OwnerHost(slot *FleetSlot) int {
 }
 
 // JobSystem assembles the per-job view the training engine runs on: the
-// owning host's CPU/memory/storage plus the job's GPU slots. The returned
-// System shares the fleet's simulation and fabric, so concurrent jobs
-// contend for the host adapter, CPU cores, storage and — for cross-chassis
-// slots — the spine/leaf tier exactly as co-located tenants would.
-func (f *FleetSystem) JobSystem(host *FleetHost, slots []*FleetSlot, name string) *System {
-	sys := &System{
+// owning host's CPU/memory/storage plus the job's GPU slots. The view
+// shares the fleet's simulation and fabric, so concurrent jobs contend
+// for the host adapter, CPU cores, storage and — for cross-chassis slots
+// — the spine/leaf tier exactly as co-located tenants would. It fills
+// sys, a view no running job uses any more (train.Launcher.Release hands
+// one back), reusing its slices, and returns it; a nil sys builds a new
+// view.
+//
+//perf:hot
+func (f *FleetSystem) JobSystem(sys *System, host *FleetHost, slots []*FleetSlot, name string) *System {
+	if sys == nil {
+		sys = new(System)
+	}
+	gpus, ports, adapters := sys.GPUs[:0], sys.FalconGPUPortLinks[:0], sys.HostAdapterLinks[:0]
+	if cap(gpus) < len(slots) {
+		gpus, ports = make([]*gpu.Device, 0, len(slots)), make([]fabric.LinkID, 0, len(slots))
+	}
+	for _, s := range slots {
+		gpus = append(gpus, s.Dev)
+		ports = append(ports, s.Link)
+	}
+	*sys = System{
 		Env: f.Env, Net: f.Net, Chassis: f.ChassisList[host.ChassisIdx],
 		Cfg:  Config{Name: name, FalconGPUs: len(slots), Storage: StorageBaseline},
 		Host: host.CPU,
 		RC:   host.RC, Mem: host.Mem,
 		Store: host.Store, Cache: host.Cache,
-	}
-	sys.HostAdapterLinks = append(sys.HostAdapterLinks, host.AdapterLink)
-	for _, s := range slots {
-		sys.GPUs = append(sys.GPUs, s.Dev)
-		sys.FalconGPUPortLinks = append(sys.FalconGPUPortLinks, s.Link)
+		GPUs:               gpus,
+		FalconGPUPortLinks: ports,
+		HostAdapterLinks:   append(adapters, host.AdapterLink),
 	}
 	return sys
 }

@@ -195,7 +195,7 @@ func TestFleetJobSystemTrains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sys := f.JobSystem(host, slots, "fleet-test")
+	sys := f.JobSystem(nil, host, slots, "fleet-test")
 	if len(sys.GPUs) != 2 || len(sys.FalconGPUPortLinks) != 2 {
 		t.Fatalf("job system has %d GPUs, %d port links", len(sys.GPUs), len(sys.FalconGPUPortLinks))
 	}

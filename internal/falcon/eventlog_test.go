@@ -224,7 +224,7 @@ func TestSetTrafficSourceInvalidSlotIsNoop(t *testing.T) {
 // TestLogEntryStaysCompact pins the typed log entry's size: every compose
 // and attach appends one, so it must not grow into a formatted message.
 func TestLogEntryStaysCompact(t *testing.T) {
-	if size := unsafe.Sizeof(logEntry{}); size > 56 {
-		t.Fatalf("logEntry is %d bytes, want at most 56", size)
+	if size := unsafe.Sizeof(logEntry{}); size > 40 {
+		t.Fatalf("logEntry is %d bytes, want at most 40", size)
 	}
 }

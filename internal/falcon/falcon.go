@@ -138,7 +138,7 @@ type Chassis struct {
 // New creates a chassis with all drawers in standard one-host mode and the
 // four host ports uncabled.
 func New(name string) *Chassis {
-	c := &Chassis{Name: name, Now: func() time.Duration { return 0 }}
+	c := &Chassis{Name: name, Now: func() time.Duration { return 0 }, log: make([]logEntry, 0, logCap)}
 	for d := 0; d < NumDrawers; d++ {
 		c.drawers[d].mode = ModeStandardOneHost
 	}
@@ -179,26 +179,42 @@ const (
 // only when the log is read (Events). It keeps the installed device by
 // pointer: a slot's DeviceInfo is the chassis's own copy and is never
 // changed after Install, so the entry still reads the logged device after
-// a later Remove. 56 bytes on 64-bit platforms.
+// a later Remove. 40 bytes on 64-bit platforms.
 type logEntry struct {
 	at           time.Duration
 	dev          *DeviceInfo
-	port         string
 	str          string
 	kind         logKind
 	drawer, slot uint8
+	port         uint8 // 1 + the port's index in portIDs; 0 for no port
 }
 
-func (c *Chassis) logEvent(kind logKind, ref SlotRef, dev *DeviceInfo, port, str string) {
+// logCap is the room a new chassis's log starts with: one entry per host
+// port cabled, drawer mode set and slot installed, the entries a full
+// chassis build logs.
+const logCap = NumHostPorts + NumDrawers + NumDrawers*SlotsPerDrawer
+
+func (c *Chassis) logEvent(kind logKind, ref SlotRef, dev *DeviceInfo, port uint8, str string) {
 	c.log = append(c.log, logEntry{
-		at: c.Now(), dev: dev, port: port, str: str,
-		kind: kind, drawer: uint8(ref.Drawer), slot: uint8(ref.Slot),
+		at: c.Now(), dev: dev, str: str,
+		kind: kind, drawer: uint8(ref.Drawer), slot: uint8(ref.Slot), port: port,
 	})
+}
+
+// portNum returns a log entry's port field for the port with the given ID:
+// 1 + its index in portIDs, or 0 when no port has that ID.
+func portNum(id string) uint8 {
+	for i, p := range portIDs {
+		if p == id {
+			return uint8(i + 1)
+		}
+	}
+	return 0
 }
 
 // warnf logs a warning, formatted on the way in: warnings are rare.
 func (c *Chassis) warnf(format string, args ...interface{}) {
-	c.logEvent(logWarning, SlotRef{}, nil, "", fmt.Sprintf(format, args...))
+	c.logEvent(logWarning, SlotRef{}, nil, 0, fmt.Sprintf(format, args...))
 }
 
 // severity grades the entry: the text kinds carry their own, every typed
@@ -213,9 +229,13 @@ func (e *logEntry) severity() Severity {
 // message formats the entry as the management GUI shows it.
 func (e *logEntry) message() string {
 	ref := SlotRef{Drawer: int(e.drawer), Slot: int(e.slot)}
+	var port string
+	if e.port > 0 {
+		port = portIDs[e.port-1]
+	}
 	switch e.kind {
 	case logCable:
-		return fmt.Sprintf("host %s cabled to port %s", e.str, e.port)
+		return fmt.Sprintf("host %s cabled to port %s", e.str, port)
 	case logMode:
 		return fmt.Sprintf("drawer %d mode set to %s", ref.Drawer, e.str)
 	case logInstall:
@@ -223,9 +243,9 @@ func (e *logEntry) message() string {
 	case logRemove:
 		return fmt.Sprintf("device %s removed from %v", e.dev.ID, ref)
 	case logAttach:
-		return fmt.Sprintf("device %s in %v attached to %s (host %s)", e.dev.ID, ref, e.port, e.str)
+		return fmt.Sprintf("device %s in %v attached to %s (host %s)", e.dev.ID, ref, port, e.str)
 	case logDetach:
-		return fmt.Sprintf("device %s in %v detached from %s", e.dev.ID, ref, e.port)
+		return fmt.Sprintf("device %s in %v detached from %s", e.dev.ID, ref, port)
 	default:
 		return e.str
 	}
@@ -279,7 +299,7 @@ func (c *Chassis) CableHost(portID, host string) error {
 		return err
 	}
 	p.Host = host
-	c.logEvent(logCable, SlotRef{}, nil, p.ID, host)
+	c.logEvent(logCable, SlotRef{}, nil, portNum(p.ID), host)
 	return nil
 }
 
@@ -300,7 +320,7 @@ func (c *Chassis) SetMode(drawer int, m Mode) error {
 		}
 	}
 	c.drawers[drawer].mode = m
-	c.logEvent(logMode, SlotRef{Drawer: drawer}, nil, "", string(m))
+	c.logEvent(logMode, SlotRef{Drawer: drawer}, nil, 0, string(m))
 	c.notify("mode", SlotRef{Drawer: drawer})
 	return nil
 }
@@ -316,7 +336,7 @@ func (c *Chassis) Install(ref SlotRef, dev DeviceInfo) error {
 	}
 	d := dev
 	s.device = &d
-	c.logEvent(logInstall, ref, s.device, "", "")
+	c.logEvent(logInstall, ref, s.device, 0, "")
 	c.notify("install", ref)
 	return nil
 }
@@ -333,7 +353,7 @@ func (c *Chassis) Remove(ref SlotRef) error {
 	if s.port != "" {
 		return fmt.Errorf("falcon: device in %v still attached to %s", ref, s.port)
 	}
-	c.logEvent(logRemove, ref, s.device, "", "")
+	c.logEvent(logRemove, ref, s.device, 0, "")
 	s.device = nil
 	c.notify("remove", ref)
 	return nil
@@ -380,7 +400,7 @@ func (c *Chassis) Attach(ref SlotRef, portID string) error {
 		return err
 	}
 	s.port = portID
-	c.logEvent(logAttach, ref, s.device, port.ID, port.Host)
+	c.logEvent(logAttach, ref, s.device, portNum(port.ID), port.Host)
 	c.notify("attach", ref)
 	return nil
 }
@@ -464,7 +484,7 @@ func (c *Chassis) Detach(ref SlotRef) error {
 	if s.port == "" {
 		return fmt.Errorf("falcon: device %s is not attached", s.device.ID)
 	}
-	c.logEvent(logDetach, ref, s.device, s.port, "")
+	c.logEvent(logDetach, ref, s.device, portNum(s.port), "")
 	s.port = ""
 	c.notify("detach", ref)
 	return nil
@@ -633,7 +653,7 @@ func (c *Chassis) ImportConfig(data []byte) error {
 			}
 		}
 	}
-	c.logEvent(logInfo, SlotRef{}, nil, "", "configuration imported")
+	c.logEvent(logInfo, SlotRef{}, nil, 0, "configuration imported")
 	return nil
 }
 

@@ -253,7 +253,10 @@ func FromSeed(seed int64, b Bounds) Plan {
 // PlanMTBF derives a plan whose fault arrivals approximate a mean time
 // between failures over the horizon: the operator-facing knob ("my GPUs
 // die about every N minutes") the advisor's fault profile uses. The
-// schedule is deterministic in (seed, mtbf, bounds).
+// schedule is deterministic in (seed, mtbf, bounds). Its gaps are
+// rand.ExpFloat64 draws, whose rare tail and wedge branches call math.Log
+// and math.Exp, architecture-specific functions; the draws of the pinned
+// plans that reach them are listed in the package's tests.
 func PlanMTBF(seed int64, mtbf time.Duration, b Bounds) Plan {
 	if mtbf <= 0 {
 		return Plan{Seed: seed}

@@ -216,7 +216,7 @@ func (s *span) attrInt(key string) (int64, bool) {
 // registered after the first tick are ignored for the rest of the run, so
 // wire all layers before the environment runs. Requires Attach.
 func (c *Collector) StartSampling() {
-	if c.env == nil || c.smp.sp != nil {
+	if c.env == nil || c.smp.env != nil {
 		return
 	}
 	c.smp.Start(c.env)

@@ -20,13 +20,18 @@ import (
 // arms the first tick, so samples land one interval after Start. A tick
 // that finds nothing else pending does not re-arm: the simulation is
 // over, and re-arming would keep its event queue alive forever.
+//
+// A sampler can be started again once it has stopped and its last tick
+// has fired (Pending): it then records a new run into the storage of
+// the last one, so a sampler kept for reuse allocates nothing.
 type Sampler struct {
 	reg      *Registry
 	interval time.Duration
 	env      *sim.Env
-	sp       *sim.Proc
+	proc     sim.Proc
 	primed   bool // first step only arms the first tick
 	stopped  bool
+	pending  bool // a step is scheduled and has not run
 	times    []sim.Time
 	cols     [][]float64
 }
@@ -42,24 +47,47 @@ func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 
 // Start spawns the sampling stepper on env. Metrics registered after
 // Start are not sampled, so register every metric first. It runs until
-// Stop, or until a tick finds nothing else pending on env.
+// Stop, or until a tick finds nothing else pending on env. Starting a
+// sampler again drops the samples of its previous run and reuses their
+// storage; it panics while a tick of that run is still pending.
+//
+//perf:hot
 func (s *Sampler) Start(env *sim.Env) {
+	if s.pending {
+		panic("obs: sampler started again before its last tick fired")
+	}
+	n := s.reg.Len()
+	if cap(s.cols) < n {
+		s.cols = make([][]float64, n)
+	}
+	s.cols = s.cols[:n]
+	for i := range s.cols {
+		s.cols[i] = s.cols[i][:0]
+	}
+	s.times = s.times[:0]
 	s.env = env
-	s.cols = make([][]float64, s.reg.Len())
-	s.sp = env.NewStepper("obs-sampler", s.step)
+	env.InitStepperFor(&s.proc, "obs-sampler", (*samplerStep)(s))
 	s.primed = false
 	s.stopped = false
-	env.Ready(s.sp)
+	s.pending = true
+	env.Ready(&s.proc)
 }
+
+// samplerStep is the Sampler as the stepper its proc drives; the
+// conversion keeps Step off the Sampler's own method set.
+type samplerStep Sampler
+
+func (s *samplerStep) Step() { (*Sampler)(s).step() }
 
 //perf:hot
 func (s *Sampler) step() {
+	s.pending = false
 	if s.stopped {
 		return
 	}
 	if !s.primed {
 		s.primed = true
-		s.env.ReadyAfter(s.sp, s.interval)
+		s.arm()
 		return
 	}
 	s.times = append(s.times, s.env.Now())
@@ -69,12 +97,24 @@ func (s *Sampler) step() {
 	if s.env.Idle() {
 		return
 	}
-	s.env.ReadyAfter(s.sp, s.interval)
+	s.arm()
+}
+
+// arm schedules the next tick one interval from now.
+func (s *Sampler) arm() {
+	s.pending = true
+	s.env.ReadyAfter(&s.proc, s.interval)
 }
 
 // Stop ends sampling after the currently armed tick fires, so the event
-// queue can drain.
+// queue can drain. That tick still fires, as a no-op.
 func (s *Sampler) Stop() { s.stopped = true }
+
+// Pending reports whether a tick is scheduled that has not fired yet. A
+// stopped sampler stays pending until its last armed tick has fired, and
+// must not be started again before then: the stale tick would step the
+// new run.
+func (s *Sampler) Pending() bool { return s.pending }
 
 // Len returns the number of ticks sampled.
 func (s *Sampler) Len() int { return len(s.times) }

@@ -182,3 +182,94 @@ func TestRenderedOutputIsRunStable(t *testing.T) {
 		t.Fatalf("sanity: rendered artifacts are empty or unprimed:\n%s", csv1)
 	}
 }
+
+// TestSamplerRestartMatchesFresh runs one sampler through a long run and
+// then two shorter ones, each on a new environment, and every shorter run
+// again with a fresh sampler: the sampler started again must dispatch the
+// same events and record exactly the fresh sampler's series, into the
+// storage of its first run.
+func TestSamplerRestartMatchesFresh(t *testing.T) {
+	registry := func(env **sim.Env) *Registry {
+		reg := NewRegistry(2)
+		reg.Gauge("now", func() float64 { return (*env).Now().Seconds() })
+		reg.Gauge("events", func() float64 { return float64((*env).EventCount()) })
+		return reg
+	}
+	// run records one run of the given length on a new environment and
+	// returns its event digest.
+	run := func(smp *Sampler, cur **sim.Env, length time.Duration) uint64 {
+		env := sim.NewEnv()
+		var d sim.Digest
+		env.SetDigest(&d)
+		*cur = env
+		smp.Start(env)
+		env.Schedule(length, smp.Stop)
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if smp.Pending() {
+			t.Fatal("sampler still pending after its run drained")
+		}
+		return d.Sum()
+	}
+	var keptEnv *sim.Env
+	kept := NewSampler(registry(&keptEnv), 100*time.Millisecond)
+	run(kept, &keptEnv, 2*time.Second)
+	times, col := &kept.times[0], &kept.cols[1][0]
+	for _, length := range []time.Duration{time.Second, 350 * time.Millisecond} {
+		got := run(kept, &keptEnv, length)
+		var freshEnv *sim.Env
+		fresh := NewSampler(registry(&freshEnv), 100*time.Millisecond)
+		if want := run(fresh, &freshEnv, length); got != want {
+			t.Fatalf("%v run: restarted sampler's digest %x, fresh sampler's %x", length, got, want)
+		}
+		if kept.Len() == 0 || kept.Len() != fresh.Len() {
+			t.Fatalf("%v run: restarted sampler took %d ticks, fresh sampler %d", length, kept.Len(), fresh.Len())
+		}
+		for _, name := range fresh.Names() {
+			g, w := kept.Series(name), fresh.Series(name)
+			if fmt.Sprint(g.times, g.values) != fmt.Sprint(w.times, w.values) {
+				t.Fatalf("%v run, series %s: restarted %v %v, fresh %v %v", length, name, g.times, g.values, w.times, w.values)
+			}
+		}
+		if &kept.times[0] != times || &kept.cols[1][0] != col {
+			t.Fatalf("%v run: the restarted sampler did not reuse its first run's storage", length)
+		}
+	}
+}
+
+// TestSamplerPendingUntilLastTick pins the restart rule: a stopped
+// sampler stays pending until its armed tick has fired, and starting it
+// again before then panics instead of letting that tick step the new run.
+func TestSamplerPendingUntilLastTick(t *testing.T) {
+	env := sim.NewEnv()
+	var reg Registry
+	reg.Gauge("x", func() float64 { return 1 })
+	smp := NewSampler(&reg, 100*time.Millisecond)
+	smp.Start(env)
+	env.Schedule(250*time.Millisecond, smp.Stop)
+	if err := env.RunUntil(260 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !smp.Pending() {
+		t.Fatal("stopped sampler not pending while its 300 ms tick is armed")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Start with a tick pending did not panic")
+			}
+		}()
+		smp.Start(env)
+	}()
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if smp.Pending() || smp.Len() != 2 {
+		t.Fatalf("after the last tick: pending %t, %d samples, want false and 2", smp.Pending(), smp.Len())
+	}
+	smp.Start(env)
+	if !smp.Pending() || smp.Len() != 0 {
+		t.Fatalf("restart: pending %t, %d samples, want true and 0", smp.Pending(), smp.Len())
+	}
+}

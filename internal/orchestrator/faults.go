@@ -298,7 +298,7 @@ func (s *scheduler) reschedule(js *jobState, now time.Duration) {
 		// float64(…) rounds the product, so no architecture fuses it (FMA).
 		js.deliveredSec += float64(float64(js.spec.GPUs) * (usefulEnd - js.launched).Seconds())
 		js.lostSec += float64(float64(js.spec.GPUs) * (now - usefulEnd).Seconds())
-		s.launcher.Release(js.job)
+		s.release(js)
 	}
 	for _, slot := range js.slots {
 		s.slotJob[slot.Index] = -1
@@ -309,7 +309,7 @@ func (s *scheduler) reschedule(js *jobState, now time.Duration) {
 	host := js.host
 	refs := js.refs
 	indices := js.indices
-	js.job, js.slots, js.refs, js.indices, js.host = nil, nil, nil, nil, -1
+	js.slots, js.refs, js.indices, js.host = js.slots[:0], nil, nil, -1
 	js.killed = false
 	js.retries++
 	s.probe(Event{Kind: EventKill, At: now, Job: js.spec.ID, Host: host, Slots: refs, Indices: indices})

@@ -296,7 +296,11 @@ type scheduler struct {
 	err     error
 	// launcher starts every attempt's training job and recycles the
 	// engines of finished attempts (finish and reschedule release them).
+	// systems holds the job views the launcher handed back and watches
+	// the completion watchers that have exited, for later attempts.
 	launcher train.Launcher
+	systems  []*cluster.System
+	watches  []*watch
 
 	// Fault state (see faults.go). A slot is schedulable only while its
 	// device, drawer, and pod are healthy; a host only while neither it nor
@@ -583,6 +587,13 @@ func (s *scheduler) place(js *jobState, host int, picks []int) {
 	js.host = host
 	h := s.fleet.Hosts[host]
 	moves := 0 // this placement only; js.moves accumulates across attempts
+	// Sized once: the event probes keep refs and indices, so each
+	// placement gets its own; slots is the scheduler's alone.
+	if cap(js.slots) < len(picks) {
+		js.slots = make([]*cluster.FleetSlot, 0, len(picks))
+	}
+	js.refs = make([]falcon.SlotRef, 0, len(picks))
+	js.indices = make([]int, 0, len(picks))
 	for _, i := range picks {
 		slot := s.fleet.Slots[i]
 		s.slotJob[i] = js.spec.ID
@@ -663,7 +674,7 @@ func (s *scheduler) launch(js *jobState) {
 		remaining = 1
 	}
 	name := "fleet-j" + strconv.Itoa(js.spec.ID) + "-h" + strconv.Itoa(js.host+1)
-	sys := s.fleet.JobSystem(s.fleet.Hosts[js.host], js.slots, name)
+	sys := s.fleet.JobSystem(pop(&s.systems), s.fleet.Hosts[js.host], js.slots, name)
 	job, err := s.launcher.Start(sys, train.Options{
 		Workload:            w,
 		Precision:           js.spec.Precision,
@@ -692,14 +703,19 @@ func (s *scheduler) launch(js *jobState) {
 		s.obs.SetAttr(js.runSpan, "host", int64(js.host))
 		s.obs.SetAttr(js.runSpan, "attempt", int64(js.retries))
 	}
-	wt := &watch{s: s, js: js, job: job}
+	wt := pop(&s.watches)
+	if wt == nil {
+		wt = new(watch)
+	}
+	wt.s, wt.js, wt.job = s, js, job
 	s.fleet.Env.Spawn(&wt.proc, "fleet.watch.j"+strconv.Itoa(js.spec.ID)+"r"+strconv.Itoa(js.retries), wt)
 }
 
 // watch is one attempt's completion watcher: a tracked stepper that waits
 // for the training job's Done signal, then finishes the attempt. Each
 // attempt gets its own, because finishing may launch the next attempt
-// before this one exits.
+// before this one exits; an exited watcher waits on the scheduler's free
+// list for a later attempt.
 type watch struct {
 	proc sim.Proc
 	s    *scheduler
@@ -707,12 +723,42 @@ type watch struct {
 	job  *train.Job
 }
 
+//perf:hot
 func (w *watch) Step() {
 	if w.job.Done().Arm(&w.proc) {
 		return
 	}
-	w.s.finish(w.js, w.s.fleet.Env.Now())
+	s := w.s
+	s.finish(w.js, s.fleet.Env.Now())
 	w.proc.Exit()
+	w.js, w.job = nil, nil
+	s.watches = append(s.watches, w)
+}
+
+// pop removes and returns the last element of a free list, or nil when
+// the list is empty.
+//
+//perf:hot
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return v
+}
+
+// release hands js's finished attempt back to the launcher and keeps the
+// job view it returns for a later attempt.
+//
+//perf:hot
+func (s *scheduler) release(js *jobState) {
+	if sys := s.launcher.Release(js.job); sys != nil {
+		s.systems = append(s.systems, sys)
+	}
+	js.job = nil
 }
 
 // finish collects the result, releases the GPUs (attachment is left in
@@ -732,8 +778,7 @@ func (s *scheduler) finish(js *jobState, now time.Duration) {
 		return
 	}
 	js.res = res
-	s.launcher.Release(js.job)
-	js.job = nil
+	s.release(js)
 	// float64(…) rounds the product, so no architecture fuses it (FMA).
 	js.deliveredSec += float64(float64(js.spec.GPUs) * (now - js.launched).Seconds())
 	for _, slot := range js.slots {

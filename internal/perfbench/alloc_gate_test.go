@@ -14,15 +14,17 @@ import (
 )
 
 // Steady-state allocation ceilings for the two fleet-path benchmarks:
-// the measured 958 and 848 allocations of a run whose attempts recycle
-// their training engines through the scheduler's launcher, plus ~10%.
-// They were 1,480 and 1,100 (measured 1,348 and 1,003) while every
-// attempt built its engine anew, and 3,391 and 4,161, the
-// allocation-free fleet pass's 10x targets, until collective ops stopped
-// allocating. A change that drifts allocations back up fails here.
+// the measured 812 and 780 allocations of a run whose attempts recycle
+// their training engines, samplers, job views and completion watchers,
+// plus ~10%. They were 1,050 and 930 (measured 958 and 848) while every
+// attempt built its sampler, job view and watcher anew, 1,480 and 1,100
+// (measured 1,348 and 1,003) while it built its engine anew too, and
+// 3,391 and 4,161, the allocation-free fleet pass's 10x targets, until
+// collective ops stopped allocating. A change that drifts allocations
+// back up fails here.
 const (
-	fleetScheduleAllocCeiling    = 1050
-	faultsRecoverAllocCeiling    = 930
+	fleetScheduleAllocCeiling    = 895
+	faultsRecoverAllocCeiling    = 860
 	fleetScheduleBytesPerOpNotes = "see BENCH_PR7.json for the full record"
 )
 
@@ -96,9 +98,10 @@ func TestFaultsRecoverAllocGate(t *testing.T) {
 }
 
 // composePodAllocCeiling gates composing the 1024-GPU pod fleet: the
-// measured 9,544 allocations of the fmt-free, presized compose path plus
-// ~10%. The eagerly formatting compose path made 28,228.
-const composePodAllocCeiling = 10500
+// measured 9,227 allocations of the fmt-free, presized compose path plus
+// ~10%. It was 10,500 (measured 9,544) while each chassis grew its event
+// log from empty; the eagerly formatting compose path made 28,228.
+const composePodAllocCeiling = 10150
 
 // TestComposePodAllocGate pins the allocation count of the
 // cluster/compose-pod op, same scheme as TestFleetScheduleAllocGate: a
@@ -118,11 +121,13 @@ func TestComposePodAllocGate(t *testing.T) {
 
 // relaunchAllocCeiling gates one relaunch on a warm fleet: a 4-GPU job
 // whose predecessor of the same width finished and was released starts
-// on a fresh job view of the same slots, runs and is collected. It is the
-// measured 39 allocations of a relaunch that takes the released engine,
-// plus ~10%: the Job handle, the Result, the sampler and its series, the
-// job view. A relaunch that builds its engine anew makes 114.
-const relaunchAllocCeiling = 43
+// on the job view the launcher handed back, refilled for the same slots,
+// runs and is collected. A relaunch that takes the released engine and
+// sampler makes 3 allocations, the Job handle, the Result and its epoch
+// times; the ceiling is the next count up. It was 43 (measured 39) while
+// the sampler and the job view were built anew for every relaunch, and a
+// relaunch that builds its engine anew too makes 114.
+const relaunchAllocCeiling = 4
 
 // TestRelaunchAllocGate pins the allocation count of relaunching on a
 // warm fleet, same scheme as TestFleetScheduleAllocGate.
@@ -143,8 +148,9 @@ func TestRelaunchAllocGate(t *testing.T) {
 		Epochs: 1, ItersPerEpoch: 2,
 	}
 	var l train.Launcher
+	var sys *cluster.System
 	relaunch := func() {
-		job, err := l.Start(fleet.JobSystem(host, slots, "relaunch"), opts)
+		job, err := l.Start(fleet.JobSystem(sys, host, slots, "relaunch"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +160,7 @@ func TestRelaunchAllocGate(t *testing.T) {
 		if _, err := job.Collect(); err != nil {
 			t.Fatal(err)
 		}
-		l.Release(job)
+		sys = l.Release(job)
 	}
 	relaunch() // the first launch builds the engine
 	allocs := testing.AllocsPerRun(5, relaunch)

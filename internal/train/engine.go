@@ -37,6 +37,10 @@ type engine struct {
 	gen  uint64
 	net  *fabric.Network
 	comm *collective.Communicator
+	// cacheKey is the page-cache key of the dataset the engine last
+	// loaded; it outlives the attempt, so relaunching the same workload
+	// does not build the key again.
+	cacheKey string
 
 	attempt
 
@@ -73,7 +77,7 @@ type attempt struct {
 	sys  *cluster.System
 	env  *sim.Env
 	res  *Result
-	smp  *obs.Sampler
+	tel  *telemetry
 	opts Options
 
 	strategy Strategy
@@ -92,7 +96,6 @@ type attempt struct {
 	datasetBytes   units.Bytes
 	inputBytes     units.Bytes
 	decodePerBatch time.Duration
-	cacheKey       string
 
 	fwd, bwd   time.Duration
 	gradBytes  units.Bytes
@@ -711,7 +714,7 @@ func (jn *joiner) Step() {
 	}
 	now := e.env.Now()
 	e.finish = now
-	e.smp.Stop()
+	e.tel.smp.Stop()
 	e.sys.Host.FreeMem(e.staging)
 	freeGPUMem(e.sys, e.need)
 	final := ProbeDone

@@ -68,13 +68,15 @@ func TestEngineOracleFleetSweeps(t *testing.T) {
 }
 
 // TestRecycledEngineOracle drives the orchestrator twice over every
-// scenario: once with engines recycled through its launcher, once with a
-// launcher whose Release keeps nothing, so that every attempt builds its
-// engine anew. The scenarios are the pod-fault sweep's 100 seeds and
-// fault plans shaped like the chassis-faults benchmark: 150 jobs on one
-// 16-GPU chassis under a 4 s MTBF, where kills and relaunches recycle
-// engines of every width. Both runs must dispatch the same event stream
-// and reach the same fingerprint.
+// scenario: once with engines, samplers and job views recycled through
+// its launcher, once with a launcher whose Release keeps nothing, so that
+// every attempt builds its engine, its sampler and its job view anew. The
+// scenarios are the pod-fault sweep's 100 seeds, fault plans shaped like
+// the chassis-faults benchmark (150 jobs on one 16-GPU chassis under a
+// 4 s MTBF, where kills and relaunches recycle engines of every width),
+// and a queue that relaunches at the instant a job finishes, while the
+// finished job's sampler still has a tick pending. Both runs must
+// dispatch the same event stream and reach the same fingerprint.
 func TestRecycledEngineOracle(t *testing.T) {
 	check := func(name string, sc scengen.FleetScenario) int {
 		t.Helper()
@@ -110,6 +112,7 @@ func TestRecycledEngineOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		chassisKills += check(fmt.Sprintf("chassis-faults seed %d", seed), chassisFaultsScenario(seed))
 	}
+	check("same-instant relaunch", sameInstantRelaunchScenario())
 	if podKills == 0 || chassisKills == 0 {
 		t.Fatalf("kills: pod-fault %d, chassis-faults %d; the relaunch paths went unchecked", podKills, chassisKills)
 	}
@@ -148,4 +151,23 @@ func chassisFaultsScenario(seed int64) scengen.FleetScenario {
 		Seed: seed, Hosts: 3, GPUs: 16,
 		Policy: orchestrator.DrawerLocal{}.Name(), Jobs: jobs, Plan: plan,
 	}
+}
+
+// sameInstantRelaunchScenario queues twelve jobs at time zero on one host
+// of four GPUs with free recomposition: once the first placements have
+// attached the slots, every finish frees slots that the next queued job
+// takes with no move, so it launches at the instant its predecessor's
+// Done fires — before the predecessor's sampler has fired its last tick.
+func sameInstantRelaunchScenario() scengen.FleetScenario {
+	models := [...]string{"ResNet-50", "BERT", "MobileNetV2"}
+	jobs := make([]orchestrator.JobSpec, 12)
+	for i := range jobs {
+		jobs[i] = orchestrator.JobSpec{
+			GPUs: 2 + i%3, Workload: models[i%3], Epochs: 1 + i%2, ItersPerEpoch: 1 + i%3, Tenant: i % 2,
+		}
+	}
+	return scengen.SanitizeFleet(scengen.FleetScenario{
+		Seed: 1, Hosts: 1, GPUs: 4, AttachLatency: -1,
+		Policy: orchestrator.DrawerLocal{}.Name(), Jobs: jobs,
+	})
 }

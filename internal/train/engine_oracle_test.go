@@ -37,16 +37,22 @@ func UseGoroutineEngine() (restore func()) {
 }
 
 // UseFreshEngines makes every Launcher's Release keep nothing, so each
-// Start builds its engine anew, until the returned function restores
-// recycling. It is the recycled engine's oracle: a run must dispatch the
-// same events either way. The same caveat as UseGoroutineEngine applies.
+// Start builds its engine and sampler anew and a caller that recycles the
+// released job's system (the orchestrator's job views) builds that anew
+// too, until the returned function restores recycling. It is the
+// recycled engine's oracle: a run must dispatch the same events either
+// way. The same caveat as UseGoroutineEngine applies.
 func UseFreshEngines() (restore func()) {
 	releaseJob = releaseNothing
 	return func() { releaseJob = (*Launcher).release }
 }
 
-// releaseNothing is a Release that retires the job and drops its engine.
-func releaseNothing(_ *Launcher, j *Job) { j.retire() }
+// releaseNothing is a Release that retires the job and drops its engine,
+// its sampler and its system.
+func releaseNothing(_ *Launcher, j *Job) *cluster.System {
+	j.retire()
+	return nil
+}
 
 // goroutineStart is Start as the goroutine engine implemented it.
 func goroutineStart(_ *Launcher, sys *cluster.System, opts Options) (*Job, error) {
@@ -134,7 +140,7 @@ func goroutineStart(_ *Launcher, sys *cluster.System, opts Options) (*Job, error
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
 
-	smp := newSampler(sys)
+	tel := newTelemetry(len(sys.FalconGPUPortLinks) > 0).start(sys)
 
 	// Checkpoint schedule: CheckpointsPerEpoch marks per epoch (workload
 	// default, overridable), the last at the epoch boundary. Because the
@@ -182,7 +188,7 @@ func goroutineStart(_ *Launcher, sys *cluster.System, opts Options) (*Job, error
 		BatchPerGPU: batch, Epochs: epochs, Iters: totalIters,
 	}
 	e := &engine{attempt: attempt{
-		sys: sys, res: res, smp: smp, opts: opts, batch: batch, start: env.Now(),
+		sys: sys, res: res, tel: tel, opts: opts, batch: batch, start: env.Now(),
 		totalIters: totalIters, maxStarted: -1,
 	}}
 	job := &Job{e: e}
@@ -417,7 +423,7 @@ func goroutineStart(_ *Launcher, sys *cluster.System, opts Options) (*Job, error
 	env.Go("join", func(p *sim.Proc) {
 		ranksDone.Wait(p)
 		e.finish = p.Now()
-		smp.Stop()
+		tel.smp.Stop()
 		sys.Host.FreeMem(staging)
 		freeAll()
 		final := ProbeDone
@@ -517,13 +523,17 @@ func engineSetup(startFn func(*Launcher, *cluster.System, Options) (*Job, error)
 }
 
 // resultFingerprint renders every deterministic scalar of a result
-// exactly, plus the sampled series lengths.
+// exactly, plus the sampled series lengths while the result still has
+// its samples.
 func resultFingerprint(r *Result) string {
 	s := fmt.Sprintf("sys=%s wl=%s strat=%s prec=%v sharded=%t batch=%d epochs=%d iters=%d total=%d avgIter=%d peak=%d epochs=%v",
 		r.System, r.Workload, r.Strategy, r.Precision, r.Sharded, r.BatchPerGPU, r.Epochs, r.Iters,
 		int64(r.TotalTime), int64(r.AvgIter), int64(r.PeakGPUMem), r.EpochTimes)
 	for _, f := range []float64{r.AvgGPUUtil, r.AvgGPUMemUtil, r.AvgCPUUtil, r.AvgHostMemUtil, r.MemAccessFrac, r.FalconPCIeGBps} {
 		s += " " + strconv.FormatFloat(f, 'g', -1, 64)
+	}
+	if r.Samples == nil {
+		return s + " samples released"
 	}
 	for _, name := range []string{SeriesGPUUtil, SeriesCPUUtil} {
 		s += fmt.Sprintf(" %s:%d", name, r.Samples.Series(name).Len())

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"testing"
 
 	"composable/internal/cluster"
@@ -30,7 +31,7 @@ func relaunchSequence(t *testing.T, env *sim.Env, l *Launcher) []string {
 	opts := quickOpts(dlmodel.ResNet50Workload())
 	var out []string
 	attempt := func(gpus int, opts Options, abortAfter sim.Time) *Job {
-		job, err := l.Start(fleet.JobSystem(host, fleet.Slots[:gpus], "relaunch"), opts)
+		job, err := l.Start(fleet.JobSystem(nil, host, fleet.Slots[:gpus], "relaunch"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,8 @@ func TestLauncherRecyclesEngines(t *testing.T) {
 
 // TestReleasedJobPanics pins the lifetime rule: once released, a job is
 // dead — every call on it panics, even after its engine has moved on to
-// the next job — while the Result it returned stays intact.
+// the next job — while the Result it returned keeps its scalars; its
+// samples go with the sampler the launcher keeps.
 func TestReleasedJobPanics(t *testing.T) {
 	env := sim.NewEnv()
 	sys, err := cluster.Compose(env, cluster.LocalGPUsConfig())
@@ -125,8 +127,11 @@ func TestReleasedJobPanics(t *testing.T) {
 		return job, res
 	}
 	job, res := run()
-	want := resultFingerprint(res)
 	l.Release(job)
+	if res.Samples != nil {
+		t.Fatal("the released job's result still holds the sampler its launcher keeps")
+	}
+	want := resultFingerprint(res)
 	next, _ := run()
 	if next.e != job.e {
 		t.Fatal("the second job did not take the released job's engine")
@@ -155,5 +160,96 @@ func TestReleasedJobPanics(t *testing.T) {
 	}
 	if next.Aborted() || !next.Done().Fired() {
 		t.Fatal("calls on the released job reached its engine's next job")
+	}
+}
+
+// relaunchAtFinish runs a chain of three jobs through l on one 4-GPU host
+// view, each started at the instant its predecessor's Done fires, right
+// after that predecessor is collected and released: the orchestrator's
+// relaunch of a queued job onto slots a finished job has just freed. At
+// each relaunch the released job's sampler still has its last tick
+// pending. It returns the completed jobs' result fingerprints and how
+// many relaunches met a pending sampler on l's free list.
+func relaunchAtFinish(t *testing.T, env *sim.Env, l *Launcher) (out []string, pending int) {
+	t.Helper()
+	fleet, err := cluster.ComposeFleet(env, cluster.FleetOptions{Hosts: 1, GPUs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, slots := fleet.Hosts[0], fleet.Slots
+	for _, s := range slots {
+		if err := fleet.AttachSlot(s, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := quickOpts(dlmodel.MobileNetV2Workload())
+	opts.Epochs, opts.ItersPerEpoch = 1, 3
+	job, err := l.Start(fleet.JobSystem(nil, host, slots, "chain"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Go("relauncher", func(p *sim.Proc) {
+		for n := 0; ; n++ {
+			job.Done().Wait(p)
+			res, err := job.Collect()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sys := l.Release(job)
+			out = append(out, resultFingerprint(res))
+			if n == 2 {
+				return
+			}
+			for _, tel := range l.samplers {
+				if tel.smp.Pending() {
+					pending++
+					break
+				}
+			}
+			if job, err = l.Start(fleet.JobSystem(sys, host, slots, "chain"), opts); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return out, pending
+}
+
+// TestRelaunchWhileSamplerTickPending runs the same-instant relaunch chain
+// through one launcher and through launchers that keep nothing. The
+// recycling launcher must pass over each released sampler whose last
+// tick is still pending — started on the next job, that tick would step
+// the new run, adding a sample and an event — so both must dispatch the
+// same events and reach the same results.
+func TestRelaunchWhileSamplerTickPending(t *testing.T) {
+	var fresh, recycled []string
+	var l Launcher
+	pending := 0
+	_, err := simtest.Compare(
+		func(env *sim.Env) error {
+			restore := UseFreshEngines()
+			defer restore()
+			fresh, _ = relaunchAtFinish(t, env, new(Launcher))
+			return nil
+		},
+		func(env *sim.Env) error {
+			recycled, pending = relaunchAtFinish(t, env, &l)
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("fresh vs recycled samplers: %v", err)
+	}
+	if len(fresh) != 3 || fmt.Sprint(fresh) != fmt.Sprint(recycled) {
+		t.Fatalf("results:\nfresh    %v\nrecycled %v", fresh, recycled)
+	}
+	if pending != 2 {
+		t.Fatalf("%d of 2 relaunches met a sampler with its tick pending; the case went unchecked", pending)
+	}
+	if len(l.samplers) != 2 {
+		t.Fatalf("recycling launcher holds %d samplers after the chain, want 2", len(l.samplers))
 	}
 }

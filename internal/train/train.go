@@ -155,7 +155,9 @@ type Result struct {
 
 	PeakGPUMem units.Bytes
 	// Samples holds the sampled time series (GPU util etc.) for
-	// figure rendering.
+	// figure rendering. A job released to a Launcher gives its sampler
+	// back for the launcher's next run, so Release sets Samples to nil;
+	// a Run's or Start's result keeps them.
 	Samples *obs.Sampler
 }
 
@@ -176,24 +178,28 @@ func Run(sys *cluster.System, opts Options) (*Result, error) {
 
 // Start sets up and launches the training job's processes without running
 // the simulation. The caller runs sys.Env (once, possibly with several
-// concurrent jobs) and then calls Collect. It is a fresh Launcher's Start:
-// the job's engine is built for it and never recycled.
+// concurrent jobs) and then calls Collect. It is a nil Launcher's Start:
+// the job's engine and sampler are built for it and never recycled.
 func Start(sys *cluster.System, opts Options) (*Job, error) {
-	return new(Launcher).Start(sys, opts)
+	return startJob(nil, sys, opts)
 }
 
-// Launcher starts training jobs and recycles the engines of the jobs it
-// is handed back. An engine is everything a run is built from — its
-// machines, per-rank queues, pinned-buffer resources, checkpoint points
-// and collective communicator. Release puts a finished job's engine on
-// the launcher's free list, and a later Start on the same network whose
-// GPU group fits takes it and resets it in place, so relaunching on a
-// warm fleet allocates little beyond the new job's Result and sampler.
-// Recycling changes where the engine's structures live, never which
-// events a run schedules. The zero value is ready to use. A Launcher is
-// not safe for concurrent use.
+// Launcher starts training jobs and recycles the engines and samplers of
+// the jobs it is handed back. An engine is everything a run is built
+// from — its machines, per-rank queues, pinned-buffer resources,
+// checkpoint points and collective communicator — and a sampler is the
+// run's telemetry: its registry, gauges and sampled columns. Release puts
+// a finished job's engine and sampler on the launcher's free lists. A
+// later Start on the same network whose GPU group fits takes the engine
+// and resets it in place, and takes any sampler whose last tick has
+// fired, so relaunching on a warm fleet allocates little beyond the new
+// job's Result and handle. Recycling changes where these structures
+// live, never which events a run schedules. The zero value is ready to
+// use; a nil *Launcher starts jobs but keeps nothing, and cannot release
+// them. A Launcher is not safe for concurrent use.
 type Launcher struct {
-	free []*engine
+	free     []*engine
+	samplers []*telemetry
 }
 
 // Start is the package-level Start, run on the narrowest free engine that
@@ -202,12 +208,16 @@ func (l *Launcher) Start(sys *cluster.System, opts Options) (*Job, error) {
 	return startJob(l, sys, opts)
 }
 
-// Release retires j, a job whose Done signal has fired, and keeps its
-// engine for a later Start. The Result that Collect returned, and its
-// sampled series, stay valid; every later call on j panics.
+// Release retires j, a job whose Done signal has fired, keeps its engine
+// and sampler for a later Start, and returns the system j ran on, which
+// nothing the launcher keeps refers to any more: the caller may refill it
+// for a later job (cluster.FleetSystem.JobSystem). A launcher that keeps
+// nothing returns nil. The Result that Collect returned keeps its scalar
+// fields, but its Samples become nil, because the sampler records the
+// next run; every later call on j panics.
 //
 //perf:hot
-func (l *Launcher) Release(j *Job) { releaseJob(l, j) }
+func (l *Launcher) Release(j *Job) *cluster.System { return releaseJob(l, j) }
 
 // startJob and releaseJob are the engine behind Launcher. They are
 // variables so the engine's oracle tests can substitute the goroutine
@@ -218,18 +228,52 @@ var (
 	releaseJob = (*Launcher).release
 )
 
-// release retires j and puts its engine on the free list.
+// release retires j and puts its engine and sampler on the free lists.
 //
 //perf:hot
-func (l *Launcher) release(j *Job) {
-	l.free = append(l.free, j.retire())
+func (l *Launcher) release(j *Job) *cluster.System {
+	e, tel, sys := j.retire()
+	l.free = append(l.free, e)
+	l.samplers = append(l.samplers, tel)
+	return sys
+}
+
+// telemetry starts sampling a run on sys, on a free sampler that fits it
+// when there is one. A sampler whose last tick is still pending is
+// passed over: the tick would step the new run.
+//
+//perf:hot
+func (l *Launcher) telemetry(sys *cluster.System) *telemetry {
+	if l != nil {
+		for i, t := range l.samplers {
+			if t.fits(sys) {
+				last := len(l.samplers) - 1
+				l.samplers[i] = l.samplers[last]
+				l.samplers[last] = nil
+				l.samplers = l.samplers[:last]
+				return t.start(sys)
+			}
+		}
+	}
+	return newTelemetry(len(sys.FalconGPUPortLinks) > 0).start(sys)
+}
+
+// keep puts e, an engine no job runs on, on the free list; a nil
+// launcher drops it.
+func (l *Launcher) keep(e *engine) {
+	if l != nil {
+		l.free = append(l.free, e)
+	}
 }
 
 // take removes and returns the narrowest free engine on net that is at
-// least n ranks wide, or nil when none is.
+// least n ranks wide, or nil when none is (always, on a nil launcher).
 //
 //perf:hot
 func (l *Launcher) take(net *fabric.Network, n int) *engine {
+	if l == nil {
+		return nil
+	}
 	best := -1
 	for i, e := range l.free {
 		if e.net == net && e.width() >= n && (best < 0 || e.width() < l.free[best].width()) {
@@ -266,18 +310,22 @@ func (j *Job) eng() *engine {
 }
 
 // retire ends the job's use of its engine and returns the engine, which
-// drops its references to the run: the system, the Result, the sampler
-// and the options' observers.
+// drops its references to the run (the system, the Result, the sampler
+// and the options' observers), the sampler, detached from the system and
+// the Result, and the system.
 //
 //perf:hot
-func (j *Job) retire() *engine {
+func (j *Job) retire() (*engine, *telemetry, *cluster.System) {
 	e := j.eng()
 	if !e.done.Fired() {
 		panic("train: release of a job that has not finished")
 	}
+	tel, sys := e.tel, e.sys
+	e.res.Samples = nil
+	tel.sys = nil
 	e.gen++
 	e.attempt = attempt{}
-	return e
+	return e, tel, sys
 }
 
 // Done returns the signal fired when all ranks complete (or, for an
@@ -380,7 +428,7 @@ func (l *Launcher) start(sys *cluster.System, opts Options) (*Job, error) {
 		}
 		e = newEngine(sys.Net, comm, nGPU)
 	} else if err := e.comm.Rebind(sys.GPUs); err != nil {
-		l.free = append(l.free, e)
+		l.keep(e)
 		freeGPUMem(sys, need)
 		return nil, err
 	}
@@ -404,12 +452,12 @@ func (l *Launcher) start(sys *cluster.System, opts Options) (*Job, error) {
 	// Pinned staging buffers for the loader pipeline.
 	staging := units.Bytes(prefetchDepth) * units.Bytes(nGPU) * inputBytes
 	if err := sys.Host.AllocMem(staging); err != nil {
-		l.free = append(l.free, e)
+		l.keep(e)
 		freeGPUMem(sys, need)
 		return nil, fmt.Errorf("train: staging buffers: %w", err)
 	}
 
-	smp := newSampler(sys)
+	tel := l.telemetry(sys)
 
 	// Checkpoint schedule: CheckpointsPerEpoch marks per epoch (workload
 	// default, overridable), the last at the epoch boundary. Because the
@@ -435,7 +483,7 @@ func (l *Launcher) start(sys *cluster.System, opts Options) (*Job, error) {
 		BatchPerGPU: batch, Epochs: epochs, Iters: totalIters,
 	}
 	e.attempt = attempt{
-		sys: sys, env: env, res: res, smp: smp, opts: opts,
+		sys: sys, env: env, res: res, tel: tel, opts: opts,
 		strategy: strategy, nGPU: nGPU, batch: batch, buckets: buckets, workers: workers,
 		need: need, staging: staging,
 		resuming:       opts.ResumeEpochs > 0,
@@ -444,13 +492,15 @@ func (l *Launcher) start(sys *cluster.System, opts Options) (*Job, error) {
 		datasetBytes:   units.Bytes(coldIters) * readPerIter,
 		inputBytes:     inputBytes,
 		decodePerBatch: time.Duration(globalBatch) * w.Data.DecodePerSample,
-		cacheKey:       w.Name + "/" + w.Data.Name,
 		gradBytes:      w.GradBytes(opts.Precision),
 		paramBytes:     units.Bytes(w.Graph.Params()) * opts.Precision.BytesPerElement(),
 		start:          env.Now(),
 		totalIters:     totalIters,
 		maxStarted:     -1,
 		obsEpochStart:  env.Now(),
+	}
+	if e.cacheKey != w.Name+"/"+w.Data.Name {
+		e.cacheKey = w.Name + "/" + w.Data.Name
 	}
 	e.fwd, e.bwd = w.ComputeTime(dev0Spec(sys), opts.Precision, batch)
 	for _, id := range sys.FalconGPUPortLinks {
@@ -480,7 +530,7 @@ func (j *Job) Collect() (*Result, error) {
 		res.EpochTimes = append(res.EpochTimes, end-prev)
 		prev = end
 	}
-	fillAverages(res, e.smp)
+	fillAverages(res, &e.tel.smp)
 	res.MemAccessFrac = memAccessFrac(sys, w, e.opts.Precision, e.batch, res.AvgIter)
 	for _, g := range sys.GPUs {
 		if g.PeakUsed() > res.PeakGPUMem {
