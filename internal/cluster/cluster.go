@@ -168,6 +168,7 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 	// Falcon chassis: control plane first, then mirror into the fabric.
 	s.Chassis = falcon.New("falcon-1")
 	s.Chassis.Now = func() time.Duration { return env.Now() }
+	s.Chassis.ReserveLog(composeLogEntries(cfg))
 	if err := s.Chassis.CableHost("H1", HostName); err != nil {
 		return nil, err
 	}
@@ -192,6 +193,10 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 		haveDrawer[d] = true
 		return sw
 	}
+
+	// ports maps each monitored chassis slot to its slot link.
+	var ports [falcon.NumDrawers][falcon.SlotsPerDrawer]fabric.LinkID
+	monitored := false
 
 	// Falcon GPUs: four per drawer, matching the paper's Figure 6
 	// (or all in drawer 0 when SingleDrawer is set).
@@ -227,7 +232,8 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 		node := net.AddNode(numbered("fgpu", i), fabric.KindGPU)
 		link := net.ConnectSym(node, sw, pcie.EffSwitchP2P, pcie.SlotLatency, pcie.Gen4.String())
 		s.FalconGPUPortLinks = append(s.FalconGPUPortLinks, link)
-		s.registerPortMonitor(ref, link)
+		s.Chassis.MonitorPort(ref)
+		ports[drawer][slot], monitored = link, true
 		s.GPUs = append(s.GPUs, gpu.New(env, falconSpec, idx, node, false))
 	}
 
@@ -257,26 +263,39 @@ func Compose(env *sim.Env, cfg Config) (*System, error) {
 		sw := ensureDrawer(1)
 		node := net.AddNode("fnvme0", fabric.KindNVMe)
 		link := net.ConnectSym(node, sw, pcie.EffNVMe, pcie.NVMeLinkLatency, pcie.Gen3.String())
-		s.registerPortMonitor(ref, link)
+		s.Chassis.MonitorPort(ref)
+		ports[ref.Drawer][ref.Slot], monitored = link, true
 		s.Store = storage.New(env, net, storage.IntelNVMe4TB, node, true)
 	default:
 		return nil, fmt.Errorf("cluster: unknown storage kind %q", cfg.Storage)
 	}
 	s.Cache = storage.NewPageCache(s.Host)
+	if monitored {
+		// Wire the GUI's port-traffic monitor to the slot link counters.
+		s.Chassis.SetTrafficSource(func(ref falcon.SlotRef) (in, out units.Bytes) {
+			return slotTraffic(net, ports[ref.Drawer][ref.Slot])
+		})
+	}
 	return s, nil
 }
 
-// registerPortMonitor wires a chassis slot's traffic view to the fabric
-// link counters, backing the management GUI's "monitor port traffic"
-// feature (§II-B).
-func (s *System) registerPortMonitor(ref falcon.SlotRef, link fabric.LinkID) {
-	net := s.Net
-	s.Chassis.SetTrafficSource(ref, func() (in, out units.Bytes) {
-		ab, ba := net.LinkTrafficSnapshot(link)
-		// The slot's device is node A of the link; "in" is traffic into
-		// the device (B→A), "out" is device egress (A→B).
-		return ba, ab
-	})
+// composeLogEntries is what Compose's chassis logs: its two host cables,
+// and an install and an attach per chassis device.
+func composeLogEntries(cfg Config) int {
+	n := 2 + 2*cfg.FalconGPUs
+	if cfg.Storage == StorageFalconNVMe {
+		n += 2
+	}
+	return n
+}
+
+// slotTraffic reads a chassis slot's link counters for the management
+// GUI's "monitor port traffic" feature (§II-B). The slot's device is node
+// A of the link: "in" is traffic into the device (B→A), "out" is device
+// egress (A→B).
+func slotTraffic(net *fabric.Network, link fabric.LinkID) (in, out units.Bytes) {
+	ab, ba := net.LinkTrafficSnapshot(link)
+	return ba, ab
 }
 
 // LocalGPUList returns the host-local devices.

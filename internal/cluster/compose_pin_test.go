@@ -72,9 +72,12 @@ func TestComposeFleetPinned(t *testing.T) {
 				fmt.Fprintf(h, "host %d %s %s %d %d %d %d %d\n", host.Index, host.Name, host.Port,
 					host.Pod, host.ChassisIdx, host.RC, host.Mem, host.AdapterLink)
 			}
-			for _, s := range f.Slots {
+			// The slots' GPU models exist once a job view includes them.
+			gpus := f.JobSystem(nil, f.Hosts[0], f.Slots, "pin").GPUs
+			for i, s := range f.Slots {
+				dev := gpus[i]
 				fmt.Fprintf(h, "slot %d %v %d %d %d %d %d %d %d %s %d\n", s.Index, s.Ref, s.Node, s.Link,
-					s.Drawer, s.Pod, s.ChassisIdx, s.Dev.Index, s.Dev.Node, s.Dev.Spec.Name, f.OwnerHost(s))
+					s.Drawer, s.Pod, s.ChassisIdx, dev.Index, dev.Node, dev.Spec.Name, f.OwnerHost(s))
 			}
 			if got := digest(h); got != tc.want {
 				t.Errorf("compose digest = %s, want %s", got, tc.want)

@@ -60,6 +60,10 @@ func (o FleetOptions) Hierarchical() bool { return o.Pods != 0 || o.ChassisPerPo
 
 // FleetHost is one host machine of a fleet: its own CPU complex, memory,
 // baseline storage and host adapter, sharing its chassis with its peers.
+// Its fabric nodes and links exist from compose on. Its CPU, store and
+// page-cache models are created by the first JobSystem that runs a job on
+// the host, and kept for the rest of the run, so core accounting and
+// cache residency carry across its jobs.
 type FleetHost struct {
 	Index int
 	Name  string
@@ -69,23 +73,25 @@ type FleetHost struct {
 	Pod        int
 	ChassisIdx int
 
-	CPU     *hostcpu.Host
 	RC, Mem fabric.NodeID
-	Store   *storage.Device
-	Cache   *storage.PageCache
 	// AdapterLink is the rc ↔ host-adapter link, the host's bandwidth
 	// bottleneck into the chassis.
 	AdapterLink fabric.LinkID
+
+	storeNode fabric.NodeID
+	cpu       *hostcpu.Host
+	store     *storage.Device
+	cache     *storage.PageCache
 }
 
-// FleetSlot is one chassis GPU slot of a fleet: the installed device, its
-// fabric node and slot link. Which host owns it is control-plane state
+// FleetSlot is one chassis GPU slot of a fleet: its fabric node and slot
+// link, and the installed device's model once a job has been composed
+// onto the slot (see Device). Which host owns it is control-plane state
 // (falcon.Chassis.Owner plus, for cross-chassis attaches, the fleet's own
 // record); the orchestrator moves ownership at run time.
 type FleetSlot struct {
 	Index int
 	Ref   falcon.SlotRef
-	Dev   *gpu.Device
 	Node  fabric.NodeID
 	Link  fabric.LinkID
 	// Drawer is the fleet-global drawer index,
@@ -96,7 +102,15 @@ type FleetSlot struct {
 	// the degenerate shape).
 	Pod        int
 	ChassisIdx int
+
+	dev *gpu.Device
 }
+
+// Device returns the slot's GPU model, or nil while no job has been
+// composed onto the slot. The first JobSystem that includes the slot
+// creates the model; the fleet keeps it for the rest of the run, so its
+// memory use and peak carry across jobs.
+func (s *FleetSlot) Device() *gpu.Device { return s.dev }
 
 // fabricPort is the chassis host port reserved as the fabric uplink in the
 // pod shape: a GPU attached to it is served to a host in another chassis
@@ -119,6 +133,8 @@ type FleetSystem struct {
 	// degenerate shape); faults degrade it via SetLinkCapacity.
 	PodUplinks []fabric.LinkID
 	Opts       FleetOptions
+	// GPUSpec is the part installed in every GPU slot (Opts.GPUModel).
+	GPUSpec gpu.Spec
 
 	// slotHost is the fleet-level ownership record, indexed by slot. It
 	// disambiguates the fabric port: the per-chassis control plane only
@@ -258,7 +274,7 @@ func ComposeFleet(env *sim.Env, opts FleetOptions) (*FleetSystem, error) {
 	net.Reserve(nodes, links)
 
 	f := &FleetSystem{
-		Env: env, Net: net, Opts: opts,
+		Env: env, Net: net, Opts: opts, GPUSpec: spec,
 		ChassisList: make([]*falcon.Chassis, 0, numChassis),
 		Hosts:       make([]*FleetHost, numChassis*opts.Hosts),
 		Slots:       make([]*FleetSlot, numChassis*opts.GPUs),
@@ -276,7 +292,7 @@ func ComposeFleet(env *sim.Env, opts FleetOptions) (*FleetSystem, error) {
 
 	if !opts.Hierarchical() {
 		site := chassisSite{name: "falcon-1", swPrefix: "falcon-sw", leaf: -1}
-		if err := f.buildChassis(site, spec); err != nil {
+		if err := f.buildChassis(site); err != nil {
 			return nil, err
 		}
 		return f, nil
@@ -307,7 +323,7 @@ func ComposeFleet(env *sim.Env, opts FleetOptions) (*FleetSystem, error) {
 				gpuIdx:   c * opts.GPUs,
 				leaf:     leaf,
 			}
-			if err := f.buildChassis(site, spec); err != nil {
+			if err := f.buildChassis(site); err != nil {
 				return nil, err
 			}
 		}
@@ -337,11 +353,17 @@ type chassisSite struct {
 // The node/link creation sequence is load-bearing: it defines fabric IDs
 // and therefore every downstream fingerprint, so the degenerate shape must
 // keep the original order exactly.
-func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
+func (f *FleetSystem) buildChassis(site chassisSite) error {
 	env, net, opts := f.Env, f.Net, f.Opts
 
 	ch := falcon.New(site.name)
 	ch.Now = func() time.Duration { return env.Now() }
+	ch.ReserveLog(fleetChassisLogEntries(opts))
+	// Wire the GUI's port-traffic monitor to the slot link counters.
+	first := site.gpuIdx
+	ch.SetTrafficSource(func(ref falcon.SlotRef) (in, out units.Bytes) {
+		return slotTraffic(net, f.Slots[first+ref.Drawer*falcon.SlotsPerDrawer+ref.Slot].Link)
+	})
 	for d := 0; d < falcon.NumDrawers; d++ {
 		if err := ch.SetMode(d, falcon.ModeAdvanced); err != nil {
 			return err
@@ -375,7 +397,6 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 			Name:  numbered("host", g+1),
 			Port:  falcon.PortID(h + 1),
 			Pod:   site.pod, ChassisIdx: site.idx,
-			CPU: hostcpu.New(env, hostcpu.XeonGold6148x2),
 		}
 		if err := ch.CableHost(host.Port, host.Name); err != nil {
 			return err
@@ -390,10 +411,8 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 			net.ConnectSym(ha, sw, pcie.CDFPHostCable, pcie.HostLinkLatency, "CDFP")
 		}
 
-		storeNode := net.AddNode("store-"+host.Name, fabric.KindNVMe)
-		net.ConnectSym(storeNode, host.RC, baselineStoreLinkBW, 5*time.Microsecond, "SATA")
-		host.Store = storage.New(env, net, storage.BaselineStore, storeNode, false)
-		host.Cache = storage.NewPageCache(host.CPU)
+		host.storeNode = net.AddNode("store-"+host.Name, fabric.KindNVMe)
+		net.ConnectSym(host.storeNode, host.RC, baselineStoreLinkBW, 5*time.Microsecond, "SATA")
 	}
 
 	for i := 0; i < opts.GPUs; i++ {
@@ -403,7 +422,7 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 		dev := falcon.DeviceInfo{
 			ID:    numbered("fleet-gpu-", g),
 			Type:  falcon.DeviceGPU,
-			Model: spec.Name, VendorID: "10de", LinkGen: 4, Lanes: 16,
+			Model: f.GPUSpec.Name, VendorID: "10de", LinkGen: 4, Lanes: 16,
 		}
 		if err := ch.Install(ref, dev); err != nil {
 			return err
@@ -415,13 +434,8 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 			Index: g, Ref: ref, Node: node, Link: link,
 			Drawer: site.idx*falcon.NumDrawers + drawer,
 			Pod:    site.pod, ChassisIdx: site.idx,
-			Dev: gpu.New(env, spec, g, node, false),
 		}
-		// Wire the GUI's port-traffic monitor to the slot link counters.
-		ch.SetTrafficSource(ref, func() (in, out units.Bytes) {
-			ab, ba := net.LinkTrafficSnapshot(link)
-			return ba, ab
-		})
+		ch.MonitorPort(ref)
 		if opts.Preattach {
 			host := f.Hosts[site.hostIdx+i%opts.Hosts]
 			if err := ch.Attach(ref, host.Port); err != nil {
@@ -431,6 +445,20 @@ func (f *FleetSystem) buildChassis(site chassisSite, spec gpu.Spec) error {
 		}
 	}
 	return nil
+}
+
+// fleetChassisLogEntries is what building one fleet chassis logs: its
+// drawer modes, the fabric port's cable in the pod shape, its host
+// cables, its GPU installs and, with Preattach, their attaches.
+func fleetChassisLogEntries(opts FleetOptions) int {
+	n := falcon.NumDrawers + opts.Hosts + opts.GPUs
+	if opts.Hierarchical() {
+		n++
+	}
+	if opts.Preattach {
+		n += opts.GPUs
+	}
+	return n
 }
 
 // OwnerHost returns the index of the host a slot is attached to, or -1
@@ -454,10 +482,13 @@ func (f *FleetSystem) OwnerHost(slot *FleetSlot) int {
 }
 
 // JobSystem assembles the per-job view the training engine runs on: the
-// owning host's CPU/memory/storage plus the job's GPU slots. The view
-// shares the fleet's simulation and fabric, so concurrent jobs contend
-// for the host adapter, CPU cores, storage and — for cross-chassis slots
-// — the spine/leaf tier exactly as co-located tenants would. It fills
+// owning host's CPU/memory/storage plus the job's GPU slots. It is where a
+// fleet's device models come into being: a slot's GPU model, and a host's
+// CPU, store and page cache, are created the first time a view includes
+// them and reused by every later view. The view shares the fleet's
+// simulation and fabric, so concurrent jobs contend for the host adapter,
+// CPU cores, storage and — for cross-chassis slots — the spine/leaf tier
+// exactly as co-located tenants would. It fills
 // sys, a view no running job uses any more (train.Launcher.Release hands
 // one back), reusing its slices, and returns it; a nil sys builds a new
 // view.
@@ -472,15 +503,23 @@ func (f *FleetSystem) JobSystem(sys *System, host *FleetHost, slots []*FleetSlot
 		gpus, ports = make([]*gpu.Device, 0, len(slots)), make([]fabric.LinkID, 0, len(slots))
 	}
 	for _, s := range slots {
-		gpus = append(gpus, s.Dev)
+		if s.dev == nil {
+			s.dev = gpu.New(f.Env, f.GPUSpec, s.Index, s.Node, false)
+		}
+		gpus = append(gpus, s.dev)
 		ports = append(ports, s.Link)
+	}
+	if host.cpu == nil {
+		host.cpu = hostcpu.New(f.Env, hostcpu.XeonGold6148x2)
+		host.store = storage.New(f.Env, f.Net, storage.BaselineStore, host.storeNode, false)
+		host.cache = storage.NewPageCache(host.cpu)
 	}
 	*sys = System{
 		Env: f.Env, Net: f.Net, Chassis: f.ChassisList[host.ChassisIdx],
 		Cfg:  Config{Name: name, FalconGPUs: len(slots), Storage: StorageBaseline},
-		Host: host.CPU,
+		Host: host.cpu,
 		RC:   host.RC, Mem: host.Mem,
-		Store: host.Store, Cache: host.Cache,
+		Store: host.store, Cache: host.cache,
 		GPUs:               gpus,
 		FalconGPUPortLinks: ports,
 		HostAdapterLinks:   append(adapters, host.AdapterLink),

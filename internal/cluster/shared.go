@@ -37,6 +37,8 @@ func ComposeShared(env *sim.Env, hosts, gpusPerHost int) ([]*System, *falcon.Cha
 
 	ch := falcon.New("falcon-1")
 	ch.Now = func() time.Duration { return env.Now() }
+	// One drawer mode, a cable per host, an install and attach per GPU.
+	ch.ReserveLog(1 + hosts + 2*hosts*gpusPerHost)
 	if err := ch.SetMode(0, falcon.ModeAdvanced); err != nil {
 		return nil, nil, err
 	}

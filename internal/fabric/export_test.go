@@ -25,6 +25,10 @@ func (n *Network) RouteWork() (searches, pops int) {
 	return n.routeSearches, n.routePops
 }
 
+// AdjBuilds returns how many times the routing adjacency was built from
+// the link list over the network's lifetime.
+func (n *Network) AdjBuilds() int { return n.adjBuilds }
+
 // RouteHops returns Route's src→dst path as hops.
 func (n *Network) RouteHops(src, dst NodeID) ([]Hop, error) {
 	path, err := n.Route(src, dst)

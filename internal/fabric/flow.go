@@ -17,10 +17,10 @@ type Network struct {
 	env   *sim.Env
 	nodes []*Node
 	links []*Link
-	// adj lists each node's outgoing link directions and degree counts its
-	// incident links in either direction, both indexed by NodeID.
-	adj    [][]dirLink
-	degree []int32
+	// linkDirs holds each link's routed directions, those with capacity
+	// when Connect ran (bit 0: A→B, bit 1: B→A); buildAdj reads it, so
+	// a later SetLinkCapacity never changes the routing adjacency.
+	linkDirs []uint8
 
 	// EndpointOverhead is added once per transfer to model DMA/driver
 	// setup at the endpoints; it dominates small-message p2p latency.
@@ -125,10 +125,10 @@ type Network struct {
 	djEpoch uint32
 	djRev   []dirLink
 	djHeap  []heapItem
-	// routeSearches and routePops count the searches and their heap pops
-	// over the network's lifetime; tests read them to prove that a search
-	// to a leaf stays local.
-	routeSearches, routePops int
+	// routeSearches, routePops and adjBuilds count the searches, their
+	// heap pops and the adjacency builds over the network's lifetime;
+	// tests read them to prove that a search to a leaf stays local.
+	routeSearches, routePops, adjBuilds int
 
 	// recomputeQueued coalesces same-instant recompute requests into one
 	// deferred sweep (flushFn, created once in NewNetwork): rates computed
@@ -151,13 +151,20 @@ type Network struct {
 	obs          *obs.Collector
 	obsRecompute obs.CounterID
 
-	// nodeSlab, linkSlab and adjSlab hold what Reserve set aside: the
-	// Node and Link structs AddNode and Connect take before the heap, and
-	// each node's first out-link (addAdj). Only graph building reads
-	// them, so they sit last, off the allocator's hot fields.
+	// nodeSlab and linkSlab hold what Reserve set aside: the Node and
+	// Link structs AddNode and Connect take before the heap. Only graph
+	// building reads them, so they sit last, off the allocator's hot fields.
 	nodeSlab []Node
 	linkSlab []Link
-	adjSlab  []dirLink
+
+	// adjOff, adjList and degree are the routing adjacency, built by the
+	// first search after a graph change (at graph generation adjGen):
+	// node v's out-directions are adjList[adjOff[v]:adjOff[v+1]], and
+	// degree[v] counts its links in either direction.
+	adjOff  []int32
+	adjList []dirLink
+	degree  []int32
+	adjGen  uint64
 }
 
 // SetAuditor installs fn to run after every allocation recompute, once the

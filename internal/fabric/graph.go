@@ -122,49 +122,18 @@ func (d dirLink) to() NodeID {
 	return d.link.A
 }
 
-// addGraphStructures indexes a new link for routing.
-func (n *Network) addGraphStructures(l *Link) {
-	if l.CapAtoB > 0 {
-		n.addAdj(l.A, dirLink{link: l, forward: true})
-	}
-	if l.CapBtoA > 0 {
-		n.addAdj(l.B, dirLink{link: l, forward: false})
-	}
-	n.degree[l.A]++
-	n.degree[l.B]++
-	n.routes = nil
-	n.graph++
-}
-
-// addAdj appends an out-link to a node. A node's first out-link comes from
-// the reserved slab as a one-element list, so the many degree-one
-// endpoints cost no allocation; a second out-link moves the list to the
-// heap as a plain append would.
-func (n *Network) addAdj(id NodeID, dl dirLink) {
-	if n.adj[id] == nil && len(n.adjSlab) < cap(n.adjSlab) {
-		n.adjSlab = append(n.adjSlab, dl)
-		k := len(n.adjSlab)
-		n.adj[id] = n.adjSlab[k-1 : k : k]
-		return
-	}
-	n.adj[id] = append(n.adj[id], dl)
-}
-
 // Reserve presizes the graph for nodes more nodes and links more links:
 // the per-node and per-link indexes grow once, and the Node and Link
-// structs and each node's first out-link come from one slab each instead
-// of one allocation apiece. IDs still follow creation order, and a wrong
-// estimate costs only allocations: past the reservation, nodes and links
-// come from the heap.
+// structs come from one slab each instead of one allocation apiece. IDs
+// still follow creation order, and a wrong estimate costs only
+// allocations: past the reservation, nodes and links come from the heap.
 func (n *Network) Reserve(nodes, links int) {
 	n.nodes = slices.Grow(n.nodes, nodes)
-	n.adj = slices.Grow(n.adj, nodes)
-	n.degree = slices.Grow(n.degree, nodes)
 	n.links = slices.Grow(n.links, links)
+	n.linkDirs = slices.Grow(n.linkDirs, links)
 	n.linkCons = slices.Grow(n.linkCons, 2*links)
 	n.nodeSlab = make([]Node, 0, nodes)
 	n.linkSlab = make([]Link, 0, links)
-	n.adjSlab = make([]dirLink, 0, nodes)
 }
 
 // fromSlab returns the next zeroed element of a reserved slab, or a new
@@ -185,8 +154,6 @@ func (n *Network) AddNode(name string, kind NodeKind) NodeID {
 	nd := fromSlab(&n.nodeSlab)
 	*nd = Node{ID: id, Name: name, Kind: kind}
 	n.nodes = append(n.nodes, nd)
-	n.adj = append(n.adj, nil)
-	n.degree = append(n.degree, 0)
 	n.routes = nil
 	n.graph++
 	return id
@@ -212,9 +179,19 @@ func (n *Network) Connect(a, b NodeID, capAB, capBA units.BytesPerSec, latency t
 		Latency: latency, Protocol: protocol,
 	}
 	n.links = append(n.links, l)
+	n.linkDirs = append(n.linkDirs, routed(capAB)|routed(capBA)<<1)
 	n.linkCons = append(n.linkCons, nil, nil)
-	n.addGraphStructures(l)
+	n.routes = nil
+	n.graph++
 	return l.ID
+}
+
+// routed is the linkDirs bit of a direction with capacity c.
+func routed(c units.BytesPerSec) uint8 {
+	if c > 0 {
+		return 1
+	}
+	return 0
 }
 
 // ConnectSym adds a link with equal capacity in both directions.
@@ -306,9 +283,13 @@ func (n *Network) dijkstra(src, dst NodeID) []dirLink {
 	}
 	epoch := n.djEpoch
 	dist, prev, seen := n.djDist[:nn], n.djPrev[:nn], n.djSeen[:nn]
+	if n.adjGen != n.graph {
+		n.buildAdj()
+	}
+	off, adj, degree := n.adjOff, n.adjList, n.degree
 	via := dst // the node whose settling makes dst final
-	if n.degree[dst] == 1 && len(n.adj[dst]) == 1 {
-		via = n.adj[dst][0].to()
+	if degree[dst] == 1 && off[dst+1]-off[dst] == 1 {
+		via = adj[off[dst]].to()
 	}
 	n.routeSearches++
 	dist[src], seen[src] = 0, epoch
@@ -323,14 +304,14 @@ func (n *Network) dijkstra(src, dst NodeID) []dirLink {
 		if it.node == dst {
 			break
 		}
-		for _, dl := range n.adj[it.node] {
+		for _, dl := range adj[off[it.node]:off[it.node+1]] {
 			to := dl.to()
 			nd := it.dist + int64(dl.link.Latency) + int64(hopPenalty)
 			if seen[to] == epoch && nd >= dist[to] {
 				continue
 			}
 			dist[to], prev[to], seen[to] = nd, dl, epoch
-			if to == dst || n.degree[to] != 1 {
+			if to == dst || degree[to] != 1 {
 				h = heapPush(h, heapItem{nd, to})
 			}
 		}
@@ -343,6 +324,39 @@ func (n *Network) dijkstra(src, dst NodeID) []dirLink {
 		return nil
 	}
 	return n.djPath(src, dst)
+}
+
+// buildAdj builds the routing adjacency from the link list. A counting
+// sort by source node keeps each node's out-directions in link order, the
+// order Connect saw them, so equal-cost ties resolve as they always have.
+func (n *Network) buildAdj() {
+	nn := len(n.nodes)
+	// Count node v's out-directions in off[v+2]; the prefix sum then
+	// leaves v's start in off[v+1], the cursor the fill advances to v's
+	// end, which is v+1's start: off[:nn+1] ends up as the offsets.
+	off, degree := make([]int32, nn+2), make([]int32, nn)
+	for i, l := range n.links {
+		for d, from := range [2]NodeID{l.A, l.B} {
+			off[from+2] += int32(n.linkDirs[i] >> d & 1)
+		}
+		degree[l.A]++
+		degree[l.B]++
+	}
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	adj := make([]dirLink, off[nn+1])
+	for i, l := range n.links {
+		for d, from := range [2]NodeID{l.A, l.B} {
+			if n.linkDirs[i]>>d&1 != 0 {
+				adj[off[from+1]] = dirLink{link: l, forward: d == 0}
+				off[from+1]++
+			}
+		}
+	}
+	n.adjOff, n.adjList, n.degree = off[:nn+1], adj, degree
+	n.adjGen = n.graph
+	n.adjBuilds++
 }
 
 // djPath reconstructs the src→dst path from the prev pointers.

@@ -247,20 +247,7 @@ func randomNetwork(rng *rand.Rand, nodes, maxComps int) *fabric.Network {
 	for i := 0; i < nodes; i++ {
 		net.AddNode("n"+strconv.Itoa(i), fabric.KindSwitch)
 	}
-	connect := func(a, b int) {
-		capAB, capBA := units.GBps(1), units.GBps(1)
-		switch rng.Intn(6) {
-		case 0:
-			capAB = 0
-		case 1:
-			capBA = 0
-		}
-		lat := time.Duration(rng.Intn(3)) * 100 * time.Nanosecond
-		net.Connect(fabric.NodeID(a), fabric.NodeID(b), capAB, capBA, lat, "x")
-		if rng.Intn(5) == 0 {
-			net.Connect(fabric.NodeID(a), fabric.NodeID(b), capAB, capBA, lat, "x")
-		}
-	}
+	connect := func(a, b int) { connectRandom(rng, net, a, b) }
 	// Node i belongs to component i % comps.
 	comps := 1 + rng.Intn(maxComps)
 	member := func(comp int) int { return comp + comps*rng.Intn((nodes-comp+comps-1)/comps) }
@@ -280,6 +267,24 @@ func randomNetwork(rng *rand.Rand, nodes, maxComps int) *fabric.Network {
 	return net
 }
 
+// connectRandom links a and b with one of three latencies; one link in
+// three is one-way (a capacity of 0), and one in five gets a parallel
+// twin.
+func connectRandom(rng *rand.Rand, net *fabric.Network, a, b int) {
+	capAB, capBA := units.GBps(1), units.GBps(1)
+	switch rng.Intn(6) {
+	case 0:
+		capAB = 0
+	case 1:
+		capBA = 0
+	}
+	lat := time.Duration(rng.Intn(3)) * 100 * time.Nanosecond
+	net.Connect(fabric.NodeID(a), fabric.NodeID(b), capAB, capBA, lat, "x")
+	if rng.Intn(5) == 0 {
+		net.Connect(fabric.NodeID(a), fabric.NodeID(b), capAB, capBA, lat, "x")
+	}
+}
+
 func TestRouteOracleRandomGraphs(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -290,6 +295,78 @@ func TestRouteOracleRandomGraphs(t *testing.T) {
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
 			checkAllPairs(t, randomNetwork(rng, nodes, 3))
 		})
+	}
+}
+
+// TestRouteOracleGraphGrowsAfterRouting adds nodes and links, one-way
+// ones included, after routing has begun, so every round's searches run
+// on an adjacency rebuilt from the grown link list. Each round's routes
+// must match the reference hop for hop, the first search of a round must
+// rebuild the adjacency once, and no other search may rebuild it.
+func TestRouteOracleGraphGrowsAfterRouting(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
+			net := randomNetwork(rng, 2+rng.Intn(20), 4)
+			want := 1 // the first round builds the adjacency
+			for round := 0; round < 5; round++ {
+				builds := net.AdjBuilds()
+				checkAllPairs(t, net)
+				if got := net.AdjBuilds() - builds; got != want {
+					t.Fatalf("round %d: %d adjacency builds, want %d", round, got, want)
+				}
+				nodes, links := len(net.Nodes()), len(net.Links())
+				for i := rng.Intn(4); i > 0; i-- {
+					net.AddNode("g"+strconv.Itoa(len(net.Nodes())), fabric.KindSwitch)
+				}
+				grown := len(net.Nodes())
+				for e := 1 + rng.Intn(6); e > 0; e-- {
+					// New nodes take part in at least half the links.
+					a, b := rng.Intn(grown), rng.Intn(grown)
+					if grown > nodes && rng.Intn(2) == 0 {
+						a = nodes + rng.Intn(grown-nodes)
+					}
+					if a != b {
+						connectRandom(rng, net, a, b)
+					}
+				}
+				want = 0
+				if len(net.Nodes()) != nodes || len(net.Links()) != links {
+					want = 1
+				}
+			}
+		})
+	}
+}
+
+// TestRouteAdjacencyFollowsConnect pins that routing lists the directions
+// a link had capacity in when Connect ran: a one-way link later given
+// capacity both ways by SetLinkCapacity stays one-way for routing, also
+// after a graph change rebuilds the adjacency.
+func TestRouteAdjacencyFollowsConnect(t *testing.T) {
+	env := sim.NewEnv()
+	net := fabric.NewNetwork(env)
+	a := net.AddNode("a", fabric.KindSwitch)
+	b := net.AddNode("b", fabric.KindSwitch)
+	c := net.AddNode("c", fabric.KindSwitch)
+	oneWay := net.Connect(a, b, units.GBps(1), 0, 0, "x")
+	net.ConnectSym(b, c, units.GBps(1), 0, "x")
+	net.ConnectSym(c, a, units.GBps(1), 0, "x")
+	want := []fabric.Hop{{Link: 1, Forward: true}, {Link: 2, Forward: true}}
+	for round := 0; round < 2; round++ {
+		builds := net.AdjBuilds()
+		got, err := net.RouteHops(b, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: b→a routed %v, want %v around the one-way link", round, got, want)
+		}
+		if net.AdjBuilds() != builds+1 {
+			t.Fatalf("round %d: the search did not rebuild the adjacency", round)
+		}
+		net.SetLinkCapacity(oneWay, units.GBps(1), units.GBps(1))
+		net.AddNode("grown"+strconv.Itoa(round), fabric.KindSwitch)
 	}
 }
 
@@ -408,7 +485,7 @@ func TestLeafRouteSettlesLocally(t *testing.T) {
 		name     string
 		src, dst fabric.NodeID
 	}{
-		{"dram→nvme", host.Mem, host.Store.Node},
+		{"dram→nvme", host.Mem, fleet.JobSystem(nil, host, nil, "leaf").Store.Node},
 		{"gpu→gpu same drawer", a.Node, b.Node},
 	} {
 		searches, pops := fleet.Net.RouteWork()

@@ -194,30 +194,37 @@ func TestEventsReturnsACopy(t *testing.T) {
 	}
 }
 
-// TestSetTrafficSourceInvalidSlotIsNoop pins that wiring a traffic source
-// to a slot outside the chassis neither panics nor shows up in the
-// port-traffic view, while a valid slot's source does.
+// TestSetTrafficSourceInvalidSlotIsNoop pins that monitoring a slot
+// outside the chassis neither panics nor shows up in the port-traffic
+// view, while a valid monitored slot is read from the chassis's source
+// under its own SlotRef.
 func TestSetTrafficSourceInvalidSlotIsNoop(t *testing.T) {
 	c := New("traffic")
 	if err := c.Install(SlotRef{1, 2}, v100(0)); err != nil {
 		t.Fatal(err)
 	}
-	called := false
-	bad := func() (in, out units.Bytes) { called = true; return 1, 1 }
+	var read []SlotRef
+	c.SetTrafficSource(func(ref SlotRef) (in, out units.Bytes) {
+		read = append(read, ref)
+		return units.Bytes(100 * (ref.Drawer + 2)), units.Bytes(100 * ref.Slot)
+	})
 	for _, ref := range []SlotRef{{-1, 0}, {0, -1}, {NumDrawers, 0}, {0, SlotsPerDrawer}, {7, 99}} {
-		c.SetTrafficSource(ref, bad)
+		c.MonitorPort(ref)
 	}
 	if rows := c.PortTraffic(); rows != nil {
 		t.Fatalf("invalid slots produced traffic rows: %+v", rows)
 	}
-	c.SetTrafficSource(SlotRef{1, 2}, func() (in, out units.Bytes) { return 300, 200 })
+	c.MonitorPort(SlotRef{1, 2})
 	rows := c.PortTraffic()
 	want := []PortTrafficRow{{Slot: SlotRef{1, 2}, Device: "gpu-0", Ingress: 300, Egress: 200}}
 	if !reflect.DeepEqual(rows, want) {
 		t.Fatalf("rows = %+v, want %+v", rows, want)
 	}
-	if called {
-		t.Fatal("a source wired to an invalid slot was read")
+	if !reflect.DeepEqual(read, []SlotRef{{1, 2}}) {
+		t.Fatalf("source read for %v, want only the monitored slot", read)
+	}
+	if rows := New("unwired").PortTraffic(); rows != nil {
+		t.Fatalf("a chassis with no traffic source produced rows: %+v", rows)
 	}
 }
 

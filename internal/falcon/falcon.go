@@ -11,6 +11,7 @@ package falcon
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -80,9 +81,8 @@ func (r SlotRef) valid() bool {
 type slot struct {
 	device *DeviceInfo
 	port   string // owning host port ID, "" when detached
-	// traffic is the slot's port-traffic source (SetTrafficSource), nil
-	// when the slot is not monitored.
-	traffic TrafficFunc
+	// monitored puts the slot in the port-traffic view (MonitorPort).
+	monitored bool
 }
 
 // portIDs are the host port IDs, in port order.
@@ -126,6 +126,8 @@ type Chassis struct {
 	}
 	ports [NumHostPorts]HostPort // in port order, H1 first
 	log   []logEntry
+	// traffic reads every monitored slot's counters (SetTrafficSource).
+	traffic TrafficFunc
 
 	// Now supplies management-clock timestamps; the cluster layer binds
 	// it to the simulation clock. Defaults to a zero clock.
@@ -138,7 +140,7 @@ type Chassis struct {
 // New creates a chassis with all drawers in standard one-host mode and the
 // four host ports uncabled.
 func New(name string) *Chassis {
-	c := &Chassis{Name: name, Now: func() time.Duration { return 0 }, log: make([]logEntry, 0, logCap)}
+	c := &Chassis{Name: name, Now: func() time.Duration { return 0 }}
 	for d := 0; d < NumDrawers; d++ {
 		c.drawers[d].mode = ModeStandardOneHost
 	}
@@ -189,10 +191,11 @@ type logEntry struct {
 	port         uint8 // 1 + the port's index in portIDs; 0 for no port
 }
 
-// logCap is the room a new chassis's log starts with: one entry per host
-// port cabled, drawer mode set and slot installed, the entries a full
-// chassis build logs.
-const logCap = NumHostPorts + NumDrawers + NumDrawers*SlotsPerDrawer
+// ReserveLog makes room in the event log for n more entries, so a
+// builder that knows how many entries it will log (one per host cabled,
+// drawer mode set, device installed and attach) grows the log once.
+// Later entries still fit past it; the log's contents are unaffected.
+func (c *Chassis) ReserveLog(n int) { c.log = slices.Grow(c.log, n) }
 
 func (c *Chassis) logEvent(kind logKind, ref SlotRef, dev *DeviceInfo, port uint8, str string) {
 	c.log = append(c.log, logEntry{
@@ -686,16 +689,20 @@ func (c *Chassis) Topology() string {
 	return b.String()
 }
 
-// TrafficFunc reports a slot's cumulative ingress/egress bytes; the
-// composition layer binds it to the fabric's port counters.
-type TrafficFunc func() (in, out units.Bytes)
+// TrafficFunc reports a monitored slot's cumulative ingress/egress bytes;
+// the composition layer binds it to the fabric's port counters.
+type TrafficFunc func(ref SlotRef) (in, out units.Bytes)
 
-// SetTrafficSource wires a slot's traffic counters for the management
-// GUI's port-traffic monitoring (§II-B). A source for a slot outside the
+// SetTrafficSource wires the chassis's traffic counters for the
+// management GUI's port-traffic monitoring (§II-B): PortTraffic reads fn
+// for every slot MonitorPort added to the view.
+func (c *Chassis) SetTrafficSource(fn TrafficFunc) { c.traffic = fn }
+
+// MonitorPort adds a slot to the port-traffic view. A slot outside the
 // chassis is ignored.
-func (c *Chassis) SetTrafficSource(ref SlotRef, fn TrafficFunc) {
+func (c *Chassis) MonitorPort(ref SlotRef) {
 	if ref.valid() {
-		c.drawers[ref.Drawer].slots[ref.Slot].traffic = fn
+		c.drawers[ref.Drawer].slots[ref.Slot].monitored = true
 	}
 }
 
@@ -709,17 +716,21 @@ type PortTrafficRow struct {
 }
 
 // PortTraffic returns the traffic view for every monitored slot, in slot
-// order.
+// order; it is empty until a traffic source is set.
 func (c *Chassis) PortTraffic() []PortTrafficRow {
+	if c.traffic == nil {
+		return nil
+	}
 	var out []PortTrafficRow
 	for d := 0; d < NumDrawers; d++ {
 		for s := 0; s < SlotsPerDrawer; s++ {
 			sl := &c.drawers[d].slots[s]
-			if sl.traffic == nil {
+			if !sl.monitored {
 				continue
 			}
-			in, eg := sl.traffic()
-			row := PortTrafficRow{Slot: SlotRef{Drawer: d, Slot: s}, Ingress: in, Egress: eg, Attached: sl.port}
+			ref := SlotRef{Drawer: d, Slot: s}
+			in, eg := c.traffic(ref)
+			row := PortTrafficRow{Slot: ref, Ingress: in, Egress: eg, Attached: sl.port}
 			if sl.device != nil {
 				row.Device = sl.device.ID
 			}

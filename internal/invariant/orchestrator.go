@@ -413,12 +413,17 @@ func (s *Set) CheckFleetResult(f *cluster.FleetSystem, res *orchestrator.FleetRe
 	if f == nil {
 		return
 	}
+	// A slot no job was composed onto has no model and holds no memory.
 	for _, slot := range f.Slots {
-		if slot.Dev.Used() != 0 {
-			s.Report("gpu/memory-leak", at, "%s still holds %v after the fleet run", slot.Dev.Name(), slot.Dev.Used())
+		dev := slot.Device()
+		if dev == nil {
+			continue
 		}
-		if slot.Dev.PeakUsed() > slot.Dev.Usable() {
-			s.Report("gpu/peak-memory", at, "%s peak %v over usable %v", slot.Dev.Name(), slot.Dev.PeakUsed(), slot.Dev.Usable())
+		if dev.Used() != 0 {
+			s.Report("gpu/memory-leak", at, "%s still holds %v after the fleet run", dev.Name(), dev.Used())
+		}
+		if dev.PeakUsed() > dev.Usable() {
+			s.Report("gpu/peak-memory", at, "%s peak %v over usable %v", dev.Name(), dev.PeakUsed(), dev.Usable())
 		}
 	}
 	if n := f.Net.ActiveFlows(); n != 0 {

@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"composable/internal/cluster"
 	"composable/internal/falcon"
 	"composable/internal/gpu"
 	"composable/internal/orchestrator"
+	"composable/internal/sim"
+	"composable/internal/units"
 )
 
 func ref(d, s int) falcon.SlotRef { return falcon.SlotRef{Drawer: d, Slot: s} }
@@ -101,5 +104,40 @@ func TestWatchChassisConservation(t *testing.T) {
 	if s.chassisAttaches != 2 || s.chassisReassigns != 1 || s.chassisDetaches != 1 {
 		t.Fatalf("event accounting: %d attaches, %d reassigns, %d detaches",
 			s.chassisAttaches, s.chassisReassigns, s.chassisDetaches)
+	}
+}
+
+// TestLeakOnLazilyCreatedDeviceReported pins the end-of-run GPU checks on
+// a fleet whose device models are created by the job views: a slot no
+// view included has no model and is skipped, while memory still held on a
+// model a view created is reported as a leak.
+func TestLeakOnLazilyCreatedDeviceReported(t *testing.T) {
+	f, err := cluster.ComposeFleet(sim.NewEnv(), cluster.FleetOptions{Hosts: 2, GPUs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &orchestrator.FleetResult{Policy: "drawer", Hosts: 2, GPUs: 8}
+	clean := New()
+	clean.CheckFleetResult(f, res)
+	if err := clean.Err(); err != nil {
+		t.Fatalf("a fleet with no device models failed its checks: %v", err)
+	}
+
+	sys := f.JobSystem(nil, f.Hosts[1], f.Slots[5:7], "leaky")
+	for _, dev := range sys.GPUs {
+		if err := dev.Alloc(units.GB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New()
+	s.CheckFleetResult(f, res)
+	err = s.Err()
+	if err == nil || !strings.Contains(err.Error(), "2 violation(s)") {
+		t.Fatalf("memory left on two lazily created devices not reported twice: %v", err)
+	}
+	for _, dev := range sys.GPUs {
+		if !strings.Contains(err.Error(), "gpu/memory-leak") || !strings.Contains(err.Error(), dev.Name()) {
+			t.Fatalf("memory left on %s not reported: %v", dev.Name(), err)
+		}
 	}
 }

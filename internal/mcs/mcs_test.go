@@ -205,9 +205,10 @@ func TestTrafficEndpoint(t *testing.T) {
 	srv, ts, ch := newTestServer(t)
 	_ = srv
 	// Wire a synthetic traffic source for one slot.
-	ch.SetTrafficSource(falcon.SlotRef{Drawer: 0, Slot: 0}, func() (in, out units.Bytes) {
+	ch.SetTrafficSource(func(falcon.SlotRef) (in, out units.Bytes) {
 		return 1000, 2000
 	})
+	ch.MonitorPort(falcon.SlotRef{Drawer: 0, Slot: 0})
 	resp, body := call(t, ts, "GET", "/api/traffic", "tok-alice", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)

@@ -411,9 +411,8 @@ func newScheduler(f *cluster.FleetSystem, specs []JobSpec, opts Options) (*sched
 		s.slotJob[i] = -1
 	}
 	s.buildView()
-	devSpec := f.Slots[0].Dev.Spec
 	for i := range specs {
-		spec := specs[i].Sanitize(len(f.Slots), len(f.Hosts), devSpec)
+		spec := specs[i].Sanitize(len(f.Slots), len(f.Hosts), f.GPUSpec)
 		spec.ID = i
 		js := &jobState{spec: spec, host: -1}
 		s.jobs = append(s.jobs, js)

@@ -1,6 +1,7 @@
 package perfbench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -97,26 +98,54 @@ func TestFaultsRecoverAllocGate(t *testing.T) {
 	t.Logf("faults-recover op allocates %.0f objects", allocs)
 }
 
-// composePodAllocCeiling gates composing the 1024-GPU pod fleet: the
-// measured 9,227 allocations of the fmt-free, presized compose path plus
-// ~10%. It was 10,500 (measured 9,544) while each chassis grew its event
-// log from empty; the eagerly formatting compose path made 28,228.
-const composePodAllocCeiling = 10150
+// composePodAllocCeiling and composePodBytesCeiling gate composing the
+// 1024-GPU pod fleet: the measured 4,381 allocations and 636,488 bytes of
+// a compose that builds no device model (JobSystem creates them on first
+// use), defers the routing adjacency to the first search and gives each
+// chassis one traffic source, plus ~10%. The count was 10,150 (measured
+// 9,227, 1,089,502 bytes) while compose built a GPU model per slot and a
+// CPU, store and page cache per host, kept one adjacency list per node
+// and one traffic closure per slot; 10,500 (measured 9,544) while each
+// chassis grew its event log from empty; the eagerly formatting compose
+// path made 28,228.
+const (
+	composePodAllocCeiling = 4820
+	composePodBytesCeiling = 700000
+)
 
-// TestComposePodAllocGate pins the allocation count of the
+// TestComposePodAllocGate pins the allocation count and bytes of the
 // cluster/compose-pod op, same scheme as TestFleetScheduleAllocGate: a
-// chassis log that formats on the way in, a name built with fmt or an
-// unreserved fabric graph pushes it over the ceiling.
+// chassis log that formats on the way in, a name built with fmt, an
+// unreserved fabric graph or device models built at compose push it over
+// a ceiling.
 func TestComposePodAllocGate(t *testing.T) {
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs, bytes := allocsAndBytesPerRun(5, func() {
 		if _, err := cluster.ComposeFleet(sim.NewEnv(), PodFleetOptions()); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > composePodAllocCeiling {
-		t.Errorf("composing the pod fleet allocates %.0f objects, ceiling %d", allocs, composePodAllocCeiling)
+		t.Errorf("composing the pod fleet allocates %d objects, ceiling %d", allocs, composePodAllocCeiling)
 	}
-	t.Logf("composing the pod fleet allocates %.0f objects", allocs)
+	if bytes > composePodBytesCeiling {
+		t.Errorf("composing the pod fleet allocates %d bytes, ceiling %d", bytes, composePodBytesCeiling)
+	}
+	t.Logf("composing the pod fleet allocates %d objects, %d bytes", allocs, bytes)
+}
+
+// allocsAndBytesPerRun is testing.AllocsPerRun that also reports the
+// bytes allocated: the average over runs calls of fn, after one warm-up
+// call, on one P so other goroutines add as little as possible.
+func allocsAndBytesPerRun(runs int, fn func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // relaunchAllocCeiling gates one relaunch on a warm fleet: a 4-GPU job

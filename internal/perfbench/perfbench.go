@@ -573,8 +573,9 @@ func BenchOrchestratorPodBurst(b *testing.B) {
 
 // BenchClusterComposePod measures composing the 1024-GPU pod fleet alone:
 // 64 chassis control planes, the spine/leaf fabric graph and the host and
-// GPU models, the setup every pod-fleet scenario pays before its first
-// event. One op = one composed fleet.
+// slot records, the setup every pod-fleet scenario pays before its first
+// event. The device models are not part of it: a fleet creates them when
+// a job is first composed onto them. One op = one composed fleet.
 func BenchClusterComposePod(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,10 +31,10 @@ var update = flag.Bool("update", false, "rewrite the sweep pin lists in testdata
 // signalled in another order) without moving any result.
 //
 // The pins were captured with go1.24.0 on amd64, the toolchain
-// bench/pins.json records; CI's setup-go installs Go 1.22. Go may fuse
-// x*y+z into one FMA instruction on arm64 but not on amd64, so float
-// fields such as the link-traffic averages can differ in the last bit on
-// other architectures; the pins are checked only on amd64.
+// bench/pins.json records; CI's setup-go installs Go 1.22. They are
+// checked on every architecture: every product that feeds a sum is
+// rounded (float64(a*b) + c), so no architecture fuses it into an FMA,
+// and CI runs them on 386 as well as amd64.
 type fingerprintPins struct {
 	path string
 	mu   sync.Mutex
@@ -91,10 +90,6 @@ func (p *fingerprintPins) check(t *testing.T) {
 		if err := os.WriteFile(p.path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Logf("sweep pins skipped on %s: they are captured on amd64", runtime.GOARCH)
 		return
 	}
 	want, err := readFingerprintPins(p.path)
