@@ -35,12 +35,23 @@ func (n *Network) RouteHops(src, dst NodeID) ([]Hop, error) {
 	if err != nil {
 		return nil, err
 	}
-	hops := make([]Hop, len(path))
-	for i, dl := range path {
-		hops[i] = Hop{Link: dl.link.ID, Forward: dl.forward}
-	}
-	return hops, nil
+	return hopsOf(path), nil
 }
+
+// Hops returns the path the flow was started on as hops.
+func (f *Flow) Hops() []Hop { return hopsOf(f.path) }
+
+func hopsOf(path []dir) []Hop {
+	hops := make([]Hop, len(path))
+	for i, d := range path {
+		hops[i] = Hop{Link: d.link(), Forward: d.side() == 0}
+	}
+	return hops
+}
+
+// FirstHopBlock is how many directions the route cache's first hop block
+// holds.
+const FirstHopBlock = firstHopBlock
 
 // Waterfill is the allocator's max-min system flattened to indices, for the
 // waterfill oracle in package fabric_test. Constraints are listed in the

@@ -3,6 +3,9 @@ package fabric
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -206,13 +209,6 @@ func TestParallelTransferBarrier(t *testing.T) {
 	}
 }
 
-// dirKey names one direction of a link for the per-direction usage sums
-// the allocator invariants are checked against.
-type dirKey struct {
-	id      LinkID
-	forward bool
-}
-
 // TestMaxMinPropertyInvariants checks, over random star topologies and flow
 // sets, the three defining properties of the allocator: non-negative rates,
 // no directed link over capacity, and work conservation (every flow is
@@ -253,19 +249,19 @@ func TestMaxMinPropertyInvariants(t *testing.T) {
 			// fields directly, so run any pending deferred sweep first —
 			// the public readers do this via the same call).
 			n.ensureAllocated()
-			use := map[dirKey]float64{}
+			use := map[dir]float64{}
 			for _, f := range flows {
 				if f.rate < 0 {
 					ok = false
 				}
-				for _, dl := range f.path {
-					use[dirKey{dl.link.ID, dl.forward}] += f.rate
+				for _, d := range f.path {
+					use[d] += f.rate
 				}
 			}
-			for k, u := range use {
-				l := n.Link(k.id)
+			for d, u := range use {
+				l := n.Link(d.link())
 				cap := float64(l.CapAtoB)
-				if !k.forward {
+				if d.side() == 1 {
 					cap = float64(l.CapBtoA)
 				}
 				if u > cap*(1+1e-9) {
@@ -275,10 +271,9 @@ func TestMaxMinPropertyInvariants(t *testing.T) {
 			// Work conservation: each flow touches a saturated link.
 			for _, f := range flows {
 				saturated := false
-				for _, dl := range f.path {
-					k := dirKey{dl.link.ID, dl.forward}
-					cap := dl.capacity()
-					if use[k] >= cap*(1-1e-9) {
+				for _, d := range f.path {
+					cap := n.Link(d.link()).capacity(d.side())
+					if use[d] >= cap*(1-1e-9) {
 						saturated = true
 					}
 				}
@@ -348,5 +343,60 @@ func TestZeroByteTransferTakesLatencyOnly(t *testing.T) {
 	}
 	if took != 2*time.Microsecond {
 		t.Fatalf("took %v, want 2µs", took)
+	}
+}
+
+// TestHandleRangeGuard checks the limits AddNode and Connect enforce
+// through checkHandleRange: the limits are the most nodes and links an
+// int32 node ID and an int32 direction handle can name, a graph one short
+// of a limit may grow, and a full one panics with a message naming it.
+func TestHandleRangeGuard(t *testing.T) {
+	if maxNodes-1 != math.MaxInt32 || 2*(maxLinks-1)+1 != math.MaxInt32 {
+		t.Fatalf("limits %d nodes and %d links do not match int32 handles", maxNodes, maxLinks)
+	}
+	for _, tc := range []struct {
+		what  string
+		limit int64
+	}{{"nodes", maxNodes}, {"links", maxLinks}} {
+		checkHandleRange(tc.what, tc.limit-1, tc.limit)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, strconv.FormatInt(tc.limit, 10)+" "+tc.what) {
+					t.Errorf("a full graph of %s panicked with %q, want the limit %d named", tc.what, msg, tc.limit)
+				}
+			}()
+			checkHandleRange(tc.what, tc.limit, tc.limit)
+		}()
+	}
+}
+
+// TestRouteCacheStartsOverWhenBlocksRunOut fills the route cache's block
+// table: the next new route must empty the index and start a fresh block,
+// route correctly, and leave a path handed out before untouched.
+func TestRouteCacheStartsOverWhenBlocksRunOut(t *testing.T) {
+	_, n, a, _, c := line(t)
+	held, err := n.Route(a, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(held)
+	n.hopBlocks = append(n.hopBlocks, make([][]dir, maxHopBlocks-len(n.hopBlocks))...)
+	back, err := n.Route(c, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(n.hopBlocks) != 1 || len(n.routeEntries) != 2 {
+		t.Fatalf("after the table filled: %d blocks, %d entries; want 1 and the sentinel plus 1", len(n.hopBlocks), len(n.routeEntries))
+	}
+	if len(back) != 2 || back[0] != want[1]^1 || back[1] != want[0]^1 {
+		t.Fatalf("c→a routed %v, want the reverse of a→c's %v", back, want)
+	}
+	again, err := n.Route(a, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(held, want) || !slices.Equal(again, want) {
+		t.Fatalf("a→c held %v, routed again %v; want %v", held, again, want)
 	}
 }

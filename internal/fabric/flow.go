@@ -13,6 +13,11 @@ import (
 // Network is a fabric graph plus an active set of fluid flows. All mutation
 // must happen inside the simulation (from processes or scheduled callbacks);
 // the engine's strict handoff makes that race-free without locks.
+//
+// Inside a Network, a direction of a link is a 4-byte handle (see Link).
+// Routes, flows and the allocator's constraint index hold handles, and
+// the route cache carves every path from shared blocks of them that a
+// graph change never rewrites (see Route).
 type Network struct {
 	env   *sim.Env
 	nodes []*Node
@@ -31,16 +36,22 @@ type Network struct {
 	flows      []*Flow
 	lastUpdate sim.Time
 	epoch      uint64
-	// routes is the route cache (see Route): one row of computed routes
-	// per source, indexed by NodeID.
-	routes [][]routeEntry
+	// routeHead, routeEntries and hopBlocks are the route cache (see
+	// Route), built with the routing adjacency for graph generation
+	// routeGen: routeHead[src] indexes the first of src's entries in
+	// routeEntries (0: none), each entry indexes the next, and hopBlocks
+	// holds the blocks their paths are carved from.
+	routeHead    []int32
+	routeEntries []routeEntry
+	hopBlocks    [][]dir
+	routeGen     uint64
 	// graph is the graph generation, bumped with every change that drops
 	// the route cache (AddNode, Connect). A prepared LegSet resolved under
 	// an older generation is resolved again before it is armed.
 	graph uint64
 
 	// linkCons holds one persistent constraint per link direction, indexed
-	// by 2*LinkID (+1 for the B→A direction), created lazily on first use.
+	// by its dir, created lazily on first use.
 	// cons lists the constraints that currently carry flows: flow add and
 	// remove touch only the constraints on the flow's own path, and
 	// recompute sweeps empty ones out lazily — nothing is rebuilt per
@@ -120,10 +131,9 @@ type Network struct {
 	// Dijkstra scratch (see dijkstra): reused across route computations,
 	// and stamped with djEpoch instead of cleared per search.
 	djDist  []int64
-	djPrev  []dirLink
+	djPrev  []dir
 	djSeen  []uint32
 	djEpoch uint32
-	djRev   []dirLink
 	djHeap  []heapItem
 	// routeSearches, routePops and adjBuilds count the searches, their
 	// heap pops and the adjacency builds over the network's lifetime;
@@ -157,14 +167,15 @@ type Network struct {
 	nodeSlab []Node
 	linkSlab []Link
 
-	// adjOff, adjList and degree are the routing adjacency, built by the
-	// first search after a graph change (at graph generation adjGen):
-	// node v's out-directions are adjList[adjOff[v]:adjOff[v+1]], and
-	// degree[v] counts its links in either direction.
+	// adjOff, adjList, degree and adjCost are the routing adjacency, built
+	// with the route cache's index by the first route after a graph
+	// change: node v's out-directions are adjList[adjOff[v]:adjOff[v+1]],
+	// degree[v] counts its links in either direction, and adjCost[id] is
+	// what crossing link id adds to a path's cost.
 	adjOff  []int32
-	adjList []dirLink
+	adjList []adjHop
 	degree  []int32
-	adjGen  uint64
+	adjCost []int64
 }
 
 // SetAuditor installs fn to run after every allocation recompute, once the
@@ -200,7 +211,7 @@ func (n *Network) VisitAllocations(fn func(l *Link, forward bool, allocated, cap
 		for _, cf := range st.flows {
 			total += cf.f.rate
 		}
-		fn(st.link, st.forward, total, st.capacity())
+		fn(st.link, st.d.side() == 0, total, st.capacity())
 	}
 }
 
@@ -217,8 +228,8 @@ func (n *Network) VisitFlows(fn func(f *Flow)) {
 // Constraints persist across recomputes; residual and unfrozen are
 // refreshed at the start of each allocation epoch.
 type constraint struct {
-	link    *Link // nil for per-flow rate caps
-	forward bool
+	link *Link // nil for per-flow rate caps
+	d    dir   // the link direction
 	// active tracks membership in Network.cons so a constraint is never
 	// listed twice; it stays set while the constraint sits in cons, even
 	// after its last flow leaves, until a recompute sweeps it out.
@@ -265,10 +276,7 @@ func (st *constraint) capacity() float64 {
 	if st.link == nil {
 		return st.capped
 	}
-	if st.forward {
-		return float64(st.link.CapAtoB)
-	}
-	return float64(st.link.CapBtoA)
+	return st.link.capacity(st.d.side())
 }
 
 // NewNetwork creates an empty fabric bound to a simulation environment.
@@ -288,7 +296,7 @@ func (n *Network) Env() *sim.Env { return n.env }
 // the max-min fair allocator whenever the set of flows changes.
 type Flow struct {
 	Src, Dst  NodeID
-	path      []dirLink
+	path      []dir
 	remaining float64 // bytes
 	rate      float64 // bytes/sec
 	maxRate   float64 // 0 = unlimited; models endpoint media/DMA limits
@@ -356,8 +364,8 @@ func (n *Network) StartFlowLimited(src, dst NodeID, size units.Bytes, maxRate un
 		return nil, err
 	}
 	lat := n.EndpointOverhead
-	for _, dl := range path {
-		lat += dl.link.Latency
+	for _, d := range path {
+		lat += n.links[d.link()].Latency
 	}
 	f := n.takeFlow()
 	f.Src, f.Dst, f.path = src, dst, path
@@ -412,9 +420,9 @@ func (n *Network) ReleaseFlow(f *Flow) {
 // appendPathCons appends the link constraint of each hop of path to cons.
 //
 //perf:hot
-func (n *Network) appendPathCons(cons []*constraint, path []dirLink) []*constraint {
-	for _, dl := range path {
-		cons = append(cons, n.linkConstraint(dl))
+func (n *Network) appendPathCons(cons []*constraint, path []dir) []*constraint {
+	for _, d := range path {
+		cons = append(cons, n.linkConstraint(d))
 	}
 	return cons
 }
@@ -505,15 +513,11 @@ func (n *Network) removeFlow(f *Flow) {
 // creating it on first use.
 //
 //perf:hot
-func (n *Network) linkConstraint(dl dirLink) *constraint {
-	i := 2 * int(dl.link.ID)
-	if !dl.forward {
-		i++
-	}
-	st := n.linkCons[i]
+func (n *Network) linkConstraint(d dir) *constraint {
+	st := n.linkCons[d]
 	if st == nil {
-		st = &constraint{link: dl.link, forward: dl.forward}
-		n.linkCons[i] = st
+		st = &constraint{link: n.links[d.link()], d: d}
+		n.linkCons[d] = st
 	}
 	return st
 }
@@ -645,7 +649,7 @@ func (n *Network) ParallelTransferPadded(p *sim.Proc, xs []TransferSpec, padFact
 type leg struct {
 	src, dst NodeID
 	size     units.Bytes
-	path     []dirLink
+	path     []dir
 	hopLat   time.Duration
 	con      int
 }
@@ -666,8 +670,8 @@ func (n *Network) resolve(legs []leg, cons []*constraint) ([]leg, []*constraint,
 			break
 		}
 		l.hopLat = 0
-		for _, dl := range l.path {
-			l.hopLat += dl.link.Latency
+		for _, d := range l.path {
+			l.hopLat += n.links[d.link()].Latency
 		}
 		hops += len(l.path)
 	}
@@ -886,6 +890,7 @@ func (n *Network) integrate(scan bool) (due int, nextIn float64) {
 	if dt <= 0 && !scan {
 		return 0, nextIn
 	}
+	links := n.links
 	for _, f := range n.flows {
 		if dt > 0 {
 			moved := f.rate * dt
@@ -893,8 +898,8 @@ func (n *Network) integrate(scan bool) (due int, nextIn float64) {
 				moved = f.remaining
 			}
 			f.remaining -= moved
-			for _, dl := range f.path {
-				dl.addBytes(moved)
+			for _, d := range f.path {
+				links[d.link()].bytes[d.side()] += moved
 			}
 		}
 		if !scan {
@@ -1355,8 +1360,8 @@ func (n *Network) SetLinkCapacity(id LinkID, capAB, capBA units.BytesPerSec) {
 //
 //lint:allow deadapi(oracle hook: the collective legs oracle picks a link on a flow's path)
 func (f *Flow) Traverses(id LinkID) bool {
-	for _, dl := range f.path {
-		if dl.link.ID == id {
+	for _, d := range f.path {
+		if d.link() == id {
 			return true
 		}
 	}

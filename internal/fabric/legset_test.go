@@ -53,7 +53,7 @@ func TestLegSetFollowsConnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != 1 || want[0].link.ID != direct {
+	if len(want) != 1 || want[0].link() != direct {
 		t.Fatalf("route after Connect = %s, want the direct link %d", pathString(want), direct)
 	}
 	if paths[0] == paths[1] || paths[1] != pathString(want) {
@@ -64,10 +64,10 @@ func TestLegSetFollowsConnect(t *testing.T) {
 	}
 }
 
-func pathString(path []dirLink) string {
+func pathString(path []dir) string {
 	var b strings.Builder
-	for _, dl := range path {
-		fmt.Fprintf(&b, "%d/%t ", dl.link.ID, dl.forward)
+	for _, d := range path {
+		fmt.Fprintf(&b, "%d/%t ", d.link(), d.side() == 0)
 	}
 	return b.String()
 }

@@ -498,3 +498,169 @@ func TestLeafRouteSettlesLocally(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteOraclePathsOutliveCacheDrop checks that a path handed out
+// stays the route it was. Paths are carved from shared hop blocks, and a
+// graph change drops the cache's index while flows still hold their
+// paths. On random graphs and on the pod fleet the test routes more pairs
+// than the first hop block holds, starts flows on the earliest routes,
+// grows the graph by two nodes linked in as a shortcut while the flows are
+// in flight, and routes every pair again, newest first. Each in-flight
+// path must still be the reference route of the graph it started on, and
+// each flow must finish at the instant, and leave every link counter at
+// the bytes, of a twin network that never grew.
+func TestRouteOraclePathsOutliveCacheDrop(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
+			build := func() *fabric.Network {
+				return randomNetwork(rand.New(rand.NewSource(seed)), 30+int(seed), 1)
+			}
+			var pairs [][2]fabric.NodeID
+			g := newRefGraph(build())
+			for src := range g.out {
+				_, reached := g.search(src, -1)
+				for dst, ok := range reached {
+					if ok && dst != src {
+						pairs = append(pairs, [2]fabric.NodeID{fabric.NodeID(src), fabric.NodeID(dst)})
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			checkPathsOutliveDrop(t, build, pairs)
+		})
+	}
+	t.Run("pod-fleet", func(t *testing.T) {
+		build := func() *fabric.Network {
+			fleet, err := cluster.ComposeFleet(sim.NewEnv(), perfbench.PodFleetOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fleet.Net
+		}
+		fleet, err := cluster.ComposeFleet(sim.NewEnv(), perfbench.PodFleetOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pairs [][2]fabric.NodeID
+		for i, s := range fleet.Slots {
+			pairs = append(pairs, [2]fabric.NodeID{s.Node, fleet.Slots[(i+1)%len(fleet.Slots)].Node})
+		}
+		for _, h := range fleet.Hosts {
+			for _, s := range fleet.Slots {
+				if s.ChassisIdx == h.ChassisIdx {
+					pairs = append(pairs, [2]fabric.NodeID{h.Mem, s.Node})
+				}
+			}
+		}
+		checkPathsOutliveDrop(t, build, pairs)
+	})
+}
+
+// pathsOutliveFlows is how many of the earliest routes carry flows in
+// checkPathsOutliveDrop.
+const pathsOutliveFlows = 8
+
+// checkPathsOutliveDrop runs the path-stability oracle on the networks
+// build returns, which must be identical, over reachable pairs.
+func checkPathsOutliveDrop(t *testing.T, build func() *fabric.Network, pairs [][2]fabric.NodeID) {
+	t.Helper()
+	grown, twin := build(), build()
+	ref := newRefGraph(twin)
+	hops := 0
+	for _, p := range pairs {
+		path, err := grown.RouteHops(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hops += len(path)
+	}
+	if hops <= fabric.FirstHopBlock {
+		t.Fatalf("%d pairs routed %d hops, which the first hop block (%d) holds", len(pairs), hops, fabric.FirstHopBlock)
+	}
+	early := pairs[:pathsOutliveFlows]
+	grownDone := runEarlyFlows(t, grown, early, func(p *sim.Proc) {
+		a := grown.AddNode("grown-a", fabric.KindSwitch)
+		b := grown.AddNode("grown-b", fabric.KindSwitch)
+		grown.ConnectSym(early[0][0], a, units.GBps(64), 0, "x")
+		grown.ConnectSym(a, b, units.GBps(64), 0, "x")
+		grown.ConnectSym(b, early[0][1], units.GBps(64), 0, "x")
+		for i := len(pairs) - 1; i >= 0; i-- {
+			if _, err := grown.Route(pairs[i][0], pairs[i][1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	twinDone := runEarlyFlows(t, twin, early, nil)
+	for i, f := range grownDone {
+		src, dst := int(early[i][0]), int(early[i][1])
+		prev, reached := ref.search(src, dst)
+		if got, want := f.path, ref.path(prev, reached, src, dst); !slices.Equal(got, want) {
+			t.Fatalf("flow %d→%d rode %v after the graph grew, reference %v", src, dst, got, want)
+		}
+		if f.at != twinDone[i].at {
+			t.Fatalf("flow %d→%d finished at %v, %v on the twin that never grew", src, dst, f.at, twinDone[i].at)
+		}
+	}
+	for id, l := range grown.Links() {
+		var atob, btoa float64
+		if id < len(twin.Links()) {
+			atob, btoa = twin.Links()[id].ExactBytes()
+		}
+		if gotAB, gotBA := l.ExactBytes(); gotAB != atob || gotBA != btoa {
+			t.Fatalf("link %d carried %v/%v bytes, %v/%v on the twin", id, gotAB, gotBA, atob, btoa)
+		}
+	}
+	srcs, dsts := make([]int, len(early)), make([]int, len(early))
+	for i, p := range early {
+		srcs[i], dsts[i] = int(p[0]), int(p[1])
+	}
+	checkPairs(t, grown, srcs, dsts)
+}
+
+// earlyFlow is one flow of checkPathsOutliveDrop: the path it held once
+// the graph had grown, and the instant it finished.
+type earlyFlow struct {
+	path []fabric.Hop
+	at   sim.Time
+}
+
+// runEarlyFlows starts one flow per pair, pair i carrying i+1 MB, then
+// runs grow, if any, a microsecond later while they are in flight, and
+// runs the network to completion.
+func runEarlyFlows(t *testing.T, net *fabric.Network, pairs [][2]fabric.NodeID, grow func(p *sim.Proc)) []earlyFlow {
+	t.Helper()
+	env := net.Env()
+	out := make([]earlyFlow, len(pairs))
+	env.Go("driver", func(p *sim.Proc) {
+		flows := make([]*fabric.Flow, len(pairs))
+		for i, pr := range pairs {
+			f, err := net.StartFlow(pr[0], pr[1], units.Bytes(i+1)*units.MB)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			flows[i] = f
+			env.Go("wait", func(p *sim.Proc) {
+				f.Done().Wait(p)
+				out[i].at = p.Now()
+			})
+		}
+		p.Sleep(time.Microsecond)
+		for i, f := range flows {
+			if f.Done().Fired() {
+				t.Errorf("flow %d finished within a microsecond: nothing in flight", i)
+			}
+		}
+		if grow != nil {
+			grow(p)
+		}
+		for i, f := range flows {
+			out[i].path = f.Hops()
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}

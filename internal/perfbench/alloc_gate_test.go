@@ -71,17 +71,17 @@ func runFaultsRecoverOnce(t testing.TB) {
 
 // TestFleetScheduleAllocGate pins the fleet-schedule op's allocation
 // count: the same op body BenchOrchestratorFleetSchedule measures, gated
-// at its measured count plus ~10% via testing.AllocsPerRun.
+// at its measured count plus ~10% via allocsAndBytesPerRun.
 func TestFleetScheduleAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate runs full fleet ops")
 	}
-	allocs := testing.AllocsPerRun(5, func() { runFleetScheduleOnce(t) })
+	allocs, bytes := allocsAndBytesPerRun(5, func() { runFleetScheduleOnce(t) })
 	if allocs > fleetScheduleAllocCeiling {
-		t.Errorf("fleet-schedule op allocates %.0f objects, ceiling %d (%s)",
+		t.Errorf("fleet-schedule op allocates %d objects, ceiling %d (%s)",
 			allocs, fleetScheduleAllocCeiling, fleetScheduleBytesPerOpNotes)
 	}
-	t.Logf("fleet-schedule op allocates %.0f objects", allocs)
+	t.Logf("fleet-schedule op allocates %d objects, %d bytes", allocs, bytes)
 }
 
 // TestFaultsRecoverAllocGate pins the fault-recovery op's allocation
@@ -90,12 +90,12 @@ func TestFaultsRecoverAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate runs full fleet ops")
 	}
-	allocs := testing.AllocsPerRun(5, func() { runFaultsRecoverOnce(t) })
+	allocs, bytes := allocsAndBytesPerRun(5, func() { runFaultsRecoverOnce(t) })
 	if allocs > faultsRecoverAllocCeiling {
-		t.Errorf("faults-recover op allocates %.0f objects, ceiling %d (%s)",
+		t.Errorf("faults-recover op allocates %d objects, ceiling %d (%s)",
 			allocs, faultsRecoverAllocCeiling, fleetScheduleBytesPerOpNotes)
 	}
-	t.Logf("faults-recover op allocates %.0f objects", allocs)
+	t.Logf("faults-recover op allocates %d objects, %d bytes", allocs, bytes)
 }
 
 // composePodAllocCeiling and composePodBytesCeiling gate composing the
@@ -131,6 +131,62 @@ func TestComposePodAllocGate(t *testing.T) {
 		t.Errorf("composing the pod fleet allocates %d bytes, ceiling %d", bytes, composePodBytesCeiling)
 	}
 	t.Logf("composing the pod fleet allocates %d objects, %d bytes", allocs, bytes)
+}
+
+// routePodAllocCeiling and routePodBytesCeiling gate routing on a fresh
+// pod fleet: every GPU i→i+1 ring pair and each host's DRAM to every GPU
+// of its own chassis, 3,072 cold routes, counted as compose plus routing
+// minus compose alone. The ceilings are the measured 40 allocations and
+// 281,179 bytes, with each route cached as a 16-byte entry and its path
+// carved from a shared block of 4-byte direction handles, plus ~10%. The
+// same routes made 4,755 allocations and 499,946 bytes while the cache
+// kept a row of 32-byte entries per source and one heap slice of 16-byte
+// hops per path.
+const (
+	routePodAllocCeiling = 43
+	routePodBytesCeiling = 310000
+)
+
+// TestRoutePodAllocGate pins what routing the pod fleet allocates, same
+// scheme as TestComposePodAllocGate: a path allocated per route, a row per
+// source or a wider hop handle pushes it over a ceiling.
+func TestRoutePodAllocGate(t *testing.T) {
+	compose := func() *cluster.FleetSystem {
+		fleet, err := cluster.ComposeFleet(sim.NewEnv(), PodFleetOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fleet
+	}
+	route := func() {
+		fleet := compose()
+		net := fleet.Net
+		for i, s := range fleet.Slots {
+			if _, err := net.Route(s.Node, fleet.Slots[(i+1)%len(fleet.Slots)].Node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, h := range fleet.Hosts {
+			for _, s := range fleet.Slots {
+				if s.ChassisIdx != h.ChassisIdx {
+					continue
+				}
+				if _, err := net.Route(h.Mem, s.Node); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	composeAllocs, composeBytes := allocsAndBytesPerRun(5, func() { compose() })
+	allocs, bytes := allocsAndBytesPerRun(5, route)
+	allocs, bytes = allocs-composeAllocs, bytes-composeBytes
+	if allocs > routePodAllocCeiling {
+		t.Errorf("routing the pod fleet allocates %d objects, ceiling %d", allocs, routePodAllocCeiling)
+	}
+	if bytes > routePodBytesCeiling {
+		t.Errorf("routing the pod fleet allocates %d bytes, ceiling %d", bytes, routePodBytesCeiling)
+	}
+	t.Logf("routing the pod fleet allocates %d objects, %d bytes", allocs, bytes)
 }
 
 // allocsAndBytesPerRun is testing.AllocsPerRun that also reports the
@@ -192,9 +248,9 @@ func TestRelaunchAllocGate(t *testing.T) {
 		sys = l.Release(job)
 	}
 	relaunch() // the first launch builds the engine
-	allocs := testing.AllocsPerRun(5, relaunch)
+	allocs, bytes := allocsAndBytesPerRun(5, relaunch)
 	if allocs > relaunchAllocCeiling {
-		t.Errorf("relaunch allocates %.0f objects, ceiling %d", allocs, relaunchAllocCeiling)
+		t.Errorf("relaunch allocates %d objects, ceiling %d", allocs, relaunchAllocCeiling)
 	}
-	t.Logf("relaunch allocates %.0f objects", allocs)
+	t.Logf("relaunch allocates %d objects, %d bytes", allocs, bytes)
 }
